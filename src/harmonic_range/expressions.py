@@ -24,6 +24,7 @@ __all__ = [
     "Pow",
     "Exp",
     "Z",
+    "MAX_NESTING",
     "ParseError",
     "parse_expr",
     "to_source",
@@ -107,10 +108,21 @@ class ParseError(ValueError):
 #         | '(' expr ')' | '-' base
 # --------------------------------------------------------------------------
 
+# Deepest nesting of '(', 'exp(' and unary '-' the parser accepts; deeper
+# input would exhaust the interpreter stack in the recursive descent.
+MAX_NESTING = 200
+
+
 class _Tokenizer:
     def __init__(self, src: str):
         self.src = src
         self.pos = 0
+        self.depth = 0
+
+    def enter(self):
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", self.pos)
+        self.depth += 1
 
     def _skip_ws(self):
         while self.pos < len(self.src) and self.src[self.pos].isspace():
@@ -207,12 +219,17 @@ def _parse_base(tk: _Tokenizer) -> Expr:
     if ch == "":
         raise ParseError("unexpected end of input", tk.pos)
     if ch == "-":
+        tk.enter()
         tk.pos += 1
-        return Neg(_parse_base(tk))
+        node = _parse_base(tk)
+        tk.depth -= 1
+        return Neg(node)
     if ch == "(":
+        tk.enter()
         tk.pos += 1
         node = _parse_expr(tk)
         tk.expect(")")
+        tk.depth -= 1
         return node
     if ch.isdigit() or ch == ".":
         return Const(complex(tk.number()))
@@ -222,9 +239,11 @@ def _parse_base(tk: _Tokenizer) -> Expr:
         if name == "z":
             return Var()
         if name == "exp":
+            tk.enter()
             tk.expect("(")
             node = _parse_expr(tk)
             tk.expect(")")
+            tk.depth -= 1
             return Exp(node)
         if name in _CONSTANTS:
             return Const(_CONSTANTS[name])

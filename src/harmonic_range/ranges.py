@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import qmc
 
 from .arcs import ArcSet, TWO_PI, circle_distance
 from .expressions import HarmonicMap
@@ -25,6 +24,7 @@ __all__ = [
     "DirectionEstimate",
     "Cone",
     "PhiProfile",
+    "sobol_points",
     "sample_range",
     "estimate_directions",
     "antipodal_pairs",
@@ -70,16 +70,67 @@ class RangeSample:
                                  repr(float(w.real)), repr(float(w.imag))])
 
 
+_SOBOL_BITS = 30
+
+
+def _sobol_directions(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Scrambled direction numbers (2, bits) and digital shift (2,) of the
+    2-D Sobol' sequence, drawn from ``rng`` in the order scipy draws them."""
+    bits = _SOBOL_BITS
+    m = np.ones((2, bits), dtype=np.uint32)  # dim 0: van der Corput
+    for j in range(1, bits):                  # dim 1: polynomial x + 1, m_1 = 1
+        m[1, j] = m[1, j - 1] ^ (m[1, j - 1] << 1)
+    sv = m << np.arange(bits - 1, -1, -1, dtype=np.uint32)
+    shift = rng.integers(0, 2, (2, bits), dtype=np.uint32)
+    ltm = np.tril(rng.integers(0, 2, (2, bits, bits), dtype=np.uint32))
+    ltm[:, np.arange(bits), np.arange(bits)] = 1
+    # linear matrix scramble over GF(2); bit index k of a matrix row or
+    # vector stands for the bit of weight 2^(bits-1-k), in and out
+    weight = np.uint32(1) << np.arange(bits - 1, -1, -1, dtype=np.uint32)
+    v_bits = (sv[:, None, :] & weight[None, :, None]) != 0     # (d, k, j)
+    out_bits = (ltm.astype(np.int64) @ v_bits) & 1              # (d, p, j)
+    sv = (out_bits.astype(np.uint32) * weight[None, :, None]).sum(
+        axis=1, dtype=np.uint32)
+    shift = (shift * (np.uint32(1) << np.arange(bits, dtype=np.uint32))).sum(
+        axis=1, dtype=np.uint32)
+    return sv, shift
+
+
+def sobol_points(n: int, seed: int) -> np.ndarray:
+    """First ``n`` points, shape (n, 2), of the LMS+shift scrambled 2-D
+    Sobol' sequence; bit-identical to
+    ``scipy.stats.qmc.Sobol(d=2, scramble=True, seed=seed).random(n)``."""
+    if not 0 <= n <= 1 << _SOBOL_BITS:
+        raise ValueError(f"can draw 0 to 2**{_SOBOL_BITS} Sobol' points, not {n}")
+    sv, shift = _sobol_directions(np.random.default_rng(seed))
+    q = np.empty((2, n), dtype=np.uint32)
+    if n > 0:
+        q[:, 0] = shift
+    # Gray-code order by reflection: points 2^k .. 2^(k+1)-1 are points
+    # 2^k-1 .. 0 with direction number k flipped in
+    size, k = 1, 0
+    while size < n:
+        count = min(size, n - size)
+        for d in range(2):
+            np.bitwise_xor(q[d, size - count:size][::-1], sv[d, k],
+                           out=q[d, size:size + count])
+        size, k = size * 2, k + 1
+    pts = np.empty((n, 2))
+    np.multiply(q.T, 1.0 / (1 << _SOBOL_BITS), out=pts)
+    return pts
+
+
 def sample_range(f: HarmonicMap, R: float, n_grid: int = 256,
                  seed: int = 0) -> RangeSample:
     """Deterministic polar grid on D(0,R) plus seeded quasi-random points."""
     if n_grid < 64:
         raise ValueError("n_grid must be at least 64")
+    if not (math.isfinite(R) and R > 0):
+        raise ValueError(f"radius R must be finite and positive, got {R}")
     radii = R * (np.arange(1, n_grid + 1) / n_grid)
     theta = TWO_PI * np.arange(n_grid) / n_grid
     zg = (radii[:, None] * np.exp(1j * theta[None, :])).ravel()
-    sob = qmc.Sobol(d=2, scramble=True, seed=seed)
-    pts = sob.random(n_grid * n_grid)
+    pts = sobol_points(n_grid * n_grid, seed)
     r = R * np.sqrt(pts[:, 0])
     t = TWO_PI * pts[:, 1]
     zq = r * np.exp(1j * t)

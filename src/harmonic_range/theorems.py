@@ -11,11 +11,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.stats import qmc
 
 from .arcs import ArcSet
 from .expressions import HarmonicMap
-from .ranges import DirectionEstimate, RangeSample, antipodal_pairs
+from .ranges import DirectionEstimate, RangeSample, antipodal_pairs, sobol_points
 from .reports import TheoremVerdict
 from .zeros import detect_dependence
 
@@ -200,9 +199,11 @@ def check_murdoch_kuran(f: HarmonicMap, a: float, R: float,
 
 def log2_sample_points(n: int, seed: int, radius: float = 100.0) -> np.ndarray:
     """Quasi-random points in D(0, radius) staying away from 0 and 1."""
-    sob = qmc.Sobol(d=2, scramble=True, seed=seed)
-    # draw a full power-of-two block to keep the generator balanced
-    pts = sob.random_base2(max(1, math.ceil(math.log2(n))))[:n]
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError(f"radius must be finite and positive, got {radius}")
+    pts = sobol_points(n, seed)
     r = radius * np.sqrt(pts[:, 0])
     t = 2.0 * math.pi * pts[:, 1]
     z = r * np.exp(1j * t)

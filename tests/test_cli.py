@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import harmonic_range
 from harmonic_range.cli import main
 
 
@@ -113,3 +118,31 @@ def test_config_file_defaults(tmp_path, capsys):
     assert code == 0
     assert doc["metadata"]["radius"] == 5.0
     assert doc["metadata"]["n_grid"] == 64
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--map", "u=re(" + "(" * 3000 + "z" + ")" * 3000 + "); v=im(z)",
+     "--z", "0"],
+    ["sample", "--map", "u=re(z); v=im(z)", "--R", "-1", "--n-grid", "64"],
+    ["sample", "--map", "u=re(z); v=im(z)", "--R", "nan", "--n-grid", "64"],
+    ["check", "--theorem", "log2", "--n", "0"],
+])
+def test_bad_input_exit_two_without_traceback(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(harmonic_range.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import harmonic_range.cli, sys; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from harmonic_range.expressions import (Const, ParseError, Pow, Z,
-                                        degree, derivative, evaluate,
+from harmonic_range.expressions import (MAX_NESTING, Const, ParseError,
+                                        Pow, Z, degree, derivative, evaluate,
                                         parse_expr, parse_map, to_source)
 
 
@@ -121,3 +121,19 @@ def test_parse_map_rejects_garbage():
         parse_map("u=re(z)")
     with pytest.raises(ParseError):
         parse_map("u=abs(z); v=im(z)")
+
+
+@pytest.mark.parametrize("src", ["(" * 3000 + "z" + ")" * 3000,
+                                 "-" * 3000 + "z",
+                                 "exp(" * 3000 + "z" + ")" * 3000])
+def test_parse_rejects_deep_nesting(src):
+    with pytest.raises(ParseError, match="nesting deeper than"):
+        parse_map(f"u=re({src}); v=im(z)")
+
+
+def test_parse_accepts_nesting_at_cap():
+    src = "(" * MAX_NESTING + "z" + ")" * MAX_NESTING
+    assert parse_expr(src) == Z
+    assert evaluate(parse_expr("-" * MAX_NESTING + "z"), 2.0) == 2.0
+    nested_exp = "exp(" * MAX_NESTING + "z" + ")" * MAX_NESTING
+    assert to_source(parse_expr(nested_exp)) == nested_exp

@@ -1,5 +1,6 @@
 """Range sampling, direction estimation, cone normalization, Phi profile."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -11,7 +12,8 @@ from harmonic_range.ranges import (antipodal_gap_alpha, antipodal_pairs,
                                    cone_avoidance_normalize,
                                    estimate_directions, i_alpha_arcs,
                                    i_alpha_fit, phi_profile,
-                                   phi_sublinearity_check, sample_range)
+                                   phi_sublinearity_check, sample_range,
+                                   sobol_points)
 
 PI = math.pi
 
@@ -44,6 +46,52 @@ def test_sample_range_rejects_small_grid():
     f = parse_map("u=re(z); v=im(z)")
     with pytest.raises(ValueError):
         sample_range(f, 5.0, n_grid=16)
+
+
+@pytest.mark.parametrize("R", [0.0, -5.0, math.nan, math.inf])
+def test_sample_range_rejects_bad_radius(R):
+    f = parse_map("u=re(z); v=im(z)")
+    with pytest.raises(ValueError):
+        sample_range(f, R, n_grid=64)
+
+
+SOBOL_SEEDS = list(range(64)) + [2**31 - 1]
+
+
+@pytest.mark.filterwarnings("ignore:The balance properties")
+@pytest.mark.parametrize("n", [1, 2, 3, 1000, 10000, 2**16, 2**18, 2**20])
+def test_sobol_points_match_scipy(n):
+    qmc = pytest.importorskip("scipy.stats.qmc")
+    for seed in SOBOL_SEEDS:
+        want = qmc.Sobol(d=2, scramble=True, seed=seed).random(n)
+        assert np.array_equal(sobol_points(n, seed), want), seed
+
+
+def test_sobol_points_match_scipy_base2():
+    qmc = pytest.importorskip("scipy.stats.qmc")
+    for seed in (0, 7, 2**31 - 1):
+        for m in range(21):
+            want = qmc.Sobol(d=2, scramble=True, seed=seed).random_base2(m)
+            assert np.array_equal(sobol_points(2**m, seed), want), (seed, m)
+
+
+# digests of scipy 1.17 output; the points are exact multiples of 2^-30
+# built by integer operations, so they hold on any platform
+@pytest.mark.parametrize("n, seed, digest", [
+    (1000, 0, "e3152894b84a35fc4daa100f2499d4a6b7080be4313612017f62c9673381fc67"),
+    (2**16, 7, "1cad056facf05054ff764383b0246eec0d19a9aab2d749b633288f8e30682395"),
+    (12345, 2**31 - 1,
+     "c3414b958fd6adb4af15d0a6d66a0b3b3b7a65b579f99d2577cff1706a584c72"),
+])
+def test_sobol_points_pinned(n, seed, digest):
+    pts = sobol_points(n, seed)
+    assert pts.shape == (n, 2)
+    assert hashlib.sha256(pts.astype("<f8").tobytes()).hexdigest() == digest
+
+
+def test_sobol_points_rejects_too_many():
+    with pytest.raises(ValueError):
+        sobol_points(2**30 + 1, 0)
 
 
 def test_directions_bounded_map_empty():

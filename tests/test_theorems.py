@@ -161,3 +161,11 @@ def test_log2_bulk_samples():
     v = check_log2_inequalities(z)
     assert v.conclusion_holds
     assert not v.conclusion_witnesses
+
+
+@pytest.mark.parametrize("n, radius", [(0, 100.0), (-3, 100.0), (10, 0.0),
+                                       (10, -1.0), (10, math.nan),
+                                       (10, math.inf)])
+def test_log2_sample_points_rejects_bad_input(n, radius):
+    with pytest.raises(ValueError):
+        log2_sample_points(n, seed=0, radius=radius)
