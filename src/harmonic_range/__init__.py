@@ -23,7 +23,7 @@ from .expressions import (HarmonicComponent, HarmonicMap, ParseError,
                           parse_expr, parse_map)
 from .lewis import (LewisDisc, Rect, RescaledMap, find_zero,
                     lewis_disc_search, rescaled_range_check, rescaled_sequence)
-from .ranges import (Cone, DirectionEstimate, PhiProfile, RangeSample,
+from .ranges import (DirectionEstimate, PhiProfile, RangeSample,
                      antipodal_gap_alpha, antipodal_pairs,
                      cone_avoidance_normalize, estimate_directions,
                      i_alpha_arcs, i_alpha_fit, phi_profile,
@@ -49,7 +49,7 @@ __all__ = [
     "parse_expr", "parse_map",
     "LewisDisc", "Rect", "RescaledMap", "find_zero",
     "lewis_disc_search", "rescaled_range_check", "rescaled_sequence",
-    "Cone", "DirectionEstimate", "PhiProfile", "RangeSample",
+    "DirectionEstimate", "PhiProfile", "RangeSample",
     "antipodal_gap_alpha", "antipodal_pairs", "cone_avoidance_normalize",
     "estimate_directions", "i_alpha_arcs", "i_alpha_fit", "phi_profile",
     "phi_sublinearity_check", "sample_range",

@@ -80,7 +80,10 @@ class ArcSet:
 
     @staticmethod
     def from_intervals(intervals) -> "ArcSet":
-        return ArcSet(tuple(_normalize([(float(a), float(b)) for a, b in intervals])))
+        pairs = [(float(a), float(b)) for a, b in intervals]
+        if not all(math.isfinite(a) and math.isfinite(b) for a, b in pairs):
+            raise ValueError("arc endpoints must be finite")
+        return ArcSet(tuple(_normalize(pairs)))
 
     @staticmethod
     def from_points(points) -> "ArcSet":
@@ -153,7 +156,8 @@ class ArcSet:
         last_hi = arcs[-1][1]
         first_lo = arcs[0][0]
         span = math.fmod(first_lo - last_hi, TWO_PI)
-        if span < 0:
+        # span 0: a lone point arc, whose complement is the whole circle
+        if span <= 0:
             span += TWO_PI
         gaps.append((last_hi, last_hi + span))
         return ArcSet.from_intervals(gaps)
@@ -167,15 +171,11 @@ class ArcSet:
         return ArcSet.from_intervals([(lo - delta, hi + delta) for lo, hi in self.arcs])
 
     def subset_of(self, other: "ArcSet", tol: float = 0.0) -> bool:
-        """Every point of self within tol of other (checked at resolution tol/4)."""
+        """Every point of self within tol of other: the directed Hausdorff
+        distance from self to other is at most tol."""
         if self.is_empty:
             return True
-        fat = other.fatten(tol) if tol > 0 else other
-        step = max(tol / 4.0, 1e-4)
-        for theta in self._sample_points(step):
-            if not fat.contains(theta):
-                return False
-        return True
+        return not other.is_empty and self._directed_hausdorff(other) <= tol
 
     # ---- metrics ----
 
@@ -187,11 +187,19 @@ class ArcSet:
             return math.pi
         return max(self._directed_hausdorff(other), other._directed_hausdorff(self))
 
-    def _directed_hausdorff(self, other: "ArcSet", step: float = 5e-4) -> float:
-        worst = 0.0
-        for theta in self._sample_points(step):
-            worst = max(worst, other.distance(theta))
-        return worst
+    def _directed_hausdorff(self, other: "ArcSet") -> float:
+        """Largest distance from a point of self to other.  Inside a gap of
+        other the distance rises linearly from both ends to the midpoint,
+        so its maximum over self is at an endpoint of an arc of self or at
+        a gap midpoint that self contains.  The gaps are taken between
+        consecutive arcs, not from complement(): its closure merges the two
+        gaps beside a point arc into one."""
+        arcs = other.arcs
+        next_los = [lo for lo, _ in arcs[1:]] + [arcs[0][0] + TWO_PI]
+        mids = [(hi + lo) / 2.0 for (_, hi), lo in zip(arcs, next_los)]
+        probes = [t for arc in self.arcs for t in arc]
+        probes += [m for m in mids if self.contains(m)]
+        return max(other.distance(t) for t in probes)
 
     # ---- helpers ----
 
@@ -203,15 +211,6 @@ class ArcSet:
             out.append((lo - TWO_PI, hi - TWO_PI))
             out.append((lo + TWO_PI, hi + TWO_PI))
         return out
-
-    def _sample_points(self, step: float):
-        for lo, hi in self.arcs:
-            if hi == lo:
-                yield lo
-                continue
-            n = max(2, int(math.ceil((hi - lo) / step)) + 1)
-            for k in range(n):
-                yield lo + (hi - lo) * k / (n - 1)
 
     def to_dict(self) -> dict:
         return {"arcs": [[lo, hi] for lo, hi in self.arcs]}

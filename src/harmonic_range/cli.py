@@ -37,7 +37,10 @@ class CliError(Exception):
 
 
 def _emit(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    # NaN and Infinity are not JSON: raise ValueError, which main turns
+    # into exit 2 before anything reaches stdout
+    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2,
+                                allow_nan=False) + "\n")
 
 
 def _parse_complex(text: str) -> complex:

@@ -265,8 +265,7 @@ class RescaledMap:
 
 
 def rescaled_sequence(f: HarmonicMap, R_schedule,
-                      C0_budget: float = 100.0,
-                      diag_rho: float | None = None) -> list[RescaledMap]:
+                      C0_budget: float = 100.0) -> list[RescaledMap]:
     """One rescaled map per domain radius; M_n is nondecreasing along an
     increasing schedule for nonconstant u."""
     R_schedule = list(R_schedule)
@@ -276,11 +275,6 @@ def rescaled_sequence(f: HarmonicMap, R_schedule,
     for R in R_schedule:
         disc = lewis_disc_search(f.u, R, C0_budget=C0_budget)
         out.append(RescaledMap(source=f, disc=disc))
-    if diag_rho is None:
-        diag_rho = R_schedule[0]
-    for rm in out:
-        rm.L_diagnostic = circle_max(f.v, 0.0, diag_rho,
-                                     absolute=True).value / rm.disc.M
     return out
 
 

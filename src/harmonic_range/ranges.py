@@ -10,19 +10,17 @@ schedule it was computed with.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arcs import ArcSet, TWO_PI, circle_distance
+from .arcs import ArcSet, TWO_PI
 from .expressions import HarmonicMap
 
 __all__ = [
     "RangeSample",
     "DirectionEstimate",
-    "Cone",
     "PhiProfile",
     "sobol_points",
     "sample_range",
@@ -62,12 +60,13 @@ class RangeSample:
         }
 
     def to_csv(self, path: str):
+        """Same bytes as csv.writer with repr of each float: the reprs hold
+        no comma, quote or newline, so no field needs quoting."""
+        cols = (self.z.real.tolist(), self.z.imag.tolist(),
+                self.w.real.tolist(), self.w.imag.tolist())
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["z_re", "z_im", "w_re", "w_im"])
-            for z, w in zip(self.z, self.w):
-                writer.writerow([repr(float(z.real)), repr(float(z.imag)),
-                                 repr(float(w.real)), repr(float(w.imag))])
+            fh.write("z_re,z_im,w_re,w_im\r\n")
+            fh.write("".join(f"{a!r},{b!r},{c!r},{d!r}\r\n" for a, b, c, d in zip(*cols)))
 
 
 _SOBOL_BITS = 30
@@ -239,18 +238,30 @@ def antipodal_pairs(arcs: ArcSet, tol_rad: float = 0.0) -> ArcSet:
     return ArcSet.from_intervals(out)
 
 
-def antipodal_gap_alpha(E: ArcSet, tol_rad: float = 1e-3,
-                        grid_step: float = 1e-3) -> float | None:
-    """An angle alpha whose three probes {alpha - pi/2, alpha, alpha + pi/2}
-    all stay at least tol away from E, or None."""
-    n = int(math.ceil(TWO_PI / grid_step))
-    for k in range(n):
-        alpha = k * grid_step
-        if (E.distance(alpha) >= tol_rad
-                and E.distance(alpha + math.pi / 2) >= tol_rad
-                and E.distance(alpha - math.pi / 2) >= tol_rad):
-            return alpha
-    return None
+# the grids of the values that antipodal_gap_alpha and i_alpha_fit report
+GAP_ALPHA_STEP = 1e-3
+I_ALPHA_STEPS = 200
+
+
+def antipodal_gap_alpha(E: ArcSet, tol_rad: float = 1e-3) -> float | None:
+    """The first angle alpha = k * GAP_ALPHA_STEP, k >= 0, whose three
+    probes {alpha - pi/2, alpha, alpha + pi/2} all stay at least tol away
+    from E, or None.
+
+    The allowed angles are the closed complement of E fattened by tol and
+    of its copies turned by +-pi/2.  With tol 0 every angle would do."""
+    if not tol_rad > 0:
+        raise ValueError(f"tol_rad must be positive, got {tol_rad}")
+    fat = E.fatten(tol_rad)
+    allowed = fat.union(fat.rotate(math.pi / 2)).union(
+        fat.rotate(-math.pi / 2)).complement()
+    fits = []
+    for lo, hi in allowed.arcs:
+        # an arc through 2*pi holds the grid point 0
+        alpha = 0.0 if hi >= TWO_PI else math.ceil(lo / GAP_ALPHA_STEP) * GAP_ALPHA_STEP
+        if alpha <= hi:
+            fits.append(alpha)
+    return min(fits, default=None)
 
 
 def cone_avoidance_normalize(arcs: ArcSet, tol_rad: float = 1e-3,
@@ -290,45 +301,19 @@ def i_alpha_arcs(alpha: float) -> ArcSet:
     ])
 
 
-def i_alpha_fit(arcs: ArcSet, tol_rad: float = 1e-2,
-                grid: int = 200) -> float | None:
-    """Largest alpha in (0, pi/4) with arcs contained in the three-arc set,
-    or None when no alpha on the grid works."""
-    best = None
-    for k in range(1, grid):
-        alpha = (math.pi / 4) * k / grid
-        # alpha at or below the tolerance would admit sets touching the
-        # excluded directions; demand a genuine margin
-        if alpha <= tol_rad:
-            continue
-        if arcs.subset_of(i_alpha_arcs(alpha), tol=tol_rad):
-            best = alpha
-    return best
+def i_alpha_fit(arcs: ArcSet, tol_rad: float = 1e-2) -> float | None:
+    """Largest alpha = (pi/4) k / I_ALPHA_STEPS, 0 < k < I_ALPHA_STEPS, with
+    arcs inside the tol-fattened three-arc set, or None when none works.
 
-
-@dataclass(frozen=True)
-class Cone:
-    """Whole or half cone with vertex at the origin."""
-
-    axis: complex
-    half_aperture: float
-    kind: str = "whole"  # "whole" | "half"
-
-    def __post_init__(self):
-        if self.kind not in ("whole", "half"):
-            raise ValueError("kind must be 'whole' or 'half'")
-        if not (0.0 < self.half_aperture < math.pi / 2):
-            raise ValueError("half aperture must lie in (0, pi/2)")
-
-    def contains(self, w: complex, tol: float = 0.0) -> bool:
-        if w == 0:
-            return True
-        alpha = math.atan2(self.axis.imag, self.axis.real)
-        ang = math.atan2(w.imag, w.real)
-        d = circle_distance(ang, alpha)
-        if self.kind == "half":
-            return d <= self.half_aperture + tol
-        return min(d, circle_distance(ang, alpha + math.pi)) <= self.half_aperture + tol
+    The fattened set leaves out the open arcs of radius alpha - tol about
+    pi/2, pi and 3pi/2, so alpha works up to tol plus the distance from
+    arcs to the nearest of those three directions."""
+    alpha_max = tol_rad + min(arcs.distance(c)
+                              for c in (math.pi / 2, math.pi, 3 * math.pi / 2))
+    # alpha at or below the tolerance would admit sets touching the
+    # excluded directions; demand a genuine margin
+    alphas = [(math.pi / 4) * k / I_ALPHA_STEPS for k in range(1, I_ALPHA_STEPS)]
+    return max((a for a in alphas if tol_rad < a <= alpha_max), default=None)
 
 
 @dataclass

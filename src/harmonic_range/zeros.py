@@ -50,9 +50,6 @@ class ZeroCurve:
             return 0.0
         return float(np.sum(np.abs(np.diff(self.points))))
 
-    def to_csv_rows(self):
-        return [[repr(float(p.real)), repr(float(p.imag))] for p in self.points]
-
 
 def _seed_zeros(u: HarmonicComponent, box: Rect, grid_n: int) -> list[complex]:
     xs, ys = box.grid(grid_n)

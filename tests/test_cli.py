@@ -126,6 +126,9 @@ def test_config_file_defaults(tmp_path, capsys):
     ["sample", "--map", "u=re(z); v=im(z)", "--R", "-1", "--n-grid", "64"],
     ["sample", "--map", "u=re(z); v=im(z)", "--R", "nan", "--n-grid", "64"],
     ["check", "--theorem", "log2", "--n", "0"],
+    # exp overflows to inf, which JSON cannot carry
+    ["eval", "--z", "0.1", "--map",
+     "u=re(" + "exp(" * 200 + "z" + ")" * 200 + "); v=im(z)"],
 ])
 def test_bad_input_exit_two_without_traceback(capsys, argv):
     assert main(argv) == 2

@@ -1,12 +1,14 @@
 """Range sampling, direction estimation, cone normalization, Phi profile."""
 
+import csv
 import hashlib
 import math
+import random
 
 import numpy as np
 import pytest
 
-from harmonic_range.arcs import ArcSet
+from harmonic_range.arcs import ArcSet, TWO_PI
 from harmonic_range.expressions import parse_map
 from harmonic_range.ranges import (antipodal_gap_alpha, antipodal_pairs,
                                    cone_avoidance_normalize,
@@ -53,6 +55,22 @@ def test_sample_range_rejects_bad_radius(R):
     f = parse_map("u=re(z); v=im(z)")
     with pytest.raises(ValueError):
         sample_range(f, R, n_grid=64)
+
+
+def test_to_csv_bytes_match_csv_writer(tmp_path):
+    f = parse_map("u=re(exp(z)); v=im(z^3)")
+    s = sample_range(f, 3.0, n_grid=64, seed=2)
+    s.w[5] = complex(math.inf, math.nan)
+    s.w[7] = complex(-math.inf, -0.0)
+    s.to_csv(tmp_path / "fast.csv")
+    # the row-at-a-time writer that to_csv replaced
+    with open(tmp_path / "ref.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["z_re", "z_im", "w_re", "w_im"])
+        for z, w in zip(s.z, s.w):
+            writer.writerow([repr(float(z.real)), repr(float(z.imag)),
+                             repr(float(w.real)), repr(float(w.imag))])
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 SOBOL_SEEDS = list(range(64)) + [2**31 - 1]
@@ -151,6 +169,94 @@ def test_i_alpha_fit_rejects_horizontal_line():
     # pi is never inside the three-arc set
     arcs = ArcSet.from_points([0.0, PI])
     assert i_alpha_fit(arcs) is None
+
+
+# ---- reference oracles: the scans these routines replaced ----
+
+def _sampled_subset_of(a, b, tol=0.0):
+    if a.is_empty:
+        return True
+    fat = b.fatten(tol) if tol > 0 else b
+    step = max(tol / 4.0, 1e-4)
+    for lo, hi in a.arcs:
+        n = 1 if hi == lo else max(2, int(math.ceil((hi - lo) / step)) + 1)
+        for k in range(n):
+            theta = lo if n == 1 else lo + (hi - lo) * k / (n - 1)
+            if not fat.contains(theta):
+                return False
+    return True
+
+
+def _scanned_i_alpha_fit(arcs, tol_rad=1e-2, grid=200):
+    best = None
+    for k in range(1, grid):
+        alpha = (math.pi / 4) * k / grid
+        if alpha <= tol_rad:
+            continue
+        if _sampled_subset_of(arcs, i_alpha_arcs(alpha), tol=tol_rad):
+            best = alpha
+    return best
+
+
+def _scanned_gap_alpha(E, tol_rad=1e-3, grid_step=1e-3):
+    n = int(math.ceil(TWO_PI / grid_step))
+    for k in range(n):
+        alpha = k * grid_step
+        if (E.distance(alpha) >= tol_rad
+                and E.distance(alpha + math.pi / 2) >= tol_rad
+                and E.distance(alpha - math.pi / 2) >= tol_rad):
+            return alpha
+    return None
+
+
+def _random_arcs(rng, max_arcs, mean_len):
+    """Point arcs, arcs across the 0 == 2*pi seam and ordinary arcs."""
+    out = []
+    for _ in range(rng.randint(0, max_arcs)):
+        kind = rng.random()
+        if kind < 0.3:
+            lo = rng.uniform(-1.0, 8.0)
+            out.append((lo, lo))
+        elif kind < 0.5:
+            lo = TWO_PI - rng.uniform(0.0, mean_len)
+            out.append((lo, lo + rng.uniform(0.0, 3.0 * mean_len)))
+        else:
+            lo = rng.uniform(-1.0, 8.0)
+            out.append((lo, lo + rng.expovariate(1.0 / mean_len)))
+    return ArcSet.from_intervals(out)
+
+
+def test_i_alpha_fit_matches_scan():
+    rng = random.Random(4)
+    for _ in range(30):
+        # the scan samples at tol/4, so small sets keep it fast; at these
+        # tolerances its step is shorter than the narrowest excluded arc
+        # (radius alpha - tol) of every alpha it tries, so it sees them all
+        arcs = _random_arcs(rng, max_arcs=3, mean_len=0.03)
+        tol = rng.choice([1e-3, 1e-2])
+        assert i_alpha_fit(arcs, tol_rad=tol) == _scanned_i_alpha_fit(arcs, tol), arcs
+
+
+def test_i_alpha_fit_sees_an_arc_through_an_excluded_direction():
+    # at tol 0.05 the scan sampled this arc at its two endpoints only and
+    # reported alpha = 0.05498 for an arc that runs through pi/2
+    arcs = ArcSet.from_intervals([(PI / 2 - 0.006, PI / 2 + 0.006)])
+    assert _scanned_i_alpha_fit(arcs, tol_rad=0.05) == pytest.approx(0.05498, abs=1e-5)
+    assert i_alpha_fit(arcs, tol_rad=0.05) is None
+
+
+def test_antipodal_gap_alpha_matches_scan():
+    rng = random.Random(5)
+    for _ in range(100):
+        arcs = _random_arcs(rng, max_arcs=6, mean_len=0.4)
+        tol = rng.choice([1e-3, 1e-2, 0.1])
+        assert antipodal_gap_alpha(arcs, tol_rad=tol) == _scanned_gap_alpha(arcs, tol), arcs
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan])
+def test_antipodal_gap_alpha_needs_positive_tolerance(tol):
+    with pytest.raises(ValueError):
+        antipodal_gap_alpha(ArcSet.from_points([1.0]), tol_rad=tol)
 
 
 def test_cone_avoidance_normalize_cross():
