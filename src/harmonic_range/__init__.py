@@ -21,8 +21,8 @@ from .circles import (CircleMax, FourierProfile, circle_max, circle_values,
                       multiplicity)
 from .expressions import (HarmonicComponent, HarmonicMap, ParseError,
                           parse_expr, parse_map)
-from .lewis import (LewisDisc, Rect, RescaledMap, find_zero,
-                    lewis_disc_search, rescaled_range_check, rescaled_sequence)
+from .lewis import (LewisDisc, RescaledMap, lewis_disc_search,
+                    rescaled_range_check, rescaled_sequence)
 from .ranges import (DirectionEstimate, PhiProfile, RangeSample,
                      antipodal_gap_alpha, antipodal_pairs,
                      cone_avoidance_normalize, estimate_directions,
@@ -33,9 +33,9 @@ from .theorems import (check_antipodal_theorem, check_cor_alpha,
                        check_halfplane_theorem, check_lewis_region,
                        check_log2_inequalities, check_murdoch_kuran,
                        log2_sample_points)
-from .zeros import (DependenceReport, TractReport, ZeroCurve, cleaning_check,
-                    detect_dependence, local_structure, trace_zero_set,
-                    tract_report)
+from .zeros import (DependenceReport, Rect, TractReport, ZeroCurve,
+                    cleaning_check, detect_dependence, find_zero,
+                    local_structure, trace_zero_set, tract_report)
 
 __version__ = "0.1.0"
 
@@ -47,7 +47,7 @@ __all__ = [
     "multiplicity",
     "HarmonicComponent", "HarmonicMap", "ParseError",
     "parse_expr", "parse_map",
-    "LewisDisc", "Rect", "RescaledMap", "find_zero",
+    "LewisDisc", "RescaledMap",
     "lewis_disc_search", "rescaled_range_check", "rescaled_sequence",
     "DirectionEstimate", "PhiProfile", "RangeSample",
     "antipodal_gap_alpha", "antipodal_pairs", "cone_avoidance_normalize",
@@ -57,7 +57,8 @@ __all__ = [
     "check_antipodal_theorem", "check_cor_alpha", "check_halfplane_theorem",
     "check_lewis_region", "check_log2_inequalities", "check_murdoch_kuran",
     "log2_sample_points",
-    "DependenceReport", "TractReport", "ZeroCurve", "cleaning_check",
-    "detect_dependence", "local_structure", "trace_zero_set", "tract_report",
+    "DependenceReport", "Rect", "TractReport", "ZeroCurve", "cleaning_check",
+    "detect_dependence", "find_zero", "local_structure", "trace_zero_set",
+    "tract_report",
     "__version__",
 ]

@@ -30,6 +30,9 @@ __all__ = [
 ]
 
 DEFAULT_SAMPLES = 4096
+REFINE_PEAKS = 3          # grid peaks polished by golden section
+MULTIPLICITY_TOL = 1e-8   # relative size of a dominant Fourier harmonic
+MAX_SHRINK = 8            # radius halvings before multiplicity gives up
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -94,8 +97,7 @@ def _golden_max(g, lo: float, hi: float, iters: int = 60) -> tuple[float, float]
 
 
 def circle_max(u: HarmonicComponent, z: complex, r: float,
-               absolute: bool = False, n: int = DEFAULT_SAMPLES,
-               refine: int = 3) -> CircleMax:
+               absolute: bool = False, n: int = DEFAULT_SAMPLES) -> CircleMax:
     """M(u, z, r) (or M(|u|, z, r) with absolute=True)."""
     if r <= 0:
         raise ValueError("radius must be positive")
@@ -110,7 +112,7 @@ def circle_max(u: HarmonicComponent, z: complex, r: float,
     if peaks.size == 0:
         peaks = np.array([int(np.argmax(vals))])
     order = np.lexsort((peaks, -vals[peaks]))  # by value desc, then smaller angle
-    top = peaks[order][:refine]
+    top = peaks[order][:REFINE_PEAKS]
     step = 2.0 * math.pi / n
 
     def g(theta: float) -> float:
@@ -202,15 +204,15 @@ def lemma_abs_check(u: HarmonicComponent, z0: complex, r: float) -> dict:
     return {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs * (1.0 + 1e-9)}
 
 
-def multiplicity(u: HarmonicComponent, z0: complex, r: float,
-                 tol: float = 1e-8, max_shrink: int = 8) -> int:
+def multiplicity(u: HarmonicComponent, z0: complex, r: float) -> int:
     """Order of the zero of u at z0: index of the first dominant harmonic.
 
     The radius is halved until the answer agrees on two consecutive radii.
     """
     scale = circle_max(u, z0, r, absolute=True).value
-    if abs(float(u.value(z0))) > tol * (1.0 + scale):
-        raise CenterNotZeroError(f"u({z0}) is not zero at tolerance {tol}")
+    if abs(float(u.value(z0))) > MULTIPLICITY_TOL * (1.0 + scale):
+        raise CenterNotZeroError(
+            f"u({z0}) is not zero at tolerance {MULTIPLICITY_TOL}")
 
     def first_index(rho: float) -> int | None:
         prof = fourier_profile(u, z0, rho)
@@ -219,12 +221,12 @@ def multiplicity(u: HarmonicComponent, z0: complex, r: float,
         top = mags.max()
         if top <= 1e-300:
             return None
-        idx = np.nonzero(mags > tol * top)[0]
+        idx = np.nonzero(mags > MULTIPLICITY_TOL * top)[0]
         return int(idx[0]) if idx.size else None
 
     prev = None
     rho = r
-    for _ in range(max_shrink + 1):
+    for _ in range(MAX_SHRINK + 1):
         k = first_index(rho)
         if k is None:
             raise DegenerateZeroError("no dominant harmonic; u may vanish on the disc")

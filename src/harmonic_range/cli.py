@@ -15,7 +15,7 @@ from . import catalog as catalog_mod
 from .arcs import ArcSet
 from .circles import circle_max
 from .expressions import HarmonicMap, ParseError, parse_map
-from .lewis import Rect, lewis_disc_search, rescaled_sequence
+from .lewis import lewis_disc_search, rescaled_sequence
 from .ranges import (antipodal_gap_alpha, antipodal_pairs,
                      cone_avoidance_normalize, estimate_directions,
                      phi_profile, phi_sublinearity_check, sample_range)
@@ -24,7 +24,8 @@ from .theorems import (check_antipodal_theorem, check_cor_alpha,
                        check_halfplane_theorem, check_lewis_region,
                        check_log2_inequalities, check_murdoch_kuran,
                        log2_sample_points)
-from .zeros import detect_dependence, local_structure, trace_zero_set, tract_report
+from .zeros import (Rect, detect_dependence, local_structure, trace_zero_set,
+                    tract_report)
 
 __all__ = ["main"]
 
@@ -223,7 +224,7 @@ def _cmd_antipodal(args) -> tuple[dict, int]:
     pairs = antipodal_pairs(est.arcs, tol_rad=args.tol)
     alpha = None
     if pairs.is_empty and not est.arcs.is_empty:
-        alpha = antipodal_gap_alpha(est.arcs)
+        alpha = antipodal_gap_alpha(est.arcs, tol_rad=args.tol)
     return {"arcs": est.arcs.to_dict()["arcs"],
             "pairs": pairs.to_dict()["arcs"],
             "gap_alpha": alpha}, 0
@@ -294,10 +295,7 @@ def _cmd_phi(args) -> tuple[dict, int]:
     prof = phi_profile(s, bins=args.bins)
     check = phi_sublinearity_check(prof)
     return {"bins": args.bins, "sublinear": check["holds"],
-            "detail": check,
-            "profile": {"edges": [float(x) for x in prof.edges],
-                        "values": [float(x) for x in prof.values],
-                        "occupied": [bool(b) for b in prof.occupied]}}, 0
+            "detail": check, "profile": prof.to_dict()}, 0
 
 
 def _cmd_check(args) -> tuple[dict, int]:

@@ -11,110 +11,30 @@ functions on the unit disc with normalized oscillation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .circles import circle_max
 from .expressions import HarmonicComponent, HarmonicMap
 from .reports import TheoremVerdict
+from .zeros import NoSignChangeError, Rect, find_zero, trace_zero_set
 
 __all__ = [
-    "Rect",
     "LewisDisc",
     "RescaledMap",
-    "NoSignChangeError",
     "ConstantComponentError",
-    "find_zero",
     "lewis_disc_search",
     "rescaled_sequence",
     "rescaled_range_check",
 ]
 
-
-class NoSignChangeError(ValueError):
-    """u has no sign change on the search grid."""
+CENTERS_PER_COMPONENT = 64
+SEARCH_SAMPLES = 1024
 
 
 class ConstantComponentError(ValueError):
     """The component is (numerically) constant."""
-
-
-@dataclass(frozen=True)
-class Rect:
-    x0: float
-    x1: float
-    y0: float
-    y1: float
-
-    def grid(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        xs = np.linspace(self.x0, self.x1, n)
-        ys = np.linspace(self.y0, self.y1, n)
-        return xs, ys
-
-    def contains(self, z: complex) -> bool:
-        return self.x0 <= z.real <= self.x1 and self.y0 <= z.imag <= self.y1
-
-
-def _newton_to_zero(u: HarmonicComponent, z: complex, target: float,
-                    max_iter: int = 60) -> complex:
-    """Steepest-descent Newton steps onto the zero level set of u."""
-    for _ in range(max_iter):
-        val = float(u.value(z))
-        if abs(val) <= target:
-            return z
-        g = u.gradient(z)
-        g2 = g.real * g.real + g.imag * g.imag
-        if g2 < 1e-300:
-            break
-        z = z - val * g / g2
-    return z
-
-
-def find_zero(u: HarmonicComponent, search_box: Rect, grid_n: int = 64) -> complex:
-    """A point where u vanishes, via grid sign change + bisection + Newton."""
-    xs, ys = search_box.grid(grid_n)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    Z = X + 1j * Y
-    V = np.asarray(u.value(Z), dtype=float)
-    scale = float(V.max() - V.min())
-    if scale <= 0.0:
-        raise NoSignChangeError("u is constant on the search grid")
-    target = 1e-12 * scale
-    sx = np.sign(V)
-    # horizontal then vertical edges with a sign change
-    edge = None
-    flips = np.nonzero(sx[:-1, :] * sx[1:, :] < 0)
-    if flips[0].size:
-        i, j = int(flips[0][0]), int(flips[1][0])
-        edge = (complex(Z[i, j]), complex(Z[i + 1, j]))
-    else:
-        flips = np.nonzero(sx[:, :-1] * sx[:, 1:] < 0)
-        if flips[0].size:
-            i, j = int(flips[0][0]), int(flips[1][0])
-            edge = (complex(Z[i, j]), complex(Z[i, j + 1]))
-    if edge is None:
-        zeros = np.nonzero(V == 0.0)
-        if zeros[0].size:
-            return complex(Z[int(zeros[0][0]), int(zeros[1][0])])
-        raise NoSignChangeError("u attains only one sign on the search grid")
-    a, b = edge
-    fa = float(u.value(a))
-    for _ in range(80):
-        m = 0.5 * (a + b)
-        fm = float(u.value(m))
-        if fm == 0.0:
-            a = b = m
-            break
-        if (fa > 0) == (fm > 0):
-            a, fa = m, fm
-        else:
-            b = m
-    z = 0.5 * (a + b)
-    zn = _newton_to_zero(u, z, target)
-    if abs(float(u.value(zn))) <= abs(float(u.value(z))):
-        return zn
-    return z  # Newton stagnated; keep the bisection point
 
 
 @dataclass
@@ -144,20 +64,17 @@ class LewisDisc:
         }
 
 
-def _candidate_centers(u: HarmonicComponent, R: float,
-                       per_component: int = 64) -> list[complex]:
-    from . import zeros as zeros_mod  # deferred: zeros imports find_zero from here
-
+def _candidate_centers(u: HarmonicComponent, R: float) -> list[complex]:
     half = R / math.sqrt(2.0)
     box = Rect(-half, half, -half, half)
-    curves = zeros_mod.trace_zero_set(u, box, step=R / 100.0, grid_n=48)
+    curves = trace_zero_set(u, box, step=R / 100.0)
     centers: list[complex] = []
     for curve in curves:
         pts = curve.points
-        if len(pts) <= per_component:
+        if len(pts) <= CENTERS_PER_COMPONENT:
             centers.extend(pts)
         else:
-            idx = np.linspace(0, len(pts) - 1, per_component).astype(int)
+            idx = np.linspace(0, len(pts) - 1, CENTERS_PER_COMPONENT).astype(int)
             centers.extend(pts[k] for k in idx)
     if not centers:
         centers = [find_zero(u, box)]
@@ -165,9 +82,7 @@ def _candidate_centers(u: HarmonicComponent, R: float,
 
 
 def lewis_disc_search(u: HarmonicComponent, R: float,
-                      C0_budget: float = 100.0,
-                      per_component: int = 64,
-                      n_search: int = 1024) -> LewisDisc:
+                      C0_budget: float = 100.0) -> LewisDisc:
     """Search discs centered on the zero set with dyadic radii; return the
     one minimizing max(doubling_ratio, growth_ratio)."""
     if R <= 0:
@@ -177,8 +92,8 @@ def lewis_disc_search(u: HarmonicComponent, R: float,
     if osc <= 1e-14:
         raise ConstantComponentError("u is constant at this scale")
 
-    centers = _candidate_centers(u, R, per_component)
-    theta = np.arange(n_search) * (2.0 * math.pi / n_search)
+    centers = _candidate_centers(u, R)
+    theta = np.arange(SEARCH_SAMPLES) * (2.0 * math.pi / SEARCH_SAMPLES)
     ring = np.exp(1j * theta)
 
     best = None  # (score, radius, center_key, center, r, ratios, M)
@@ -240,9 +155,7 @@ class RescaledMap:
 
     def certify(self, grid_n: int = 101, eps: float = 1e-3) -> dict:
         """Check the three rescaling certificates on a grid."""
-        xs = np.linspace(-1.0 + eps, 1.0 - eps, grid_n)
-        X, Y = np.meshgrid(xs, xs, indexing="ij")
-        Z = X + 1j * Y
+        Z = Rect(-1.0 + eps, 1.0 - eps, -1.0 + eps, 1.0 - eps).grid(grid_n)
         mask = np.abs(Z) <= 1.0 - eps
         Uv = np.asarray(self.U(Z), dtype=float)
         u0 = abs(float(np.asarray(self.U(np.array(0.0j))).ravel()[0]))
@@ -284,9 +197,7 @@ def rescaled_range_check(rm: RescaledMap, D_f, grid_n: int = 101,
     """Directions of the rescaled range must lie in the cone over D_f, and
     the zero-set inclusions {U=0} within {V=0} within {U>=0} must hold."""
     eps = 1e-3
-    xs = np.linspace(-1.0 + eps, 1.0 - eps, grid_n)
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
-    Z = (X + 1j * Y).ravel()
+    Z = Rect(-1.0 + eps, 1.0 - eps, -1.0 + eps, 1.0 - eps).grid(grid_n).ravel()
     Z = Z[np.abs(Z) <= 1.0 - eps]
     Uv = np.asarray(rm.U(Z), dtype=float)
     Vv = np.asarray(rm.V(Z), dtype=float)

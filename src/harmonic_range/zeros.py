@@ -7,28 +7,40 @@ the underlying sets are exact, floating point is not.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .circles import circle_max, multiplicity
 from .expressions import HarmonicComponent, HarmonicMap
-from .lewis import Rect, _newton_to_zero
 from .ranges import RangeSample
 from .reports import TheoremVerdict
 
 __all__ = [
+    "Rect",
     "ZeroCurve",
     "TractReport",
     "DependenceReport",
+    "NoSignChangeError",
     "RadiusTooSmallError",
     "NotPolynomialError",
+    "find_zero",
     "trace_zero_set",
     "local_structure",
     "cleaning_check",
     "tract_report",
     "detect_dependence",
 ]
+
+BISECT_HALVINGS = 60
+NEWTON_MAX_ITER = 60
+FIND_ZERO_GRID_N = 64
+TRACE_GRID_N = 48
+TRACE_MAX_STEPS = 4000
+
+
+class NoSignChangeError(ValueError):
+    """u has no sign change on the search grid."""
 
 
 class RadiusTooSmallError(ValueError):
@@ -37,6 +49,24 @@ class RadiusTooSmallError(ValueError):
 
 class NotPolynomialError(ValueError):
     pass
+
+
+@dataclass(frozen=True)
+class Rect:
+    x0: float
+    x1: float
+    y0: float
+    y1: float
+
+    def grid(self, n: int) -> np.ndarray:
+        """The n x n complex mesh over the box, indexed [x, y]."""
+        xs = np.linspace(self.x0, self.x1, n)
+        ys = np.linspace(self.y0, self.y1, n)
+        X, Y = np.meshgrid(xs, ys, indexing="ij")
+        return X + 1j * Y
+
+    def contains(self, z: complex) -> bool:
+        return self.x0 <= z.real <= self.x1 and self.y0 <= z.imag <= self.y1
 
 
 @dataclass
@@ -51,34 +81,43 @@ class ZeroCurve:
         return float(np.sum(np.abs(np.diff(self.points))))
 
 
-def _seed_zeros(u: HarmonicComponent, box: Rect, grid_n: int) -> list[complex]:
-    xs, ys = box.grid(grid_n)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    Z = X + 1j * Y
-    V = np.asarray(u.value(Z), dtype=float)
-    scale = max(float(np.max(np.abs(V))), 1e-300)
-    target = 1e-10 * scale
-    seeds = []
-    sx = np.sign(V)
-    for (i0, j0, i1, j1) in _sign_change_edges(sx):
-        a, b = complex(Z[i0, j0]), complex(Z[i1, j1])
-        fa = float(u.value(a))
-        for _ in range(60):
-            m = 0.5 * (a + b)
-            fm = float(u.value(m))
-            if fm == 0.0:
-                a = b = m
-                break
-            if (fa > 0) == (fm > 0):
-                a, fa = m, fm
-            else:
-                b = m
-        seeds.append(_newton_to_zero(u, 0.5 * (a + b), target))
-    return seeds
+def _bisect(g, a, b):
+    """Midpoint of a sign bracket of g after BISECT_HALVINGS halvings;
+    a and b are real or complex with g(a), g(b) of opposite signs."""
+    fa = g(a)
+    for _ in range(BISECT_HALVINGS):
+        m = 0.5 * (a + b)
+        fm = g(m)
+        if fm == 0.0:
+            return m
+        if (fa > 0) == (fm > 0):
+            a, fa = m, fm
+        else:
+            b = m
+    return 0.5 * (a + b)
+
+
+def _newton_to_zero(u: HarmonicComponent, z: complex,
+                    target: float) -> tuple[complex, bool]:
+    """Steepest-descent Newton steps onto the zero level set of u.
+
+    Returns the last point and whether |u| reached target there; it stops
+    unconverged where the gradient vanishes or the steps run out."""
+    for _ in range(NEWTON_MAX_ITER):
+        val = float(u.value(z))
+        if abs(val) <= target:
+            return z, True
+        g = u.gradient(z)
+        g2 = g.real * g.real + g.imag * g.imag
+        if g2 < 1e-300:
+            break
+        z = z - val * g / g2
+    return z, False
 
 
 def _sign_change_edges(sx: np.ndarray):
-    n, m = sx.shape
+    """Grid edges (i0, j0, i1, j1) across which the sign sx flips:
+    horizontal edges first, then vertical ones."""
     h = np.nonzero(sx[:-1, :] * sx[1:, :] < 0)
     for i, j in zip(*h):
         yield (int(i), int(j), int(i) + 1, int(j))
@@ -87,13 +126,50 @@ def _sign_change_edges(sx: np.ndarray):
         yield (int(i), int(j), int(i), int(j) + 1)
 
 
-def trace_zero_set(u: HarmonicComponent, box: Rect, step: float,
-                   grid_n: int = 48, max_steps: int = 4000,
-                   merge_dist: float | None = None) -> list[ZeroCurve]:
-    """Predictor-corrector marching along the zero level set of u."""
+def find_zero(u: HarmonicComponent, search_box: Rect) -> complex:
+    """A point where u vanishes, via grid sign change + bisection + Newton."""
+    Z = search_box.grid(FIND_ZERO_GRID_N)
+    V = np.asarray(u.value(Z), dtype=float)
+    scale = float(V.max() - V.min())
+    if scale <= 0.0:
+        raise NoSignChangeError("u is constant on the search grid")
+    edge = next(_sign_change_edges(np.sign(V)), None)
+    if edge is None:
+        zeros = np.nonzero(V == 0.0)
+        if zeros[0].size:
+            return complex(Z[int(zeros[0][0]), int(zeros[1][0])])
+        raise NoSignChangeError("u attains only one sign on the search grid")
+    i0, j0, i1, j1 = edge
+    z = _bisect(lambda w: float(u.value(w)), complex(Z[i0, j0]),
+                complex(Z[i1, j1]))
+    zn, _ = _newton_to_zero(u, z, 1e-12 * scale)
+    if abs(float(u.value(zn))) <= abs(float(u.value(z))):
+        return zn
+    return z  # Newton stagnated; keep the bisection point
+
+
+def _seed_zeros(u: HarmonicComponent, box: Rect) -> list[complex]:
+    """Converged zeros polished from each sign-change edge of the grid."""
+    Z = box.grid(TRACE_GRID_N)
+    V = np.asarray(u.value(Z), dtype=float)
+    target = 1e-10 * max(float(np.max(np.abs(V))), 1e-300)
+    seeds = []
+    for (i0, j0, i1, j1) in _sign_change_edges(np.sign(V)):
+        z = _bisect(lambda w: float(u.value(w)), complex(Z[i0, j0]),
+                    complex(Z[i1, j1]))
+        z, converged = _newton_to_zero(u, z, target)
+        if converged:
+            seeds.append(z)
+    return seeds
+
+
+def trace_zero_set(u: HarmonicComponent, box: Rect,
+                   step: float) -> list[ZeroCurve]:
+    """Predictor-corrector marching along the zero level set of u; a branch
+    also ends where the corrector does not converge."""
     if step <= 0:
         raise ValueError("step must be positive")
-    seeds = _seed_zeros(u, box, grid_n)
+    seeds = _seed_zeros(u, box)
     if not seeds:
         return []
     scale = max(circle_max(u, complex((box.x0 + box.x1) / 2,
@@ -101,14 +177,11 @@ def trace_zero_set(u: HarmonicComponent, box: Rect, step: float,
                            max(box.x1 - box.x0, box.y1 - box.y0) / 2,
                            absolute=True, n=512).value, 1e-300)
     target = 1e-10 * scale
-    if merge_dist is None:
-        merge_dist = 2.0 * step
-
     curves: list[ZeroCurve] = []
 
     def covered(z: complex) -> bool:
         for c in curves:
-            if np.min(np.abs(c.points - z)) < merge_dist:
+            if np.min(np.abs(c.points - z)) < 2.0 * step:
                 return True
         return False
 
@@ -121,7 +194,7 @@ def trace_zero_set(u: HarmonicComponent, box: Rect, step: float,
             pts = [seed]
             z = seed
             prev_tangent = None
-            for _ in range(max_steps):
+            for _ in range(TRACE_MAX_STEPS):
                 g = u.gradient(z)
                 g2 = abs(g)
                 if g2 < 1e-12 * scale:
@@ -132,9 +205,8 @@ def trace_zero_set(u: HarmonicComponent, box: Rect, step: float,
                 elif (tangent * prev_tangent.conjugate()).real < 0:
                     tangent = -tangent  # keep a consistent orientation
                 prev_tangent = tangent
-                z_pred = z + step * tangent
-                z_new = _newton_to_zero(u, z_pred, target)
-                if not box.contains(z_new):
+                z_new, converged = _newton_to_zero(u, z + step * tangent, target)
+                if not converged or not box.contains(z_new):
                     break
                 if abs(z_new - z) > 3.0 * step:
                     break
@@ -158,32 +230,17 @@ def local_structure(u: HarmonicComponent, z0: complex,
     m = 8192
     # half-step offset keeps symmetric zero rays off the sample grid
     theta = (np.arange(m) + 0.5) * (2.0 * math.pi / m)
-    vals = np.asarray(u.value(z0 + probe_radius * np.exp(1j * theta)),
-                      dtype=float)
-    sx = np.sign(vals)
-    rays = []
-    for k in range(m):
-        a, b = sx[k], sx[(k + 1) % m]
-        if a * b < 0:
-            # bisect the angle bracket
-            lo, hi = theta[k], theta[k] + 2.0 * math.pi / m
-            flo = float(u.value(z0 + probe_radius * np.exp(1j * lo)))
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                fm = float(u.value(z0 + probe_radius * np.exp(1j * mid)))
-                if fm == 0.0:
-                    lo = hi = mid
-                    break
-                if (flo > 0) == (fm > 0):
-                    lo, flo = mid, fm
-                else:
-                    hi = mid
-            rays.append(0.5 * (lo + hi) % (2.0 * math.pi))
-    rays.sort()
-    signs = []
-    for a, b in zip(rays, rays[1:] + [rays[0] + 2.0 * math.pi]):
-        mid = 0.5 * (a + b)
-        signs.append(1 if float(u.value(z0 + probe_radius * np.exp(1j * mid))) > 0 else -1)
+    sx = np.sign(np.asarray(u.value(z0 + probe_radius * np.exp(1j * theta)),
+                            dtype=float))
+
+    def on_ray(t: float) -> float:
+        return float(u.value(z0 + probe_radius * np.exp(1j * t)))
+
+    flips = np.nonzero(sx * np.roll(sx, -1) < 0)[0]
+    rays = sorted(_bisect(on_ray, theta[k], theta[k] + 2.0 * math.pi / m)
+                  % (2.0 * math.pi) for k in flips)
+    signs = [1 if on_ray(0.5 * (a + b)) > 0 else -1
+             for a, b in zip(rays, rays[1:] + [rays[0] + 2.0 * math.pi])]
     return {"n": n, "ray_angles": rays, "sector_signs": signs}
 
 
@@ -193,9 +250,7 @@ def cleaning_check(U, V, r: float, tol: float = 1e-6,
 
     U, V are callables (harmonic components or rescaled accessors).
     """
-    xs = np.linspace(-r, r, grid_n)
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
-    Z = (X + 1j * Y).ravel()
+    Z = Rect(-r, r, -r, r).grid(grid_n).ravel()
     Z = Z[np.abs(Z) <= r]
     Uv = np.asarray(U(Z), dtype=float)
     Vv = np.asarray(V(Z), dtype=float)

@@ -10,7 +10,10 @@ from pathlib import Path
 import pytest
 
 import harmonic_range
+from harmonic_range.arcs import ArcSet
 from harmonic_range.cli import main
+from harmonic_range.expressions import parse_map
+from harmonic_range.ranges import phi_profile, sample_range
 
 
 def run(capsys, *argv):
@@ -79,6 +82,30 @@ def test_catalog_listing(capsys):
     assert code == 0
     names = [e["name"] for e in doc["entries"]]
     assert "lewis-cross" in names and len(names) >= 12
+
+
+@pytest.mark.parametrize("tol", [None, 0.3])
+def test_antipodal_gap_alpha_keeps_the_tolerance(capsys, tol):
+    argv = ["antipodal", "--catalog", "lewis-cross"]
+    if tol is not None:
+        argv += ["--tol", str(tol)]
+    code, doc = run(capsys, *argv)
+    assert code == 0
+    tol = math.radians(1.0) if tol is None else tol
+    arcs = ArcSet.from_intervals(doc["arcs"])
+    alpha = doc["gap_alpha"]
+    assert alpha is not None
+    for probe in (alpha - math.pi / 2, alpha, alpha + math.pi / 2):
+        assert arcs.distance(probe) >= tol - 1e-12
+
+
+def test_phi_profile_is_the_library_profile(capsys):
+    src = "u=re(z^2); v=im(z^2)"
+    code, doc = run(capsys, "phi", "--map", src, "--R", "10",
+                    "--n-grid", "64", "--seed", "3", "--bins", "50")
+    assert code == 0
+    samples = sample_range(parse_map(src), 10.0, n_grid=64, seed=3)
+    assert doc["profile"] == phi_profile(samples, bins=50).to_dict()
 
 
 def test_sample_csv_artifact(tmp_path, capsys):

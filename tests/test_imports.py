@@ -1,0 +1,38 @@
+"""Package imports stay at module top, so an import cycle between the
+library modules fails at import time instead of hiding in a function."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import harmonic_range
+
+SOURCES = sorted(Path(harmonic_range.__file__).parent.glob("*.py"))
+
+
+def _function_level_package_imports(tree: ast.AST) -> list[int]:
+    lines = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level > 0
+                    or (node.module or "").split(".")[0] == "harmonic_range"):
+                lines.append(node.lineno)
+            elif isinstance(node, ast.Import) and any(
+                    a.name.split(".")[0] == "harmonic_range" for a in node.names):
+                lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_package_import_inside_a_function(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _function_level_package_imports(tree) == []
+
+
+def test_the_check_sees_a_deferred_relative_import():
+    tree = ast.parse("def f():\n    from . import zeros as zeros_mod\n")
+    assert _function_level_package_imports(tree) == [2]

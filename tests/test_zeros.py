@@ -9,9 +9,9 @@ from harmonic_range.expressions import parse_map
 from harmonic_range.lewis import Rect
 from harmonic_range.ranges import sample_range
 from harmonic_range.zeros import (NotPolynomialError, RadiusTooSmallError,
-                                  cleaning_check, detect_dependence,
-                                  local_structure, trace_zero_set,
-                                  tract_report)
+                                  _newton_to_zero, cleaning_check,
+                                  detect_dependence, local_structure,
+                                  trace_zero_set, tract_report)
 
 
 def _u(src):
@@ -42,6 +42,15 @@ def test_trace_zero_points_on_curve():
     for c in curves:
         vals = np.abs(np.asarray(u.value(c.points), dtype=float))
         assert float(np.max(vals)) < 1e-8
+
+
+def test_newton_reports_a_vanishing_gradient_as_not_converged():
+    # the gradient of re(z^2 + 1) vanishes at 0, where u = 1: no step
+    # can be taken, and the start point is no zero
+    u = _u("u=re(z^2+1); v=im(z)")
+    z, converged = _newton_to_zero(u, 0j, 1e-12)
+    assert not converged
+    assert float(u.value(z)) == 1.0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
