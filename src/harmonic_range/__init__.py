@@ -16,9 +16,9 @@ if _threads:
 
 from .arcs import ArcSet, circle_distance
 from .catalog import CatalogEntry, entry_names, get_entry, load_catalog
-from .circles import (CircleMax, FourierProfile, circle_max, circle_values,
-                      fourier_profile, harnack_bound_check, lemma_abs_check,
-                      multiplicity)
+from .circles import (CircleMax, FourierProfile, NonFiniteError, circle_max,
+                      circle_values, fourier_profile, harnack_bound_check,
+                      lemma_abs_check, multiplicity)
 from .expressions import (HarmonicComponent, HarmonicMap, ParseError,
                           parse_expr, parse_map)
 from .lewis import (LewisDisc, RescaledMap, lewis_disc_search,
@@ -42,9 +42,9 @@ __version__ = "0.1.0"
 __all__ = [
     "ArcSet", "circle_distance",
     "CatalogEntry", "entry_names", "get_entry", "load_catalog",
-    "CircleMax", "FourierProfile", "circle_max", "circle_values",
-    "fourier_profile", "harnack_bound_check", "lemma_abs_check",
-    "multiplicity",
+    "CircleMax", "FourierProfile", "NonFiniteError", "circle_max",
+    "circle_values", "fourier_profile", "harnack_bound_check",
+    "lemma_abs_check", "multiplicity",
     "HarmonicComponent", "HarmonicMap", "ParseError",
     "parse_expr", "parse_map",
     "LewisDisc", "RescaledMap",

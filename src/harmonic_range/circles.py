@@ -21,6 +21,7 @@ __all__ = [
     "PositivityError",
     "CenterNotZeroError",
     "DegenerateZeroError",
+    "NonFiniteError",
     "circle_max",
     "circle_values",
     "fourier_profile",
@@ -51,6 +52,10 @@ class CenterNotZeroError(ValueError):
 
 class DegenerateZeroError(ValueError):
     """u appears to vanish identically on the disc."""
+
+
+class NonFiniteError(ValueError):
+    """A maximum or a sample came out inf or NaN: the map overflows."""
 
 
 @dataclass(frozen=True)

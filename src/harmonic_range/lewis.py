@@ -15,10 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circles import circle_max
+from .circles import NonFiniteError, circle_max
 from .expressions import HarmonicComponent, HarmonicMap
 from .reports import TheoremVerdict
-from .zeros import NoSignChangeError, Rect, find_zero, trace_zero_set
+# find_zero is not used here; it stays importable from lewis, its former home
+from .zeros import (NoSignChangeError, Rect, _bisect, _sign_change_edges,
+                    find_zero)
 
 __all__ = [
     "LewisDisc",
@@ -29,8 +31,9 @@ __all__ = [
     "rescaled_range_check",
 ]
 
-CENTERS_PER_COMPONENT = 64
+CENTER_GRID_N = 96
 SEARCH_SAMPLES = 1024
+PRUNE_MARGIN = 1.05       # the sampled circle maximum is only nearly monotone
 
 
 class ConstantComponentError(ValueError):
@@ -65,20 +68,12 @@ class LewisDisc:
 
 
 def _candidate_centers(u: HarmonicComponent, R: float) -> list[complex]:
+    """Points of {u = 0} spread over the box inscribed in D(0, R): one
+    zero bisected on every sign-change edge of a CENTER_GRID_N mesh, all
+    edges at once."""
     half = R / math.sqrt(2.0)
-    box = Rect(-half, half, -half, half)
-    curves = trace_zero_set(u, box, step=R / 100.0)
-    centers: list[complex] = []
-    for curve in curves:
-        pts = curve.points
-        if len(pts) <= CENTERS_PER_COMPONENT:
-            centers.extend(pts)
-        else:
-            idx = np.linspace(0, len(pts) - 1, CENTERS_PER_COMPONENT).astype(int)
-            centers.extend(pts[k] for k in idx)
-    if not centers:
-        centers = [find_zero(u, box)]
-    return centers
+    Z = Rect(-half, half, -half, half).grid(CENTER_GRID_N)
+    return _bisect(u.value, *_sign_change_edges(Z, u.value(Z))).tolist()
 
 
 def lewis_disc_search(u: HarmonicComponent, R: float,
@@ -89,6 +84,10 @@ def lewis_disc_search(u: HarmonicComponent, R: float,
         raise ValueError("R must be positive")
     M_half = circle_max(u, 0.0, R / 2.0).value
     osc = circle_max(u, 0.0, R / 2.0, absolute=True).value
+    if not (math.isfinite(M_half) and math.isfinite(osc)):
+        raise NonFiniteError(
+            f"u overflows on |z| = {R / 2.0:g}: M(u) = {M_half}, "
+            f"M(|u|) = {osc}")
     if osc <= 1e-14:
         raise ConstantComponentError("u is constant at this scale")
 
@@ -96,7 +95,7 @@ def lewis_disc_search(u: HarmonicComponent, R: float,
     theta = np.arange(SEARCH_SAMPLES) * (2.0 * math.pi / SEARCH_SAMPLES)
     ring = np.exp(1j * theta)
 
-    best = None  # (score, radius, center_key, center, r, ratios, M)
+    best = None  # ((score, r, center key), center, r)
     for z in centers:
         zval = abs(float(u.value(z)))
         max_r = R - abs(z)
@@ -106,11 +105,16 @@ def lewis_disc_search(u: HarmonicComponent, R: float,
                 continue
             circ = z + r * ring
             vals = np.asarray(u.value(circ), dtype=float)
+            M_u = float(np.max(vals))
+            # maximum principle: M(u, z, r) does not grow as r shrinks, so
+            # once the growth ratio alone loses, no smaller radius can win
+            if (best is not None and M_u > 0
+                    and M_half / M_u > PRUNE_MARGIN * best[0][0]):
+                break
             M_abs = float(np.max(np.abs(vals)))
             if M_abs <= 0 or zval > 1e-9 * M_abs:
                 continue
             vals34 = np.asarray(u.value(z + 0.75 * r * ring), dtype=float)
-            M_u = float(np.max(vals))
             M_34 = float(np.max(vals34))
             if M_34 <= 0 or M_u <= 0:
                 continue

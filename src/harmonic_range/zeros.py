@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circles import circle_max, multiplicity
+from .circles import NonFiniteError, circle_max, multiplicity
 from .expressions import HarmonicComponent, HarmonicMap
 from .ranges import RangeSample
 from .reports import TheoremVerdict
@@ -81,19 +81,20 @@ class ZeroCurve:
         return float(np.sum(np.abs(np.diff(self.points))))
 
 
-def _bisect(g, a, b):
-    """Midpoint of a sign bracket of g after BISECT_HALVINGS halvings;
-    a and b are real or complex with g(a), g(b) of opposite signs."""
+def _bisect(g, a, b) -> np.ndarray:
+    """Midpoints of sign brackets of g after BISECT_HALVINGS halvings, all
+    brackets at once: a and b are arrays of real or complex ends with g(a),
+    g(b) of opposite signs, and g maps an array of points to real values.
+    A bracket whose midpoint is an exact zero freezes there."""
     fa = g(a)
     for _ in range(BISECT_HALVINGS):
         m = 0.5 * (a + b)
         fm = g(m)
-        if fm == 0.0:
-            return m
-        if (fa > 0) == (fm > 0):
-            a, fa = m, fm
-        else:
-            b = m
+        hit = fm == 0.0
+        same = (fa > 0) == (fm > 0)
+        a = np.where(hit | same, m, a)
+        fa = np.where(same, fm, fa)
+        b = np.where(hit | ~same, m, b)
     return 0.5 * (a + b)
 
 
@@ -102,28 +103,30 @@ def _newton_to_zero(u: HarmonicComponent, z: complex,
     """Steepest-descent Newton steps onto the zero level set of u.
 
     Returns the last point and whether |u| reached target there; it stops
-    unconverged where the gradient vanishes or the steps run out."""
+    unconverged where u or its gradient is not finite, where the gradient
+    vanishes, or when the steps run out."""
     for _ in range(NEWTON_MAX_ITER):
         val = float(u.value(z))
+        if not math.isfinite(val):
+            break  # overflow: no step can recover from NaN
         if abs(val) <= target:
             return z, True
         g = u.gradient(z)
         g2 = g.real * g.real + g.imag * g.imag
-        if g2 < 1e-300:
+        if not math.isfinite(g2) or g2 < 1e-300:
             break
         z = z - val * g / g2
     return z, False
 
 
-def _sign_change_edges(sx: np.ndarray):
-    """Grid edges (i0, j0, i1, j1) across which the sign sx flips:
-    horizontal edges first, then vertical ones."""
-    h = np.nonzero(sx[:-1, :] * sx[1:, :] < 0)
-    for i, j in zip(*h):
-        yield (int(i), int(j), int(i) + 1, int(j))
-    v = np.nonzero(sx[:, :-1] * sx[:, 1:] < 0)
-    for i, j in zip(*v):
-        yield (int(i), int(j), int(i), int(j) + 1)
+def _sign_change_edges(Z: np.ndarray, V: np.ndarray):
+    """Both ends, as two arrays, of the edges of the mesh Z across which
+    the values V change sign: horizontal edges first, then vertical ones."""
+    sx = np.sign(V)
+    h = sx[:-1, :] * sx[1:, :] < 0
+    v = sx[:, :-1] * sx[:, 1:] < 0
+    return (np.concatenate([Z[:-1, :][h], Z[:, :-1][v]]),
+            np.concatenate([Z[1:, :][h], Z[:, 1:][v]]))
 
 
 def find_zero(u: HarmonicComponent, search_box: Rect) -> complex:
@@ -133,15 +136,13 @@ def find_zero(u: HarmonicComponent, search_box: Rect) -> complex:
     scale = float(V.max() - V.min())
     if scale <= 0.0:
         raise NoSignChangeError("u is constant on the search grid")
-    edge = next(_sign_change_edges(np.sign(V)), None)
-    if edge is None:
+    a, b = _sign_change_edges(Z, V)
+    if not a.size:
         zeros = np.nonzero(V == 0.0)
         if zeros[0].size:
             return complex(Z[int(zeros[0][0]), int(zeros[1][0])])
         raise NoSignChangeError("u attains only one sign on the search grid")
-    i0, j0, i1, j1 = edge
-    z = _bisect(lambda w: float(u.value(w)), complex(Z[i0, j0]),
-                complex(Z[i1, j1]))
+    z = complex(_bisect(u.value, a[:1], b[:1])[0])
     zn, _ = _newton_to_zero(u, z, 1e-12 * scale)
     if abs(float(u.value(zn))) <= abs(float(u.value(z))):
         return zn
@@ -154,9 +155,7 @@ def _seed_zeros(u: HarmonicComponent, box: Rect) -> list[complex]:
     V = np.asarray(u.value(Z), dtype=float)
     target = 1e-10 * max(float(np.max(np.abs(V))), 1e-300)
     seeds = []
-    for (i0, j0, i1, j1) in _sign_change_edges(np.sign(V)):
-        z = _bisect(lambda w: float(u.value(w)), complex(Z[i0, j0]),
-                    complex(Z[i1, j1]))
+    for z in _bisect(u.value, *_sign_change_edges(Z, V)).tolist():
         z, converged = _newton_to_zero(u, z, target)
         if converged:
             seeds.append(z)
@@ -233,12 +232,12 @@ def local_structure(u: HarmonicComponent, z0: complex,
     sx = np.sign(np.asarray(u.value(z0 + probe_radius * np.exp(1j * theta)),
                             dtype=float))
 
-    def on_ray(t: float) -> float:
-        return float(u.value(z0 + probe_radius * np.exp(1j * t)))
+    def on_ray(t):
+        return u.value(z0 + probe_radius * np.exp(1j * t))
 
     flips = np.nonzero(sx * np.roll(sx, -1) < 0)[0]
-    rays = sorted(_bisect(on_ray, theta[k], theta[k] + 2.0 * math.pi / m)
-                  % (2.0 * math.pi) for k in flips)
+    ends = _bisect(on_ray, theta[flips], theta[flips] + 2.0 * math.pi / m)
+    rays = sorted((ends % (2.0 * math.pi)).tolist())
     signs = [1 if on_ray(0.5 * (a + b)) > 0 else -1
              for a, b in zip(rays, rays[1:] + [rays[0] + 2.0 * math.pi])]
     return {"n": n, "ray_angles": rays, "sector_signs": signs}
@@ -383,6 +382,11 @@ def detect_dependence(f: HarmonicMap, samples: RangeSample, a: float,
         raise ValueError("samples do not cover |z| > R")
     u = samples.w.real[far]
     v = samples.w.imag[far]
+    finite = np.isfinite(u) & np.isfinite(v)
+    if not np.all(finite):
+        raise NonFiniteError(
+            f"{int(np.count_nonzero(~finite))} of {finite.size} samples "
+            f"beyond R = {R:g} are not finite: the map overflows")
     scale = max(float(np.max(np.abs(u))), float(np.max(np.abs(v))), 1e-300)
     slack = 1e-9 * scale
 

@@ -165,6 +165,22 @@ def test_bad_input_exit_two_without_traceback(capsys, argv):
     assert "Traceback" not in captured.err
 
 
+EXP_EXP = "u=re(exp(exp(z))); v=im(exp(exp(z)))"
+
+
+@pytest.mark.parametrize("argv", [
+    ["lewis-discs", "--map", EXP_EXP, "--R", "30"],
+    ["dependence", "--map", EXP_EXP, "--R", "30", "--n-grid", "128"],
+])
+def test_overflow_is_a_typed_error(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "overflow" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_cli_import_does_not_load_scipy():
     src = str(Path(harmonic_range.__file__).resolve().parents[1])
     env = dict(os.environ)

@@ -1,6 +1,11 @@
 """Outputs pinned bit for bit: sha256 digests of zero traces, local
-structure, Lewis discs and the zeros CSV, as computed before zero finding
-was merged into one bisection helper."""
+structure, Lewis discs and the zeros CSV.
+
+The re(z^2) trace and the zeros CSV moved by <= 8.4e-15 when bisection
+switched to array evaluation, whose z^2 differs from Python's complex
+power in the last bits; the Lewis discs moved when candidate centers
+switched from traced zero curves to a batched sign-change pass.  Their
+scores are also pinned as numbers, from before that switch."""
 
 import hashlib
 import json
@@ -16,7 +21,7 @@ TRACES = {
     "re(z)": ("u=re(z); v=im(z)", Rect(-1, 1, -1, 1),
         "f11aa6cc2a376dfa28dccc9e409b6fe68274d326be24292ed8f01304e4f7c9b3"),
     "re(z^2)": ("u=re(z^2); v=im(z^2)", Rect(-1, 1, -1, 1),
-        "e9555d7a104467e5629b4be851c76aa5c1ba65bb1aeca1de924adbd26d14f87a"),
+        "d2e33807685dfcc798333f2e7ac9bb5002bcd5e0df4a1b65e001214320a8c29d"),
     "im(exp(z))": ("u=im(exp(z)); v=re(exp(z))", Rect(-2, 2, -4, 4),
         "654b06ee003a49b89e4cce26613a39b685ae9f8d70d2817a0cc3fd5948fe16ad"),
     "re(z^3-z)": ("u=re(z^3-z); v=im(z^3-z)", Rect(-2, 2, -2, 2),
@@ -41,12 +46,19 @@ LOCAL = {
 }
 
 DISCS = {
-    8.0: "2d2a83ab26b5fd6c0fbc68cc9b1805cc37cfbf932dec904bfbf5ad0845848841",
-    12.0: "d58a10a7dbbb8615befd16a2a19ca09c29b4ad8c18de2eff63d2a8a7c8a0573d",
-    20.0: "67e910861b60e25d6760f90dea3d3ad8e99e249421cc6815cabf9c393da02c71",
+    8.0: "51cae12d51cca7b9e770369659cc800c4414bcef8837a3d81090fd7cd9203428",
+    12.0: "aaf424a12f041839734391c05229bfd37c5b7e1eef7f39ba9e8377c38f35bc37",
+    20.0: "bb15bf88a5cde3c7540d5fb4bd86aba9769dd5e231483ed2e3a86b9851e94d14",
 }
 
-ZEROS_CSV = "5f2437df30f7205e5401852107ae82c151822a93b0f073e60dfa967c82047368"
+# empirical_C0 of the same searches with centers taken from traced curves
+TRACED_CENTER_C0 = {
+    8.0: 1.336355439959624,
+    12.0: 1.3350371958233191,
+    20.0: 1.3334074982792496,
+}
+
+ZEROS_CSV = "a5a828742f2b9ea05d65581cf6d47ad9c9f6bd41a6a2665c960c47505f7f8c2d"
 
 
 def _sha(data: bytes) -> str:
@@ -71,9 +83,9 @@ def local_digest(part: str, n: int) -> str:
     return _json_sha(local_structure(u, 0.0))
 
 
-def disc_digest(R: float) -> str:
+def exp_disc(R: float) -> dict:
     u = parse_map("u=im(exp(z)); v=re(exp(z))").u
-    return _json_sha(lewis_disc_search(u, R).to_dict())
+    return lewis_disc_search(u, R).to_dict()
 
 
 def zeros_csv_digest(tmp_path) -> str:
@@ -98,7 +110,10 @@ def test_local_structure_golden(key):
 
 @pytest.mark.parametrize("R", sorted(DISCS))
 def test_lewis_disc_search_golden(R):
-    assert disc_digest(R) == DISCS[R]
+    disc = exp_disc(R)
+    assert _json_sha(disc) == DISCS[R]
+    # the batched centers may score a hair worse, never by more than 1e-3
+    assert disc["empirical_C0"] <= TRACED_CENTER_C0[R] * (1.0 + 1e-3)
 
 
 def test_zeros_csv_golden(tmp_path, capsys):

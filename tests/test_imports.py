@@ -1,5 +1,6 @@
 """Package imports stay at module top, so an import cycle between the
-library modules fails at import time instead of hiding in a function."""
+library modules fails at import time instead of hiding in a function;
+and zero finding keeps its single bisection loop."""
 
 import ast
 from pathlib import Path
@@ -36,3 +37,21 @@ def test_no_package_import_inside_a_function(path):
 def test_the_check_sees_a_deferred_relative_import():
     tree = ast.parse("def f():\n    from . import zeros as zeros_mod\n")
     assert _function_level_package_imports(tree) == [2]
+
+
+def _bisection_loops(tree: ast.AST) -> int:
+    """Number of `for ... in range(BISECT_HALVINGS)` loops."""
+    return sum(1 for node in ast.walk(tree)
+               if isinstance(node, ast.For)
+               and isinstance(node.iter, ast.Call)
+               and isinstance(node.iter.func, ast.Name)
+               and node.iter.func.id == "range"
+               and any(isinstance(arg, ast.Name) and arg.id == "BISECT_HALVINGS"
+                       for arg in node.iter.args))
+
+
+def test_one_bisection_loop_and_no_curve_tracing_in_lewis():
+    loops = sum(_bisection_loops(ast.parse(p.read_text())) for p in SOURCES)
+    assert loops == 1
+    lewis = next(p for p in SOURCES if p.name == "lewis.py")
+    assert "trace_zero_set" not in lewis.read_text()

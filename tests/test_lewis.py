@@ -5,10 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from harmonic_range.expressions import parse_map
+from harmonic_range import lewis
+from harmonic_range.expressions import (Add, Const, HarmonicComponent, Mul, Z,
+                                        parse_map)
 from harmonic_range.circles import circle_max
-from harmonic_range.lewis import (NoSignChangeError, Rect, find_zero,
-                                  lewis_disc_search, rescaled_sequence)
+from harmonic_range.lewis import (SEARCH_SAMPLES, LewisDisc,
+                                  NoSignChangeError, Rect, _candidate_centers,
+                                  find_zero, lewis_disc_search,
+                                  rescaled_sequence)
 
 
 def test_find_zero_on_line():
@@ -81,3 +85,83 @@ def test_rescaled_sequence_rejects_bad_schedule():
     f = parse_map("u=re(z); v=im(z)")
     with pytest.raises(ValueError):
         rescaled_sequence(f, [4.0, 2.0])
+
+
+def _exhaustive_disc_search(u, R, C0_budget=100.0):
+    """Oracle: the radius scan of lewis_disc_search without pruning, which
+    evaluates every admissible (center, radius) on the same centers."""
+    M_half = circle_max(u, 0.0, R / 2.0).value
+    theta = np.arange(SEARCH_SAMPLES) * (2.0 * math.pi / SEARCH_SAMPLES)
+    ring = np.exp(1j * theta)
+    best = None
+    for z in _candidate_centers(u, R):
+        zval = abs(float(u.value(z)))
+        for j in range(1, 21):
+            r = R * 2.0 ** (-j)
+            if r > R - abs(z):
+                continue
+            vals = np.asarray(u.value(z + r * ring), dtype=float)
+            M_abs = float(np.max(np.abs(vals)))
+            if M_abs <= 0 or zval > 1e-9 * M_abs:
+                continue
+            vals34 = np.asarray(u.value(z + 0.75 * r * ring), dtype=float)
+            M_u = float(np.max(vals))
+            M_34 = float(np.max(vals34))
+            if M_34 <= 0 or M_u <= 0:
+                continue
+            score = max(M_abs / M_34, M_half / M_u)
+            key = (score, r, (z.real, z.imag))
+            if best is None or key < best[0]:
+                best = (key, z, r)
+    _, z, r = best
+    M_abs = circle_max(u, z, r, absolute=True).value
+    doubling = M_abs / circle_max(u, z, 0.75 * r).value
+    growth = M_half / circle_max(u, z, r).value
+    return LewisDisc(center=z, radius=r, M=M_abs, growth_ratio=growth,
+                     doubling_ratio=doubling, domain_radius=R,
+                     budget_met=max(doubling, growth) <= C0_budget)
+
+
+ACCEPTANCE_SEARCHES = [
+    ("u=re(z); v=im(z)", 4.0), ("u=re(z); v=im(z)", 8.0),
+    ("u=re(z^3); v=im(z^3)", 4.0), ("u=re(z^3); v=im(z^3)", 8.0),
+    ("u=im(exp(z)); v=re(exp(z))", 10.0), ("u=im(exp(z)); v=re(exp(z))", 20.0),
+    ("u=re(z^2+z); v=im(z^2+z)", 4.0), ("u=re(z^2+z); v=im(z^2+z)", 8.0),
+]
+
+
+def _random_polynomial_searches(n=50, seed=7):
+    """(component, R) pairs: re or im of a polynomial of degree 1-4 with
+    random complex coefficients, built in Horner form."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for k in range(n):
+        deg = int(rng.integers(1, 5))
+        coeffs = rng.uniform(-1, 1, size=deg + 1) \
+            + 1j * rng.uniform(-1, 1, size=deg + 1)
+        expr = Const(complex(coeffs[-1]))
+        for c in coeffs[-2::-1]:
+            expr = Add(Const(complex(c)), Mul(Z, expr))
+        u = HarmonicComponent(expr, ("real", "imag")[k % 2])
+        out.append((u, round(float(rng.uniform(4.0, 30.0)), 3)))
+    return out
+
+
+@pytest.mark.parametrize("src,R", ACCEPTANCE_SEARCHES)
+def test_pruned_search_matches_exhaustive_scan(src, R):
+    u = parse_map(src).u
+    # center, radius and score, and every ratio derived from them
+    assert lewis_disc_search(u, R).to_dict() == \
+        _exhaustive_disc_search(u, R).to_dict()
+
+
+@pytest.mark.parametrize("u,R", [
+    pytest.param(u, R, id=f"poly-{k}")
+    for k, (u, R) in enumerate(_random_polynomial_searches())])
+def test_pruned_search_matches_exhaustive_scan_on_polynomials(monkeypatch, u, R):
+    # the unpruned oracle costs ~20x the search; pruning acts on the radius
+    # scan of whatever centers it is given, so a coarser center mesh, fed
+    # to both sides alike, checks the same code at a fraction of the cost
+    monkeypatch.setattr(lewis, "CENTER_GRID_N", 12)
+    assert lewis_disc_search(u, R).to_dict() == \
+        _exhaustive_disc_search(u, R).to_dict()

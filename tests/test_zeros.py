@@ -8,7 +8,8 @@ import pytest
 from harmonic_range.expressions import parse_map
 from harmonic_range.lewis import Rect
 from harmonic_range.ranges import sample_range
-from harmonic_range.zeros import (NotPolynomialError, RadiusTooSmallError,
+from harmonic_range.zeros import (BISECT_HALVINGS, NotPolynomialError,
+                                  RadiusTooSmallError, _bisect,
                                   _newton_to_zero, cleaning_check,
                                   detect_dependence, local_structure,
                                   trace_zero_set, tract_report)
@@ -51,6 +52,62 @@ def test_newton_reports_a_vanishing_gradient_as_not_converged():
     z, converged = _newton_to_zero(u, 0j, 1e-12)
     assert not converged
     assert float(u.value(z)) == 1.0
+
+
+def _bisect_one(g, a, b):
+    """Reference: the scalar bisection loop, one bracket at a time."""
+    fa = g(a)
+    for _ in range(BISECT_HALVINGS):
+        m = 0.5 * (a + b)
+        fm = g(m)
+        if fm == 0.0:
+            return m
+        if (fa > 0) == (fm > 0):
+            a, fa = m, fm
+        else:
+            b = m
+    return 0.5 * (a + b)
+
+
+@pytest.mark.parametrize("g,a,b", [
+    # the bracket (-1, 1) freezes at once: its first midpoint 0 is a zero
+    (lambda x: x * x * x - 2.0 * x, [-2.0, -1.0, 1.0, -0.7], [-1.0, 1.0, 2.0, 0.6]),
+    (lambda w: (w * w).real - 1.0, [0.0, 0.5j - 2.0], [2.0 + 1.0j, -0.5 + 0.1j]),
+], ids=["real", "complex"])
+def test_bisect_runs_every_bracket_as_the_scalar_loop_would(g, a, b):
+    a, b = np.array(a), np.array(b)
+    want = [_bisect_one(lambda w: g(np.array([w]))[0], x, y)
+            for x, y in zip(a, b)]
+    assert _bisect(g, a, b).tolist() == want
+
+
+class _Counting:
+    """A harmonic component that counts its evaluations."""
+
+    def __init__(self, u):
+        self.u = u
+        self.values = 0
+        self.gradients = 0
+
+    def value(self, z):
+        self.values += 1
+        return self.u.value(z)
+
+    def gradient(self, z):
+        self.gradients += 1
+        return self.u.gradient(z)
+
+
+@pytest.mark.parametrize("z0,calls", [
+    (10 + 0j, (1, 0)),            # exp(exp(10)) overflows: u is inf
+    (math.log(700.0), (1, 1)),    # u ~ 1e304 is finite, |grad u|^2 is not
+], ids=["value-overflows", "gradient-overflows"])
+def test_newton_stops_at_the_first_nonfinite_value(z0, calls):
+    u = _Counting(_u("u=re(exp(exp(z))); v=im(exp(exp(z)))"))
+    z, converged = _newton_to_zero(u, z0, 1e-10)
+    assert not converged
+    assert z == z0
+    assert (u.values, u.gradients) == calls
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
