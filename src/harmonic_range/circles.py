@@ -107,6 +107,11 @@ def circle_max(u: HarmonicComponent, z: complex, r: float,
     if r <= 0:
         raise ValueError("radius must be positive")
     vals = circle_values(u, z, r, n)
+    nan = int(np.count_nonzero(np.isnan(vals)))
+    if nan:
+        # argmax and the peak comparisons below would skip NaN silently
+        raise NonFiniteError(f"u is NaN at {nan} of {n} samples on the circle of "
+                             f"radius {r:g} about {z:g}: the map overflows")
     if absolute:
         vals = np.abs(vals)
     # local maxima on the cyclic grid

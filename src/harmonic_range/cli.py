@@ -463,14 +463,17 @@ def main(argv=None) -> int:
                                 setattr(args, key, float(val))
                             except ValueError:
                                 setattr(args, key, val)
-        payload, code = args.func(args)
+        # overflow is reported by a typed error, not by numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            payload, code = args.func(args)
         _emit(payload)
         return code
-    except CliError as exc:
+    except (CliError, OSError, ValueError, catalog_mod.CatalogError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
-    except (OSError, ValueError, catalog_mod.CatalogError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
+    except Exception as exc:
+        # exit 1 means a verdict mismatch, so a crash is exit 2 as well
+        sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return USAGE_ERROR
 
 

@@ -10,7 +10,9 @@ plane.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,6 +27,7 @@ __all__ = [
     "Exp",
     "Z",
     "MAX_NESTING",
+    "MAX_DEPTH",
     "ParseError",
     "parse_expr",
     "to_source",
@@ -111,6 +114,10 @@ class ParseError(ValueError):
 # Deepest nesting of '(', 'exp(' and unary '-' the parser accepts; deeper
 # input would exhaust the interpreter stack in the recursive descent.
 MAX_NESTING = 200
+# Deepest tree the parser returns: '+' and '*' chains nest no brackets, but
+# the recursive tree walks (==, to_source, derivative, the compiled program of
+# F', about twice as deep) must fit the interpreter stack.  >= MAX_NESTING + 1.
+MAX_DEPTH = 256
 
 
 class _Tokenizer:
@@ -257,7 +264,19 @@ def parse_expr(src: str) -> Expr:
     tk._skip_ws()
     if tk.pos != len(src):
         raise ParseError("trailing input", tk.pos)
+    if _depth(node) > MAX_DEPTH:
+        raise ParseError(f"expression tree deeper than {MAX_DEPTH} levels", 0)
     return node
+
+
+def _depth(e: Expr) -> int:
+    """Depth of the tree, without recursion, so that any parse is measured."""
+    deepest, stack = 0, [(e, 1)]
+    while stack:
+        node, d = stack.pop()
+        deepest = max(deepest, d)
+        stack += [(c, d + 1) for c in vars(node).values() if isinstance(c, Expr)]
+    return deepest
 
 
 def _const_source(c: complex) -> str:
@@ -285,75 +304,103 @@ def to_source(e: Expr) -> str:
         case Var():
             return "z"
         case Add(left, Neg(operand)):
-            return f"{to_source(left)}-{_wrap_add(operand)}"
+            return f"{to_source(left)}-{_wrap(operand, Add, Neg)}"
         case Add(left, right):
-            return f"{to_source(left)}+{_wrap_add(right)}"
+            return f"{to_source(left)}+{_wrap(right, Add, Neg)}"
         case Mul(left, right):
-            return f"{_wrap_mul(left)}*{_wrap_mul(right)}"
+            # '*' is left-associative: a left product needs no brackets
+            return f"{_wrap(left, Add)}*{_wrap(right, Add, Mul, Neg)}"
         case Neg(operand):
-            return f"-{_wrap_neg(operand)}"
+            # unary '-' binds tighter than '^': -z^2 parses as (-z)^2
+            return f"-{_wrap(operand, Add, Mul, Pow)}"
         case Pow(base, k):
-            return f"{_wrap_pow(base)}^{k}"
+            return f"{_wrap(base, Add, Mul, Neg, Pow)}^{k}"
         case Exp(operand):
             return f"exp({to_source(operand)})"
     raise TypeError(f"not an expression: {e!r}")
 
 
-def _wrap_add(e: Expr) -> str:
-    # right operand of +/-: parenthesize sums so reparse keeps the shape
-    if isinstance(e, (Add, Neg)):
-        return f"({to_source(e)})"
-    return to_source(e)
-
-
-def _wrap_mul(e: Expr) -> str:
-    if isinstance(e, (Add, Mul, Neg)):
-        return f"({to_source(e)})"
-    return to_source(e)
-
-
-def _wrap_neg(e: Expr) -> str:
-    if isinstance(e, (Add, Mul)):
-        return f"({to_source(e)})"
-    return to_source(e)
-
-
-def _wrap_pow(e: Expr) -> str:
-    if isinstance(e, (Add, Mul, Neg, Pow)):
-        return f"({to_source(e)})"
-    return to_source(e)
+def _wrap(e: Expr, *parenthesized: type) -> str:
+    src = to_source(e)
+    return f"({src})" if isinstance(e, parenthesized) else src
 
 
 # --------------------------------------------------------------------------
 # Evaluation and differentiation
 # --------------------------------------------------------------------------
 
-def evaluate(e: Expr, z):
-    """Evaluate at a complex scalar or numpy array of complex values."""
+# One operation per node type.  Array operations are explicit ufunc calls:
+# with `a * b` numpy may reuse a large temporary b in place as `b * a`, and
+# complex multiplication is not bitwise commutative under SIMD.  Pow keeps
+# `**` because numpy sends `w ** 2` to np.square, whose bits np.power lacks.
+_ARRAY_OPS = {Add: np.add, Mul: np.multiply, Neg: np.negative,
+              Pow: operator.pow, Exp: np.exp}
+_SCALAR_OPS = {Add: operator.add, Mul: operator.mul, Neg: operator.neg,
+               Pow: operator.pow, Exp: lambda w: complex(np.exp(w))}
+
+
+def _node(op, a, *rest):
+    """Apply op now if no operand depends on z (a fold), else return a
+    function of z; operands that depend on z are themselves functions."""
+    if not rest:
+        return (lambda z: op(a(z))) if callable(a) else op(a)
+    b, = rest
+    if callable(a) and callable(b):
+        return lambda z: op(a(z), b(z))
+    if callable(a):
+        return lambda z: op(a(z), b)
+    if callable(b):
+        return lambda z: op(a, b(z))
+    return op(a, b)
+
+
+def _build(e: Expr, ops: dict, const):
+    """A function of z computing e, or the value of e when it is free of z."""
     match e:
         case Const(value):
-            if isinstance(z, np.ndarray):
-                return np.full(z.shape, value, dtype=complex)
-            return value
+            return const(value)
         case Var():
-            if isinstance(z, np.ndarray):
-                return z.astype(complex)
-            return complex(z)
-        case Add(left, right):
-            return evaluate(left, z) + evaluate(right, z)
-        case Mul(left, right):
-            return evaluate(left, z) * evaluate(right, z)
-        case Neg(operand):
-            return -evaluate(operand, z)
+            return lambda z: z
+        case Add(left, right) | Mul(left, right):
+            args = (_build(left, ops, const), _build(right, ops, const))
         case Pow(base, k):
-            b = evaluate(base, z)
-            if isinstance(b, np.ndarray):
-                return b ** k
-            return b ** k
-        case Exp(operand):
-            w = evaluate(operand, z)
-            return np.exp(w) if isinstance(w, np.ndarray) else complex(np.exp(w))
-    raise TypeError(f"not an expression: {e!r}")
+            args = (_build(base, ops, const), k)
+        case Neg(operand) | Exp(operand):
+            args = (_build(operand, ops, const),)
+        case _:
+            raise TypeError(f"not an expression: {e!r}")
+    return _node(ops[type(e)], *args)
+
+
+def _compile(e: Expr):
+    """Compile e once into a function of a complex scalar or numpy array.
+
+    Subtrees free of z are folded at compile time: for arrays on a
+    1-element complex array, so the bits match an elementwise evaluation,
+    and for scalars with Python complex arithmetic.
+    """
+    array = _build(e, _ARRAY_OPS, lambda c: np.full(1, c, dtype=complex))
+    scalar = _build(e, _SCALAR_OPS, complex)
+    if not callable(array):  # e is free of z
+        array = lambda z, c=array[0]: np.full(z.shape, c)
+        scalar = lambda z, c=scalar: c
+
+    def program(z):
+        if not isinstance(z, np.ndarray):
+            return scalar(complex(z))
+        z = z.astype(complex, copy=False)
+        return array(z) if z.ndim else array(z.reshape(1))[0]
+    return program
+
+
+def evaluate(e: Expr, z):
+    """Evaluate at a complex scalar or numpy array of complex values.
+
+    z is not copied, so the result may share memory with it: for the
+    expression z it is z itself, and the component re(z) or im(z) is a
+    view of it.  Copy before changing a result in place.
+    """
+    return _compile(e)(z)
 
 
 _ZERO = Const(0j)
@@ -434,35 +481,46 @@ def degree(e: Expr) -> int | None:
 # Harmonic components and maps
 # --------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class HarmonicComponent:
     """Real or imaginary part of an entire function; harmonic on all of C."""
 
     expr: Expr
     part: str  # "real" | "imag"
-    _deriv: Expr | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.part not in ("real", "imag"):
             raise ValueError("part must be 'real' or 'imag'")
 
+    @cached_property
+    def _program(self):
+        return _compile(self.expr)
+
+    @cached_property
+    def deriv_expr(self) -> Expr:
+        return derivative(self.expr)
+
+    @cached_property
+    def _deriv_program(self):
+        return _compile(self.deriv_expr)
+
+    def __getstate__(self):
+        # the compiled programs are closures, which pickle cannot store;
+        # a copy compiles its own on first use
+        state = dict(vars(self))
+        state.pop("_program", None)
+        state.pop("_deriv_program", None)
+        return state
+
     def value(self, z):
-        w = evaluate(self.expr, z)
-        if self.part == "real":
-            return w.real if isinstance(w, np.ndarray) else w.real
-        return w.imag if isinstance(w, np.ndarray) else w.imag
+        w = self._program(z)
+        return w.real if self.part == "real" else w.imag
 
     __call__ = value
 
-    @property
-    def deriv_expr(self) -> Expr:
-        if self._deriv is None:
-            self._deriv = derivative(self.expr)
-        return self._deriv
-
     def gradient(self, z):
         """Gradient (u_x, u_y) packed as the complex number u_x + i*u_y."""
-        fp = evaluate(self.deriv_expr, z)
+        fp = self._deriv_program(z)
         if self.part == "real":
             # u = Re F: (Re F', -Im F') by Cauchy-Riemann
             if isinstance(fp, np.ndarray):

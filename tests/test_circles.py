@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from harmonic_range.circles import (CenterNotZeroError, PositivityError,
-                                    circle_max, circle_values, fourier_profile,
+from harmonic_range.circles import (CenterNotZeroError, NonFiniteError,
+                                    PositivityError, circle_max, circle_values, fourier_profile,
                                     harnack_bound_check, lemma_abs_check,
                                     multiplicity)
 from harmonic_range.expressions import parse_map
@@ -115,3 +115,14 @@ def test_multiplicity_off_center_zero():
     u = _comp("u=re(z^2); v=im(z)")
     z0 = (1.0 + 1.0j) / math.sqrt(2.0)
     assert multiplicity(u, z0, 0.1) == 1
+
+
+def test_circle_max_raises_on_nan_samples():
+    # exp(exp(z)) overflows on part of |z| = 7, and inf - inf is NaN there;
+    # argmax would skip the NaN samples and report 0.0
+    u = _comp("u=re(exp(exp(z))-exp(exp(z))); v=im(z)")
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteError, match="NaN at 153 of 4096 samples"):
+            circle_max(u, 0.0, 7.0)
+        with pytest.raises(NonFiniteError):
+            circle_max(u, 0.0, 7.0, absolute=True)

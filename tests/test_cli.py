@@ -156,6 +156,8 @@ def test_config_file_defaults(tmp_path, capsys):
     # exp overflows to inf, which JSON cannot carry
     ["eval", "--z", "0.1", "--map",
      "u=re(" + "exp(" * 200 + "z" + ")" * 200 + "); v=im(z)"],
+    # a long sum nests no brackets but builds a tree 3000 deep
+    ["eval", "--z", "0", "--map", "u=re(" + "+".join(["z"] * 3000) + "); v=im(z)"],
 ])
 def test_bad_input_exit_two_without_traceback(capsys, argv):
     assert main(argv) == 2
@@ -181,14 +183,54 @@ def test_overflow_is_a_typed_error(capsys, argv):
     assert "Traceback" not in captured.err
 
 
-def test_cli_import_does_not_load_scipy():
+def test_nan_circle_maximum_is_a_typed_error(capsys):
+    # inf - inf is NaN on part of |z| = 7; the NaN samples once made u look
+    # constant there
+    argv = ["lewis-discs", "--map", "u=re(exp(exp(z))-exp(exp(z))); v=im(z)",
+            "--R", "14"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: u is NaN at ")
+    assert "overflows" in captured.err
+
+
+def test_unexpected_exception_exits_two(capsys, monkeypatch):
+    import harmonic_range.cli as cli
+
+    def crash(args):
+        raise IndexError("index 7 is out of bounds")
+    monkeypatch.setattr(cli, "_cmd_eval", crash)
+    assert main(["eval", "--map", "u=re(z); v=im(z)", "--z", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: IndexError: index 7 is out of bounds\n"
+
+
+def _subprocess_env():
     src = str(Path(harmonic_range.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+@pytest.mark.parametrize("command", ["lewis-discs", "dependence"])
+def test_overflow_stderr_is_one_error_line(command):
+    """numpy's overflow warnings stay off stderr; only the typed error shows."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "harmonic_range.cli", command, "--map", EXP_EXP,
+         "--R", "30"], env=_subprocess_env(), capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_cli_import_does_not_load_scipy():
     code = ("import harmonic_range.cli, sys; "
             "print(sorted(m for m in sys.modules "
             "if m == 'scipy' or m.startswith('scipy.')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
+    out = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(),
+                         check=True, capture_output=True, text=True).stdout
     assert out.strip() == "[]"

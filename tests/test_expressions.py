@@ -1,14 +1,21 @@
 """Parser, evaluation, differentiation, and harmonic-component tests."""
 
 import cmath
+import copy
 import math
+import pickle
+import random
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from harmonic_range.expressions import (MAX_NESTING, Const, ParseError,
-                                        Pow, Z, degree, derivative, evaluate,
-                                        parse_expr, parse_map, to_source)
+from harmonic_range.expressions import (MAX_DEPTH, MAX_NESTING, Add, Const,
+                                        Exp, Mul, Neg, ParseError, Pow, Var, Z,
+                                        _compile, degree, derivative,
+                                        evaluate, parse_expr, parse_map,
+                                        to_source)
 
 
 @pytest.mark.parametrize("src", [
@@ -137,3 +144,222 @@ def test_parse_accepts_nesting_at_cap():
     assert evaluate(parse_expr("-" * MAX_NESTING + "z"), 2.0) == 2.0
     nested_exp = "exp(" * MAX_NESTING + "z" + ")" * MAX_NESTING
     assert to_source(parse_expr(nested_exp)) == nested_exp
+
+
+def test_parse_accepts_depth_at_cap():
+    chain = "+".join(["z"] * MAX_DEPTH)  # 255 nested Add over z: MAX_DEPTH deep
+    assert degree(parse_expr(chain)) == 1
+    assert MAX_DEPTH >= MAX_NESTING + 1
+
+
+@pytest.mark.parametrize("src", ["+".join(["z"] * (MAX_DEPTH + 1)),
+                                 "*".join(["z"] * 3000),
+                                 "z" + "-z" * 3000])
+def test_parse_rejects_deep_trees(src):
+    with pytest.raises(ParseError, match="deeper than"):
+        parse_expr(src)
+
+
+# --------------------------------------------------------------------------
+# Oracles for the compiled evaluator
+# --------------------------------------------------------------------------
+
+def _tree_walk(e, z):
+    """The recursive evaluator the compiled program replaced: operators in
+    tree order, a fresh array for every node."""
+    match e:
+        case Const(value):
+            if isinstance(z, np.ndarray):
+                return np.full(z.shape, value, dtype=complex)
+            return value
+        case Var():
+            return z.astype(complex) if isinstance(z, np.ndarray) else complex(z)
+        case Add(left, right):
+            return _tree_walk(left, z) + _tree_walk(right, z)
+        case Mul(left, right):
+            return _tree_walk(left, z) * _tree_walk(right, z)
+        case Neg(operand):
+            return -_tree_walk(operand, z)
+        case Pow(base, k):
+            return _tree_walk(base, z) ** k
+        case Exp(operand):
+            w = _tree_walk(operand, z)
+            return np.exp(w) if isinstance(w, np.ndarray) else complex(np.exp(w))
+    raise TypeError(e)
+
+
+def _random_tree(rng, depth, z_free=False):
+    """Seeded random expression; exp only of small arguments so that the
+    values stay finite on |z| <= 1.5."""
+    kind = "leaf" if depth == 0 else rng.choice(
+        ["leaf", "add", "mul", "neg", "pow", "exp"])
+    if kind == "leaf":
+        if z_free or rng.random() < 0.4:
+            return Const(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)))
+        return Z
+    if kind == "neg":
+        return Neg(_random_tree(rng, depth - 1, z_free))
+    if kind == "pow":
+        return Pow(_random_tree(rng, min(depth - 1, 1), z_free), rng.randint(0, 5))
+    if kind == "exp":
+        return Exp(Mul(Const(complex(rng.uniform(-1, 1), rng.uniform(-1, 1))),
+                       _random_tree(rng, min(depth - 1, 1), z_free)))
+    # a z-free side exercises constant folding next to z-dependent work
+    left = _random_tree(rng, depth - 1, z_free or rng.random() < 0.3)
+    right = _random_tree(rng, depth - 1, z_free)
+    return (Add if kind == "add" else Mul)(left, right)
+
+
+def _random_trees(seed, count, depth=4):
+    rng = random.Random(seed)
+    return [_random_tree(rng, depth) for _ in range(count)]
+
+
+def _points(n, seed):
+    rng = np.random.default_rng(seed)
+    return 1.5 * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+
+
+def _bits(w):
+    return np.asarray(w, dtype=complex).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 1024, 2 ** 15])
+def test_compiled_program_matches_tree_walk_bit_for_bit_on_arrays(n):
+    # 2**15 complex values are 512 KiB, above numpy's 256 KiB threshold for
+    # reusing a temporary operand in place, which may swap a * b to b * a
+    z = _points(n, n)
+    for e in _random_trees(n, 150) + [Const(1 + 2j), Z, Pow(Z, 2), Pow(Z, 0)]:
+        got, want = _compile(e)(z), _tree_walk(e, z)
+        assert got.shape == z.shape
+        assert _bits(got) == _bits(want), to_source(e)
+
+
+def test_compiled_program_matches_tree_walk_bit_for_bit_on_scalars():
+    zs = [complex(w) for w in _points(8, 3)] + [0.5, 2, np.complex128(0.3 - 1j)]
+    for e in _random_trees(7, 300) + [Const(1 + 2j), Z]:
+        program = _compile(e)
+        for z in zs:
+            got, want = program(z), _tree_walk(e, z)
+            assert type(got) is complex
+            assert _bits(got) == _bits(want), to_source(e)
+
+
+def test_compiled_program_keeps_shapes():
+    e = parse_expr("(1+2*i)*z^2+3")
+    program = _compile(e)
+    grid = _points(12, 5).reshape(3, 4)
+    assert _bits(program(grid)) == _bits(_tree_walk(e, grid))
+    strided = _points(2048, 6)[::2]  # evaluated in place, not copied first
+    assert _bits(program(strided)) == _bits(_tree_walk(e, strided))
+    assert program(np.array(0.5j)) == program(0.5j)
+    real = np.array([0.5, -1.0])
+    assert _bits(program(real)) == _bits(program(real.astype(complex)))
+    assert _compile(parse_expr("2*i"))(grid).shape == (3, 4)
+
+
+def _mp_eval(e, z):
+    match e:
+        case Const(value):
+            return mpmath.mpc(value)
+        case Var():
+            return mpmath.mpc(z)
+        case Add(left, right):
+            return _mp_eval(left, z) + _mp_eval(right, z)
+        case Mul(left, right):
+            return _mp_eval(left, z) * _mp_eval(right, z)
+        case Neg(operand):
+            return -_mp_eval(operand, z)
+        case Pow(base, k):
+            return _mp_eval(base, z) ** k
+        case Exp(operand):
+            return mpmath.exp(_mp_eval(operand, z))
+    raise TypeError(e)
+
+
+def _scale(e, z):
+    """Size of the terms summed on the way to e(z): the float error bound
+    is a small multiple of it."""
+    match e:
+        case Const(value):
+            return abs(value)
+        case Var():
+            return abs(z)
+        case Add(left, right):
+            return _scale(left, z) + _scale(right, z)
+        case Mul(left, right):
+            return _scale(left, z) * _scale(right, z)
+        case Neg(operand):
+            return _scale(operand, z)
+        case Pow(base, k):
+            return _scale(base, z) ** k
+        case Exp(operand):
+            m = _scale(operand, z)
+            return math.exp(m) * (1.0 + m)
+    raise TypeError(e)
+
+
+def test_compiled_program_matches_mpmath_at_50_digits():
+    z = _points(16, 11)
+    with mpmath.workdps(50):
+        for e in _random_trees(11, 120):
+            program = _compile(e)
+            values = program(z)
+            for k, zk in enumerate(z):
+                exact = _mp_eval(e, complex(zk))
+                tol = 1e-13 * (1.0 + _scale(e, abs(zk)))
+                assert abs(mpmath.mpc(complex(values[k])) - exact) <= tol, to_source(e)
+                assert abs(mpmath.mpc(program(complex(zk))) - exact) <= tol, to_source(e)
+
+
+def test_map_value_matches_tree_walk_bit_for_bit():
+    f = parse_map("u=re((1+2*i)*z^3+exp(z)); v=im((1+2*i)*z^3+exp(z))")
+    z = _points(2 ** 15, 2)
+    w = _tree_walk(f.u.expr, z)
+    assert _bits(f.value(z)) == _bits(w.real + 1j * w.imag)
+    assert f.value(0.5 + 0.25j) == f.u.value(0.5 + 0.25j) + 1j * f.v.value(0.5 + 0.25j)
+
+
+def test_component_pickles_and_copies_after_evaluation():
+    u = parse_map("u=re(z^2+exp(z)); v=im(z)").u
+    z = _points(16, 9)
+    want, grad = u.value(z), u.gradient(z)
+    for twin in (pickle.loads(pickle.dumps(u)), copy.deepcopy(u)):
+        assert twin == u
+        assert _bits(twin.value(z)) == _bits(want)
+        assert _bits(twin.gradient(z)) == _bits(grad)
+
+
+# trees in the parser's image: constants are nonnegative reals, pi, e or i
+_leaves = st.one_of(
+    st.just(Z),
+    st.floats(min_value=0.0, max_value=1e300, allow_nan=False).map(
+        lambda x: Const(complex(abs(x)))),
+    st.sampled_from([Const(complex(math.pi)), Const(complex(math.e)), Const(1j)]))
+
+
+def _extend(children):
+    return st.one_of(
+        st.builds(Add, children, children), st.builds(Mul, children, children),
+        st.builds(Neg, children), st.builds(Exp, children),
+        st.builds(Pow, children, st.integers(min_value=0, max_value=12)))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.recursive(_leaves, _extend, max_leaves=24))
+def test_to_source_round_trips(e):
+    assert parse_expr(to_source(e)) == e
+
+
+@pytest.mark.parametrize("op,terms", [("+", MAX_DEPTH), ("*", MAX_DEPTH),
+                                      ("-", MAX_DEPTH - 1)])  # z-z is Add(z, Neg(z))
+def test_to_source_round_trips_chains_at_the_depth_cap(op, terms):
+    e = parse_expr(op.join(["z"] * terms))
+    assert parse_expr(to_source(e)) == e
+
+
+def test_to_source_keeps_negated_powers():
+    # unary '-' binds tighter than '^', so -(z^2) must keep its brackets
+    e = Neg(Pow(Z, 2))
+    assert to_source(e) == "-(z^2)"
+    assert parse_expr("-z^2") == Pow(Neg(Z), 2)
