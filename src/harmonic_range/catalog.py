@@ -40,16 +40,12 @@ class CatalogEntry:
 
     def sample(self, seed: Optional[int] = None) -> RangeSample:
         p = self.params
-        return sample_range(self.harmonic_map(), p.get("R", 30.0),
-                            n_grid=p.get("n_grid", 256),
-                            seed=p.get("seed", 0) if seed is None else seed)
+        return sample_range(self.harmonic_map(), p["R"], n_grid=p["n_grid"],
+                            seed=p["seed"] if seed is None else seed)
 
     def directions(self, samples: Optional[RangeSample] = None) -> DirectionEstimate:
         if self.kind == "arcset":
-            return DirectionEstimate(arcs=self.arcs, cutoffs=(), bins=0,
-                                     survival_counts=(), stabilization_index=0,
-                                     low_confidence=False,
-                                     radius=0.0)
+            return DirectionEstimate(arcs=self.arcs, cutoffs=(), bins=0)
         if samples is None:
             samples = self.sample()
         cutoffs = self.params.get("cutoffs")

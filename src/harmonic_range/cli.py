@@ -1,5 +1,9 @@
 """Command-line front end: one subcommand per analysis, one JSON document
-to stdout, artifacts only via explicit --out flags."""
+to stdout, artifacts only via explicit --out flags.
+
+argparse gives every flag its type, check and default.  A flag's value
+comes from the command line, else from a ``--config`` file, else from the
+``params`` of the ``--catalog`` entry, else from its built-in default."""
 
 from __future__ import annotations
 
@@ -12,8 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from . import catalog as catalog_mod
-from .arcs import ArcSet
-from .circles import circle_max
 from .expressions import HarmonicMap, ParseError, parse_map
 from .lewis import lewis_disc_search, rescaled_sequence
 from .ranges import (antipodal_gap_alpha, antipodal_pairs,
@@ -44,29 +46,37 @@ def _emit(payload: dict) -> None:
                                 allow_nan=False) + "\n")
 
 
-def _parse_complex(text: str) -> complex:
+def _complex(text: str) -> complex:
     try:
         return complex(text.replace("i", "j").replace(" ", ""))
     except ValueError:
-        raise CliError(f"cannot parse complex number {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"cannot parse complex number {text!r}") from None
 
 
 def _format_complex(w: complex) -> str:
     return f"{w.real:g}{w.imag:+g}i"
 
 
-def _floats(text: str, n: int | None = None) -> list[float]:
+def _numbers(text: str) -> tuple[float, ...]:
     try:
-        vals = [float(t) for t in text.split(",")]
+        return tuple(float(t) for t in text.split(","))
     except ValueError:
-        raise CliError(f"cannot parse number list {text!r}")
-    if n is not None and len(vals) != n:
-        raise CliError(f"expected {n} comma-separated numbers, got {text!r}")
-    return vals
+        raise argparse.ArgumentTypeError(
+            f"cannot parse number list {text!r}") from None
 
 
-def _load_config(path: str) -> dict:
-    cfg = {}
+def _box(text: str) -> Rect:
+    vals = _numbers(text)
+    if len(vals) != 4:
+        raise argparse.ArgumentTypeError(
+            f"expected 4 comma-separated numbers, got {text!r}")
+    return Rect(*vals)
+
+
+def _config_flags(path: str) -> list[str]:
+    """Each ``key=value`` line of the file as a ``--key=value`` token."""
+    flags = []
     for line in Path(path).read_text().splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
@@ -74,129 +84,122 @@ def _load_config(path: str) -> dict:
         if "=" not in line:
             raise CliError(f"bad config line {line!r}: expected key=value")
         key, val = line.split("=", 1)
-        cfg[key.strip().replace("-", "_")] = val.strip()
-    return cfg
+        flags.append(f"--{key.strip().replace('_', '-')}={val.strip()}")
+    return flags
 
 
-def _resolve_map(args) -> tuple[HarmonicMap, dict]:
-    """Returns the map plus default sampling params (catalog entries carry
-    tuned parameters)."""
+def _with_config(argv: list[str]) -> list[str]:
+    """argv with ``--config FILE`` replaced by the file's flags, placed
+    right after the subcommand name so that the user's own flags win."""
+    head = argparse.ArgumentParser(prog="harmonic-range", add_help=False)
+    head.add_argument("--config")
+    head.add_argument("rest", nargs=argparse.REMAINDER)
+    ns, unknown = head.parse_known_args(argv)
+    if ns.config is None or unknown or not ns.rest:
+        return argv
+    command, *flags = ns.rest
+    return [command, *_config_flags(ns.config), *flags]
+
+
+def _resolve_map(args) -> HarmonicMap:
     sources = [s for s in (args.map, args.catalog, args.map_file) if s]
     if len(sources) != 1:
         raise CliError("give exactly one of --map, --catalog, --map-file")
-    if args.catalog:
-        entry = catalog_mod.get_entry(args.catalog)
-        if entry.kind != "map":
+    if args.entry is not None:
+        if args.entry.kind != "map":
             raise CliError(f"catalog entry {args.catalog!r} is not a map")
-        return entry.harmonic_map(), dict(entry.params)
+        return args.entry.harmonic_map()
     text = args.map if args.map else Path(args.map_file).read_text().strip()
     try:
-        return parse_map(text), {}
+        return parse_map(text)
     except ParseError as exc:
         raise CliError(f"map parse error: {exc}")
 
 
-def _sample_from_args(args, f: HarmonicMap, defaults: dict):
-    R = args.R if args.R is not None else defaults.get("R", 30.0)
-    n_grid = args.n_grid if args.n_grid is not None else defaults.get("n_grid", 256)
-    seed = args.seed if args.seed is not None else defaults.get("seed", 0)
-    return sample_range(f, R, n_grid=int(n_grid), seed=int(seed))
+def _sample(args, f: HarmonicMap):
+    return sample_range(f, args.R, n_grid=args.n_grid, seed=args.seed)
 
 
-def _estimate_from_args(args, samples, defaults: dict):
-    cutoffs = None
-    if getattr(args, "cutoffs", None):
-        cutoffs = tuple(_floats(args.cutoffs))
-    elif defaults.get("cutoffs"):
-        cutoffs = tuple(defaults["cutoffs"])
-    return estimate_directions(samples, bins=getattr(args, "bins", 720),
-                               cutoffs=cutoffs)
+def _estimate(args, samples):
+    return estimate_directions(samples, bins=args.bins, cutoffs=args.cutoffs)
 
 
-def _add_map_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--map", help="inline map text, e.g. 'u=re(z); v=im(exp(z))'")
-    p.add_argument("--catalog", help="built-in catalog entry name")
-    p.add_argument("--map-file", help="file containing the map text")
+def _strict(properties: dict) -> dict:
+    """An output schema whose top level holds exactly these keys."""
+    return {"type": "object", "properties": properties,
+            "required": sorted(properties), "additionalProperties": False}
 
 
-def _add_sampling_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--R", type=float, default=None, help="sampling radius")
-    p.add_argument("--n-grid", type=int, default=None, dest="n_grid")
-    p.add_argument("--seed", type=int, default=None)
-
-
-SCHEMAS = {
-    "eval": {"type": "object",
-             "properties": {"z": {"type": "array"}, "w": {"type": "array"},
-                            "formatted": {"type": "string"}}},
-    "sample": {"type": "object",
-               "properties": {"metadata": {"type": "object"},
-                              "count": {"type": "integer"},
-                              "out": {"type": ["string", "null"]}}},
-    "directions": {"type": "object",
-                   "properties": {"arcs": {"type": "array"},
-                                  "cutoffs": {"type": "array"},
-                                  "stabilization_index": {"type": "integer"},
-                                  "low_confidence": {"type": "boolean"}}},
-    "antipodal": {"type": "object",
-                  "properties": {"pairs": {"type": "array"},
-                                 "gap_alpha": {"type": ["number", "null"]},
-                                 "arcs": {"type": "array"}}},
-    "normalize": {"type": "object",
-                  "properties": {"normalization": {"type": ["object", "null"]}}},
-    "lewis-discs": {"type": "object",
-                    "properties": {"center": {"type": "array"},
-                                   "radius": {"type": "number"},
-                                   "M": {"type": "number"},
-                                   "doubling_ratio": {"type": "number"},
-                                   "growth_ratio": {"type": "number"},
-                                   "budget_met": {"type": "boolean"}}},
-    "rescale": {"type": "object",
-                "properties": {"members": {"type": "array"}}},
-    "zeros": {"type": "object",
-              "properties": {"curves": {"type": "array"},
-                             "out": {"type": ["string", "null"]}}},
-    "local-structure": {"type": "object",
-                        "properties": {"n": {"type": "integer"},
-                                       "ray_angles": {"type": "array"},
-                                       "sector_signs": {"type": "array"}}},
-    "tracts": {"type": "object",
-               "properties": {"degree": {"type": "integer"},
-                              "sign_changes": {"type": "integer"},
-                              "components": {"type": "integer"}}},
-    "dependence": {"type": "object",
-                   "properties": {"b": {"type": "number"},
-                                  "residual": {"type": "number"},
-                                  "dependent": {"type": "boolean"}}},
-    "phi": {"type": "object",
-            "properties": {"bins": {"type": "integer"},
-                           "sublinear": {"type": "boolean"},
-                           "profile": {"type": "object"}}},
-    "check": {"type": "object",
-              "properties": {"theorem": {"type": "string"},
-                             "hypothesis": {"type": "object"},
-                             "conclusion": {"type": "object"},
-                             "params": {"type": "object"},
-                             "sampling": {"type": "object"}}},
-    "catalog": {"type": "object",
-                "properties": {"entries": {"type": "array"}}},
-    "plot": {"type": "object",
-             "properties": {"out": {"type": "string"},
-                            "points": {"type": "integer"}}},
-}
+SCHEMAS = {name: _strict(properties) for name, properties in {
+    "eval": {"z": {"type": "array"}, "w": {"type": "array"},
+             "formatted": {"type": "string"}},
+    "sample": {"metadata": {"type": "object"},
+               "count": {"type": "integer"},
+               "out": {"type": ["string", "null"]}},
+    "directions": {"arcs": {"type": "array"},
+                   "cutoffs": {"type": "array"},
+                   "bins": {"type": "integer"},
+                   "occupied_bins": {"type": "integer"},
+                   "stabilization_index": {"type": "integer"},
+                   "low_confidence": {"type": "boolean"},
+                   "radius": {"type": "number"}},
+    "antipodal": {"pairs": {"type": "array"},
+                  "gap_alpha": {"type": ["number", "null"]},
+                  "arcs": {"type": "array"}},
+    "normalize": {"arcs": {"type": "array"},
+                  "normalization": {"type": ["object", "null"]}},
+    "lewis-discs": {"center": {"type": "array"},
+                    "radius": {"type": "number"},
+                    "M": {"type": "number"},
+                    "doubling_ratio": {"type": "number"},
+                    "growth_ratio": {"type": "number"},
+                    "empirical_C0": {"type": "number"},
+                    "domain_radius": {"type": "number"},
+                    "budget_met": {"type": "boolean"}},
+    "rescale": {"members": {"type": "array"}},
+    "zeros": {"curves": {"type": "array"},
+              "out": {"type": ["string", "null"]}},
+    "local-structure": {"n": {"type": "integer"},
+                        "ray_angles": {"type": "array"},
+                        "sector_signs": {"type": "array"}},
+    "tracts": {"degree": {"type": "integer"},
+               "sign_changes": {"type": "integer"},
+               "components": {"type": "integer"},
+               "radius": {"type": "number"}},
+    "dependence": {"b": {"type": "number"},
+                   "residual": {"type": "number"},
+                   "dependent": {"type": "boolean"},
+                   "bound_a": {"type": "number"},
+                   "degenerate": {"type": "boolean"},
+                   "hypothesis_holds": {"type": "boolean"},
+                   "hypothesis_witness": {"type": ["object", "null"]}},
+    "phi": {"bins": {"type": "integer"},
+            "sublinear": {"type": "boolean"},
+            "detail": {"type": "object"},
+            "profile": {"type": "object"}},
+    "check": {"theorem": {"type": "string"},
+              "hypothesis": {"type": "object"},
+              "conclusion": {"type": "object"},
+              "params": {"type": "object"},
+              "sampling": {"type": "object"}},
+    "catalog": {"entries": {"type": "array"}},
+    "plot": {"out": {"type": "string"},
+             "points": {"type": "integer"},
+             "arcs": {"type": "array"}},
+}.items()}
 
 
 def _cmd_eval(args) -> tuple[dict, int]:
-    f, _ = _resolve_map(args)
-    z = _parse_complex(args.z)
+    f = _resolve_map(args)
+    z = args.z
     w = f.value(z)
     return {"z": [z.real, z.imag], "w": [w.real, w.imag],
             "formatted": _format_complex(w)}, 0
 
 
 def _cmd_sample(args) -> tuple[dict, int]:
-    f, defaults = _resolve_map(args)
-    s = _sample_from_args(args, f, defaults)
+    f = _resolve_map(args)
+    s = _sample(args, f)
     if args.out:
         s.to_csv(args.out)
     return {"metadata": s.metadata(), "count": int(s.z.size),
@@ -206,13 +209,12 @@ def _cmd_sample(args) -> tuple[dict, int]:
 def _direction_estimate(args):
     """Arc-set catalog entries carry their direction set directly; map
     sources are sampled and estimated."""
-    if args.catalog and not (args.map or args.map_file):
-        entry = catalog_mod.get_entry(args.catalog)
-        if entry.kind == "arcset":
-            return entry.directions()
-    f, defaults = _resolve_map(args)
-    s = _sample_from_args(args, f, defaults)
-    return _estimate_from_args(args, s, defaults)
+    if (args.entry is not None and args.entry.kind == "arcset"
+            and not (args.map or args.map_file)):
+        return args.entry.directions()
+    f = _resolve_map(args)
+    s = _sample(args, f)
+    return _estimate(args, s)
 
 
 def _cmd_directions(args) -> tuple[dict, int]:
@@ -237,26 +239,23 @@ def _cmd_normalize(args) -> tuple[dict, int]:
 
 
 def _cmd_lewis_discs(args) -> tuple[dict, int]:
-    f, defaults = _resolve_map(args)
-    u = f.u if args.component == "u" else f.v
-    R = args.R if args.R is not None else defaults.get("R", 30.0)
-    disc = lewis_disc_search(u, R, C0_budget=args.budget)
+    f = _resolve_map(args)
+    u = getattr(f, args.component)
+    disc = lewis_disc_search(u, args.R, C0_budget=args.budget)
     return disc.to_dict(), 0
 
 
 def _cmd_rescale(args) -> tuple[dict, int]:
-    f, _ = _resolve_map(args)
-    schedule = _floats(args.schedule)
+    f = _resolve_map(args)
     members = [rm.to_dict()
-               for rm in rescaled_sequence(f, schedule, C0_budget=args.budget)]
+               for rm in rescaled_sequence(f, args.schedule, C0_budget=args.budget)]
     return {"members": members}, 0
 
 
 def _cmd_zeros(args) -> tuple[dict, int]:
-    f, _ = _resolve_map(args)
-    u = f.u if args.component == "u" else f.v
-    x0, x1, y0, y1 = _floats(args.box, 4)
-    curves = trace_zero_set(u, Rect(x0, x1, y0, y1), step=args.step)
+    f = _resolve_map(args)
+    u = getattr(f, args.component)
+    curves = trace_zero_set(u, args.box, step=args.step)
     if args.out:
         rows = ["curve,x,y"]
         for c in curves:
@@ -269,29 +268,27 @@ def _cmd_zeros(args) -> tuple[dict, int]:
 
 
 def _cmd_local_structure(args) -> tuple[dict, int]:
-    f, _ = _resolve_map(args)
-    u = f.u if args.component == "u" else f.v
-    z0 = _parse_complex(args.z0)
-    return local_structure(u, z0, probe_radius=args.probe_radius), 0
+    f = _resolve_map(args)
+    u = getattr(f, args.component)
+    return local_structure(u, args.z0, probe_radius=args.probe_radius), 0
 
 
 def _cmd_tracts(args) -> tuple[dict, int]:
-    f, defaults = _resolve_map(args)
-    u = f.u if args.component == "u" else f.v
-    R = args.R if args.R is not None else defaults.get("R", 30.0)
-    return tract_report(u, R).to_dict(), 0
+    f = _resolve_map(args)
+    u = getattr(f, args.component)
+    return tract_report(u, args.R).to_dict(), 0
 
 
 def _cmd_dependence(args) -> tuple[dict, int]:
-    f, defaults = _resolve_map(args)
-    s = _sample_from_args(args, f, defaults)
+    f = _resolve_map(args)
+    s = _sample(args, f)
     rep = detect_dependence(f, s, a=args.a, R=args.inner_R)
     return rep.to_dict(), 0
 
 
 def _cmd_phi(args) -> tuple[dict, int]:
-    f, defaults = _resolve_map(args)
-    s = _sample_from_args(args, f, defaults)
+    f = _resolve_map(args)
+    s = _sample(args, f)
     prof = phi_profile(s, bins=args.bins)
     check = phi_sublinearity_check(prof)
     return {"bins": args.bins, "sublinear": check["holds"],
@@ -300,25 +297,23 @@ def _cmd_phi(args) -> tuple[dict, int]:
 
 def _cmd_check(args) -> tuple[dict, int]:
     if args.theorem == "log2":
-        z = log2_sample_points(args.n, seed=args.seed or 0)
+        z = log2_sample_points(args.n, seed=args.seed)
         verdict = check_log2_inequalities(z)
     else:
-        f, defaults = _resolve_map(args)
-        s = _sample_from_args(args, f, defaults)
+        f = _resolve_map(args)
+        s = _sample(args, f)
         if args.theorem == "lewis":
             verdict = check_lewis_region(f, args.C, s)
         elif args.theorem == "antipodal":
-            est = _estimate_from_args(args, s, defaults)
+            est = _estimate(args, s)
             verdict = check_antipodal_theorem(f, est, s)
         elif args.theorem == "halfplane":
-            est = _estimate_from_args(args, s, defaults)
+            est = _estimate(args, s)
             verdict = check_halfplane_theorem(f, args.alpha, est, s)
         elif args.theorem == "cor-alpha":
             verdict = check_cor_alpha(f, args.a, args.alpha, args.b, s)
-        elif args.theorem == "murdoch-kuran":
-            verdict = check_murdoch_kuran(f, args.a, args.inner_R, s)
         else:
-            raise CliError(f"unknown theorem {args.theorem!r}")
+            verdict = check_murdoch_kuran(f, args.a, args.inner_R, s)
     return verdict.to_dict(), (0 if verdict.consistent else VERDICT_ERROR)
 
 
@@ -330,144 +325,122 @@ def _cmd_catalog(args) -> tuple[dict, int]:
 
 
 def _cmd_plot(args) -> tuple[dict, int]:
-    f, defaults = _resolve_map(args)
-    s = _sample_from_args(args, f, defaults)
-    est = _estimate_from_args(args, s, defaults)
+    f = _resolve_map(args)
+    s = _sample(args, f)
+    est = _estimate(args, s)
     svg = render_range_svg(s, arcs=est.arcs)
     Path(args.out).write_text(svg)
     return {"out": args.out, "points": int(s.z.size),
             "arcs": est.arcs.to_dict()["arcs"]}, 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+class _PrintSchema(argparse.Action):
+    """--schema prints the subcommand's output schema and ends the parse,
+    as --help does, before argparse asks for the required flags."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        _emit({"command": self.const, "schema": SCHEMAS[self.const]})
+        parser.exit()
+
+
+# flag families: each flag is declared once, here or in its subcommand's row
+_MAP = {"--map": dict(help="inline map text, e.g. 'u=re(z); v=im(exp(z))'"),
+        "--catalog": dict(help="built-in catalog entry; its params are flag defaults"),
+        "--map-file": dict(help="file containing the map text")}
+_RADIUS = {"--R": dict(type=float, default=30.0, help="sampling radius")}
+_SAMPLING = {**_RADIUS, "--n-grid": dict(type=int, default=256),
+             "--seed": dict(type=int, default=0)}
+_DIRECTIONS = {"--bins": dict(type=int, default=720),
+               "--cutoffs": dict(type=_numbers, help="comma-separated modulus cutoffs")}
+_COMPONENT = {"--component": dict(choices=("u", "v"), default="u")}
+_BUDGET = {"--budget": dict(type=float, default=100.0)}
+_CONE = {"--a": dict(type=float, default=1.0),
+         "--inner-R": dict(type=float, default=1.0,
+                           help="hypothesis radius: only |z| > inner-R is constrained")}
+_CSV_OUT = {"--out": dict(help="CSV output path")}
+
+
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser and its subparsers by name."""
+    # subcommand: (handler, flag families...), built per call so
+    # that a handler replaced on the module is the one that runs
+    table = {
+        "eval": (_cmd_eval, _MAP, {"--z": dict(type=_complex, required=True,
+                                               help="evaluation point, e.g. '1+2i'")}),
+        "sample": (_cmd_sample, _MAP, _SAMPLING, _CSV_OUT),
+        "directions": (_cmd_directions, _MAP, _SAMPLING, _DIRECTIONS),
+        "antipodal": (_cmd_antipodal, _MAP, _SAMPLING, _DIRECTIONS,
+                      {"--tol": dict(type=float, default=math.radians(1.0))}),
+        "normalize": (_cmd_normalize, _MAP, _SAMPLING, _DIRECTIONS),
+        "lewis-discs": (_cmd_lewis_discs, _MAP, _COMPONENT, _RADIUS, _BUDGET),
+        "rescale": (_cmd_rescale, _MAP, _BUDGET, {"--schedule": dict(
+            type=_numbers, required=True,
+            help="comma-separated increasing radii, e.g. '2,4,8'")}),
+        "zeros": (_cmd_zeros, _MAP, _COMPONENT, _CSV_OUT,
+                  {"--box": dict(type=_box, required=True, help="x0,x1,y0,y1"),
+                   "--step": dict(type=float, default=0.05)}),
+        "local-structure": (_cmd_local_structure, _MAP, _COMPONENT,
+                            {"--z0": dict(type=_complex, required=True),
+                             "--probe-radius": dict(type=float, default=1e-2)}),
+        "tracts": (_cmd_tracts, _MAP, _COMPONENT, _RADIUS),
+        "dependence": (_cmd_dependence, _MAP, _SAMPLING, _CONE),
+        "phi": (_cmd_phi, _MAP, _SAMPLING, {"--bins": dict(type=int, default=200)}),
+        "check": (_cmd_check, _MAP, _SAMPLING, _DIRECTIONS, _CONE, {
+            "--theorem": dict(required=True, choices=(
+                "lewis", "antipodal", "halfplane", "cor-alpha", "murdoch-kuran",
+                "log2")),
+            "--C": dict(type=float, default=1.0),
+            "--alpha": dict(type=float, default=0.0),
+            "--b": dict(type=float, default=0.0),
+            "--n": dict(type=int, default=1000000)}),
+        "catalog": (_cmd_catalog, {"--name": {}}),
+        "plot": (_cmd_plot, _MAP, _SAMPLING, _DIRECTIONS,
+                 {"--out": dict(required=True, help="SVG output path")}),
+    }
     parser = argparse.ArgumentParser(
         prog="harmonic-range",
         description="Numerical toolkit for ranges of planar harmonic maps.")
     parser.add_argument("--config", help="key=value file of flag defaults")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, needs_map=True, needs_sampling=True):
-        p = sub.add_parser(name)
-        p.set_defaults(func=func, command=name)
-        p.add_argument("--schema", action="store_true",
+    commands = {}
+    for name, (func, *families) in table.items():
+        p = commands[name] = sub.add_parser(name)
+        p.set_defaults(func=func, entry=None)
+        p.add_argument("--schema", action=_PrintSchema, const=name, nargs=0,
+                       default=argparse.SUPPRESS,
                        help="print this subcommand's JSON output schema")
-        if needs_map:
-            _add_map_args(p)
-        if needs_sampling:
-            _add_sampling_args(p)
-        return p
+        for family in families:
+            for flag, kwargs in family.items():
+                p.add_argument(flag, **kwargs)
+    return parser, commands
 
-    p = add("eval", _cmd_eval, needs_sampling=False)
-    p.add_argument("--z", required=True, help="evaluation point, e.g. '1+2i'")
 
-    p = add("sample", _cmd_sample)
-    p.add_argument("--out", help="CSV output path")
-
-    for name, func in (("directions", _cmd_directions),
-                       ("antipodal", _cmd_antipodal),
-                       ("normalize", _cmd_normalize)):
-        p = add(name, func)
-        p.add_argument("--bins", type=int, default=720)
-        p.add_argument("--cutoffs", help="comma-separated modulus cutoffs")
-        if name == "antipodal":
-            p.add_argument("--tol", type=float, default=math.radians(1.0))
-
-    p = add("lewis-discs", _cmd_lewis_discs, needs_sampling=False)
-    p.add_argument("--component", choices=("u", "v"), default="u")
-    p.add_argument("--R", type=float, default=None)
-    p.add_argument("--budget", type=float, default=100.0)
-
-    p = add("rescale", _cmd_rescale, needs_sampling=False)
-    p.add_argument("--schedule", required=True,
-                   help="comma-separated increasing radii, e.g. '2,4,8'")
-    p.add_argument("--budget", type=float, default=100.0)
-
-    p = add("zeros", _cmd_zeros, needs_sampling=False)
-    p.add_argument("--component", choices=("u", "v"), default="u")
-    p.add_argument("--box", required=True, help="x0,x1,y0,y1")
-    p.add_argument("--step", type=float, default=0.05)
-    p.add_argument("--out", help="CSV output path")
-
-    p = add("local-structure", _cmd_local_structure, needs_sampling=False)
-    p.add_argument("--component", choices=("u", "v"), default="u")
-    p.add_argument("--z0", required=True)
-    p.add_argument("--probe-radius", type=float, default=1e-2,
-                   dest="probe_radius")
-
-    p = add("tracts", _cmd_tracts, needs_sampling=False)
-    p.add_argument("--component", choices=("u", "v"), default="u")
-    p.add_argument("--R", type=float, default=None)
-
-    p = add("dependence", _cmd_dependence)
-    p.add_argument("--a", type=float, default=1.0)
-    p.add_argument("--inner-R", type=float, default=1.0, dest="inner_R",
-                   help="hypothesis radius: only |z| > inner-R is constrained")
-
-    p = add("phi", _cmd_phi)
-    p.add_argument("--bins", type=int, default=200)
-
-    p = add("check", _cmd_check)
-    p.add_argument("--theorem", required=True,
-                   choices=("lewis", "antipodal", "halfplane", "cor-alpha",
-                            "murdoch-kuran", "log2"))
-    p.add_argument("--C", type=float, default=1.0)
-    p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--a", type=float, default=1.0)
-    p.add_argument("--b", type=float, default=0.0)
-    p.add_argument("--inner-R", type=float, default=1.0, dest="inner_R")
-    p.add_argument("--n", type=int, default=1000000)
-    p.add_argument("--bins", type=int, default=720)
-    p.add_argument("--cutoffs")
-
-    p = add("catalog", _cmd_catalog, needs_map=False, needs_sampling=False)
-    p.add_argument("--name")
-
-    p = add("plot", _cmd_plot)
-    p.add_argument("--bins", type=int, default=720)
-    p.add_argument("--cutoffs")
-    p.add_argument("--out", required=True, help="SVG output path")
-
-    return parser
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Command line over config over catalog params over built-in
+    defaults; the catalog entry is looked up once, after a first parse
+    has named it."""
+    parser, commands = _build_parser()
+    argv = _with_config(argv)
+    args = parser.parse_args(argv)
+    if getattr(args, "catalog", None):
+        entry = catalog_mod.get_entry(args.catalog)
+        commands[args.command].set_defaults(entry=entry, **entry.params)
+        args = parser.parse_args(argv)
+    return args
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    if "--schema" in argv:
-        # schema printing must not require the subcommand's other flags
-        names = [a for a in argv if not a.startswith("-")]
-        if names and names[0] in SCHEMAS:
-            _emit({"command": names[0], "schema": SCHEMAS[names[0]]})
-            return 0
-        sys.stderr.write("error: --schema needs a known subcommand\n")
-        return USAGE_ERROR
     try:
-        args = parser.parse_args(argv)
-        if args.config:
-            cfg = _load_config(args.config)
-            for key, val in cfg.items():
-                if hasattr(args, key) and f"--{key.replace('_', '-')}" not in argv:
-                    current = getattr(args, key)
-                    if isinstance(current, bool):
-                        setattr(args, key, val.lower() in ("1", "true", "yes"))
-                    elif isinstance(current, int):
-                        setattr(args, key, int(val))
-                    elif isinstance(current, float):
-                        setattr(args, key, float(val))
-                    else:
-                        # flags with default None: infer numeric types
-                        try:
-                            setattr(args, key, int(val))
-                        except ValueError:
-                            try:
-                                setattr(args, key, float(val))
-                            except ValueError:
-                                setattr(args, key, val)
+        args = _parse_args(argv)
         # overflow is reported by a typed error, not by numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
             payload, code = args.func(args)
         _emit(payload)
         return code
+    except SystemExit as exc:
+        # --help, --schema and argparse's usage errors end the parse
+        return exc.code
     except (CliError, OSError, ValueError, catalog_mod.CatalogError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR

@@ -158,6 +158,8 @@ class _Tokenizer:
             self.pos += 1
             while self.pos < n and s[self.pos].isdigit():
                 self.pos += 1
+        if not any(ch.isdigit() for ch in s[start:self.pos]):
+            raise ParseError("expected a number", start)
         if self.pos < n and s[self.pos] in "eE":
             mark = self.pos
             self.pos += 1
@@ -168,8 +170,6 @@ class _Tokenizer:
                     self.pos += 1
             else:
                 self.pos = mark  # bare 'e' is the Euler constant, not an exponent
-        if self.pos == start:
-            raise ParseError("expected a number", start)
         return float(s[start:self.pos])
 
     def uint(self) -> int:

@@ -11,11 +11,12 @@ schedule it was computed with.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .arcs import ArcSet, TWO_PI
+from .circles import NonFiniteError
 from .expressions import HarmonicMap
 
 __all__ = [
@@ -144,7 +145,7 @@ class DirectionEstimate:
     arcs: ArcSet
     cutoffs: tuple[float, ...]
     bins: int
-    survival_counts: np.ndarray = field(repr=False)
+    occupied_bins: int = 0  # the bins the arcs are built from
     stabilization_index: int = 0
     low_confidence: bool = False
     radius: float = 0.0
@@ -157,19 +158,27 @@ class DirectionEstimate:
             "stabilization_index": self.stabilization_index,
             "low_confidence": self.low_confidence,
             "radius": self.radius,
-            "occupied_bins": int(np.count_nonzero(
-                self.survival_counts >= len(self.cutoffs) - self.stabilization_index)),
+            "occupied_bins": self.occupied_bins,
         }
+
+
+def _require_finite(samples: RangeSample) -> None:
+    """Nonfinite values carry no direction or slab, and dropping them would
+    drop the largest moduli, which decide the answer."""
+    bad = int(np.count_nonzero(~np.isfinite(samples.w)))
+    if bad:
+        raise NonFiniteError(f"{bad} of {samples.count} samples of the range "
+                             "are not finite: the map overflows")
 
 
 def _default_cutoffs(mods: np.ndarray) -> tuple[float, ...]:
     """Quantile cutoffs plus a geometric ladder of absolute floors."""
-    finite = mods[np.isfinite(mods) & (mods > 0)]
-    if finite.size == 0:
+    positive = mods[mods > 0]
+    if positive.size == 0:
         return (1.0,)
-    qs = [float(np.quantile(finite, q)) for q in (0.90, 0.99, 0.999)]
-    m0 = float(np.quantile(finite, 0.5))
-    top = float(finite.max())
+    qs = [float(np.quantile(positive, q)) for q in (0.90, 0.99, 0.999)]
+    m0 = float(np.quantile(positive, 0.5))
+    top = float(positive.max())
     ladder = []
     m = max(m0, 1e-12)
     while m < top:
@@ -186,6 +195,7 @@ def estimate_directions(samples: RangeSample, bins: int = 720,
     the stabilization index on; merge surviving bins into closed arcs."""
     if bins < 90:
         raise ValueError("need at least 90 bins")
+    _require_finite(samples)
     w = samples.w
     mods = np.abs(w)
     if cutoffs is None:
@@ -195,7 +205,7 @@ def estimate_directions(samples: RangeSample, bins: int = 720,
     idx = np.minimum((ang / TWO_PI * bins).astype(int), bins - 1)
     # per-bin maximum modulus
     G = np.zeros(bins)
-    np.maximum.at(G, idx, np.where(np.isfinite(mods), mods, 0.0))
+    np.maximum.at(G, idx, mods)
 
     occupied = [G > c for c in cutoffs]
     stab = len(cutoffs) - 1
@@ -206,20 +216,19 @@ def estimate_directions(samples: RangeSample, bins: int = 720,
     # occupancy is monotone in the cutoff, so the occupied set at the
     # stabilization index is the one every later cutoff agrees on up to
     # further shrinking; it is the estimate
-    keep = occupied[stab].copy()
-    survival = np.sum(np.stack(occupied), axis=0)
+    keep = np.nonzero(occupied[stab])[0]
 
     n_large = int(np.count_nonzero(mods > cutoffs[-1]))
     low_conf = n_large < min_large
 
-    if not np.any(mods > cutoffs[-1]):
-        arcs = ArcSet.empty()
+    if n_large == 0:
+        arcs, keep = ArcSet.empty(), []
     else:
         width = TWO_PI / bins
-        intervals = [(k * width, (k + 1) * width) for k in np.nonzero(keep)[0]]
+        intervals = [(k * width, (k + 1) * width) for k in keep]
         arcs = ArcSet.from_intervals(intervals).fatten(fatten_bins * width)
     return DirectionEstimate(arcs=arcs, cutoffs=cutoffs, bins=bins,
-                             survival_counts=survival,
+                             occupied_bins=len(keep),
                              stabilization_index=stab,
                              low_confidence=low_conf,
                              radius=samples.radius)
@@ -335,6 +344,7 @@ class PhiProfile:
 
 
 def phi_profile(samples: RangeSample, bins: int = 200) -> PhiProfile:
+    _require_finite(samples)
     u = samples.w.real
     v = samples.w.imag
     lo, hi = float(u.min()), float(u.max())

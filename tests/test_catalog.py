@@ -93,3 +93,29 @@ def test_dependence_expectation_triple_line():
 def test_provenance_values_restricted():
     for entry in load_catalog().values():
         assert entry.provenance in ("external", "trivial", "derived")
+
+
+def test_map_entries_carry_their_sampling_params():
+    # CatalogEntry.sample has no fallback values, and the CLI takes these
+    # as flag defaults
+    for entry in load_catalog().values():
+        if entry.kind == "map":
+            assert {"R", "n_grid", "seed"} <= set(entry.params), entry.name
+
+
+@pytest.mark.parametrize("name", ["identity", "square", "exp-wedge", "exp-exp-cross"])
+def test_occupied_bins_are_the_bins_the_arcs_are_built_from(name):
+    # each kept bin widens by one bin on either side, so the arcs measure
+    # between one and three times the kept bins
+    est = get_entry(name).directions()
+    width = 2 * math.pi / est.bins
+    measure = sum(hi - lo for lo, hi in est.arcs.arcs)
+    assert est.occupied_bins * width <= measure + 1e-9
+    assert measure <= 3 * est.occupied_bins * width + 1e-9
+
+
+def test_arcset_entry_directions_to_dict():
+    entry = get_entry("lewis-cross")
+    doc = entry.directions().to_dict()
+    assert doc["bins"] == 0 and doc["occupied_bins"] == 0
+    assert doc["arcs"] == entry.arcs.to_dict()["arcs"]

@@ -1,17 +1,21 @@
 """End-to-end command-line interface tests."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import harmonic_range
 from harmonic_range.arcs import ArcSet
-from harmonic_range.cli import main
+from harmonic_range.cli import SCHEMAS, main
 from harmonic_range.expressions import parse_map
 from harmonic_range.ranges import phi_profile, sample_range
 
@@ -144,7 +148,95 @@ def test_config_file_defaults(tmp_path, capsys):
                     "--map", "u=re(z); v=im(z)")
     assert code == 0
     assert doc["metadata"]["radius"] == 5.0
+    assert isinstance(doc["metadata"]["radius"], float)
     assert doc["metadata"]["n_grid"] == 64
+
+
+def test_flag_precedence(tmp_path, capsys):
+    """Command line over config over catalog params over built-in."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("R=5\n")
+    base = ["sample", "--catalog", "constant"]  # params R=10, n_grid=64
+    assert run(capsys, *base)[1]["metadata"]["radius"] == 10.0
+    assert run(capsys, "--config", str(cfg), *base)[1]["metadata"]["radius"] == 5.0
+    code, doc = run(capsys, "--config", str(cfg), *base, "--R", "7")
+    assert doc["metadata"]["radius"] == 7.0
+    assert doc["metadata"]["n_grid"] == 64 and doc["metadata"]["seed"] == 0
+    code, doc = run(capsys, "sample", "--map", "u=re(z); v=im(z)", "--R", "5")
+    assert doc["metadata"]["n_grid"] == 256 and doc["metadata"]["seed"] == 0
+
+
+def test_schema_flag_after_config(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("R=20\n")
+    code, doc = run(capsys, "--config", str(cfg), "directions", "--schema")
+    assert code == 0
+    assert doc == {"command": "directions", "schema": SCHEMAS["directions"]}
+
+
+@pytest.mark.parametrize("command, line", [
+    ("sample", "ngrid=64"),             # no such flag
+    ("lewis-discs", "component=w"),     # not one of the choices
+    ("sample", "seed=1.5"),             # not an int
+    ("sample", "R=abc"),                # not a float
+    ("sample", "no equals sign"),
+])
+def test_bad_config_line_exits_two(tmp_path, capsys, command, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    assert main(["--config", str(cfg), command, "--map", "u=re(z^2); v=im(z^2)",
+                 "--R", "5", "--n-grid", "64"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: " in captured.err
+    assert "Traceback" not in captured.err
+
+
+def _stdout(argv) -> tuple[int, str]:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    return code, buf.getvalue()
+
+
+_FLAG_VALUES = {
+    "sample": {"R": ["3", "5.5", "1e1"], "n_grid": ["64", "80"],
+               "seed": ["0", "4", "17"]},
+    "directions": {"R": ["3", "5.5", "1e1"], "n_grid": ["64", "80"],
+                   "seed": ["0", "4"], "bins": ["90", "360", "720"],
+                   "cutoffs": ["1,2,4", "0.5,3"]},
+}
+
+
+@st.composite
+def _split_flags(draw):
+    """A subcommand, some of its flags with values, and which of them go
+    through the config file (with key spelled `_` or `-`)."""
+    command = draw(st.sampled_from(sorted(_FLAG_VALUES)))
+    choices = _FLAG_VALUES[command]
+    keys = draw(st.lists(st.sampled_from(sorted(choices)), unique=True))
+    flags = {k: draw(st.sampled_from(choices[k])) for k in keys}
+    in_config = {k: draw(st.sampled_from(["_", "-"]))
+                 for k in keys if draw(st.booleans())}
+    return command, flags, in_config
+
+
+@settings(max_examples=25, deadline=None)
+@given(_split_flags())
+def test_config_line_acts_like_its_flag(split):
+    command, flags, in_config = split
+    head = [command, "--map", "u=re(z^2+z); v=im(z^2+z)"]
+    cli = [f"--{k.replace('_', '-')}={v}" for k, v in flags.items()]
+    want = _stdout(head + cli)
+    lines = [f"{k.replace('_', sep)}={flags[k]}" for k, sep in in_config.items()]
+    rest = [f"--{k.replace('_', '-')}={v}" for k, v in flags.items()
+            if k not in in_config]
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "run.cfg"
+        cfg.write_text("".join(line + "\n" for line in lines))
+        got = _stdout(["--config", str(cfg)] + head + rest)
+    assert want[0] == 0
+    assert got == want
 
 
 @pytest.mark.parametrize("argv", [
@@ -173,6 +265,12 @@ EXP_EXP = "u=re(exp(exp(z))); v=im(exp(exp(z)))"
 @pytest.mark.parametrize("argv", [
     ["lewis-discs", "--map", EXP_EXP, "--R", "30"],
     ["dependence", "--map", EXP_EXP, "--R", "30", "--n-grid", "128"],
+    # 5042 of the 32768 samples overflow; once they crashed on a cast to int
+    ["directions", "--map", EXP_EXP, "--R", "30", "--n-grid", "128"],
+    ["antipodal", "--map", EXP_EXP, "--R", "30", "--n-grid", "128"],
+    ["normalize", "--map", EXP_EXP, "--R", "30", "--n-grid", "128"],
+    ["phi", "--map", EXP_EXP, "--R", "30", "--n-grid", "128"],
+    ["plot", "--map", EXP_EXP, "--R", "30", "--n-grid", "128", "--out", os.devnull],
 ])
 def test_overflow_is_a_typed_error(capsys, argv):
     assert main(argv) == 2
@@ -228,9 +326,48 @@ def test_overflow_stderr_is_one_error_line(command):
 
 
 def test_cli_import_does_not_load_scipy():
+    """Nor jsonschema, which only the tests use."""
     code = ("import harmonic_range.cli, sys; "
             "print(sorted(m for m in sys.modules "
-            "if m == 'scipy' or m.startswith('scipy.')))")
+            "if m.split('.')[0] in ('scipy', 'jsonschema')))")
     out = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(),
                          check=True, capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+MAP = "u=re(z^2+z); v=im(z^2+z)"
+SMALL = ["--map", MAP, "--R", "5", "--n-grid", "64"]
+
+
+SCHEMA_CASES = [
+    ["eval", "--map", MAP, "--z", "1+2i"],
+    ["sample", *SMALL],
+    ["directions", *SMALL],
+    ["directions", "--catalog", "lewis-cross"],
+    ["antipodal", *SMALL],
+    ["normalize", *SMALL],
+    ["lewis-discs", "--map", "u=im(exp(z)); v=re(exp(z))", "--R", "8"],
+    ["rescale", "--map", "u=re(z); v=im(z)", "--schedule", "2,4"],
+    ["zeros", "--map", MAP, "--box=-1,1,-1,1"],
+    ["local-structure", "--map", MAP, "--z0", "0"],
+    ["tracts", "--map", MAP, "--R", "10"],
+    ["dependence", "--map", "u=re(z); v=im(3*i*z)", "--R", "50", "--n-grid", "64"],
+    ["phi", *SMALL],
+    ["check", "--theorem", "lewis", *SMALL],
+    ["catalog", "--name", "identity"],
+    ["plot", *SMALL, "--out", "{tmp}/p.svg"],
+]
+
+
+def test_every_subcommand_has_a_schema_case():
+    assert {argv[0] for argv in SCHEMA_CASES} == set(SCHEMAS)
+
+
+@pytest.mark.parametrize("argv", SCHEMA_CASES, ids=lambda argv: argv[0] + (
+    "-lewis-cross" if "lewis-cross" in argv else ""))
+def test_stdout_matches_the_strict_schema(tmp_path, capsys, argv):
+    jsonschema = pytest.importorskip("jsonschema")
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    code, doc = run(capsys, *argv)
+    assert code in (0, 1)
+    jsonschema.validate(doc, SCHEMAS[argv[0]])

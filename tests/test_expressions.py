@@ -61,6 +61,10 @@ def test_evaluate_vectorized():
     "z+",
     "((z)",
     "",
+    # a number with no digit
+    ".",
+    "z*.",
+    "..5",
 ])
 def test_parse_errors(bad):
     with pytest.raises(ParseError):
