@@ -110,8 +110,8 @@ class ArcSet:
     def measure(self) -> float:
         return sum(hi - lo for lo, hi in self.arcs)
 
-    def contains(self, theta: float, tol: float = 0.0) -> bool:
-        return self.distance(theta) <= tol
+    def contains(self, theta: float) -> bool:
+        return self.distance(theta) == 0.0
 
     def distance(self, theta: float) -> float:
         """Geodesic distance from an angle to the set (0 if inside)."""
@@ -175,7 +175,7 @@ class ArcSet:
         distance from self to other is at most tol."""
         if self.is_empty:
             return True
-        return not other.is_empty and self._directed_hausdorff(other) <= tol
+        return not other.is_empty and self.directed_hausdorff(other) <= tol
 
     # ---- metrics ----
 
@@ -185,15 +185,15 @@ class ArcSet:
             return 0.0
         if self.is_empty or other.is_empty:
             return math.pi
-        return max(self._directed_hausdorff(other), other._directed_hausdorff(self))
+        return max(self.directed_hausdorff(other), other.directed_hausdorff(self))
 
-    def _directed_hausdorff(self, other: "ArcSet") -> float:
-        """Largest distance from a point of self to other.  Inside a gap of
-        other the distance rises linearly from both ends to the midpoint,
-        so its maximum over self is at an endpoint of an arc of self or at
-        a gap midpoint that self contains.  The gaps are taken between
-        consecutive arcs, not from complement(): its closure merges the two
-        gaps beside a point arc into one."""
+    def directed_hausdorff(self, other: "ArcSet") -> float:
+        """Largest distance from a point of self to other; both sets must
+        be nonempty.  Inside a gap of other the distance rises linearly
+        from both ends to the midpoint, so its maximum over self is at an
+        endpoint of an arc of self or at a gap midpoint that self contains.
+        The gaps are taken between consecutive arcs, not from complement():
+        its closure merges the two gaps beside a point arc into one."""
         arcs = other.arcs
         next_los = [lo for lo, _ in arcs[1:]] + [arcs[0][0] + TWO_PI]
         mids = [(hi + lo) / 2.0 for (_, hi), lo in zip(arcs, next_los)]

@@ -38,10 +38,10 @@ class CatalogEntry:
             raise CatalogError(f"catalog entry {self.name!r} holds no map")
         return parse_map(self.map_source, name=self.name)
 
-    def sample(self, seed: Optional[int] = None) -> RangeSample:
+    def sample(self) -> RangeSample:
         p = self.params
         return sample_range(self.harmonic_map(), p["R"], n_grid=p["n_grid"],
-                            seed=p["seed"] if seed is None else seed)
+                            seed=p["seed"])
 
     def directions(self, samples: Optional[RangeSample] = None) -> DirectionEstimate:
         if self.kind == "arcset":

@@ -34,6 +34,10 @@ DEFAULT_SAMPLES = 4096
 REFINE_PEAKS = 3          # grid peaks polished by golden section
 MULTIPLICITY_TOL = 1e-8   # relative size of a dominant Fourier harmonic
 MAX_SHRINK = 8            # radius halvings before multiplicity gives up
+GOLDEN_ITERS = 60         # golden-section steps per refined peak
+FOURIER_SAMPLES = 1024    # circle samples behind a Fourier profile
+POSITIVITY_CIRCLES = 24   # the positivity check scans radii r k / 24 ...
+POSITIVITY_ANGLES = 256   # ... at this many angles each
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -83,12 +87,12 @@ def circle_values(u: HarmonicComponent, center: complex, radius: float,
     return np.asarray(u.value(z), dtype=float)
 
 
-def _golden_max(g, lo: float, hi: float, iters: int = 60) -> tuple[float, float]:
+def _golden_max(g, lo: float, hi: float) -> tuple[float, float]:
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = g(c), g(d)
-    for _ in range(iters):
+    for _ in range(GOLDEN_ITERS):
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
@@ -163,8 +167,9 @@ class FourierProfile:
 
 
 def fourier_profile(u: HarmonicComponent, center: complex, radius: float,
-                    n_terms: int = 64, n: int = 1024) -> FourierProfile:
+                    n_terms: int = 64) -> FourierProfile:
     """Trapezoidal-rule Fourier coefficients (spectrally accurate here)."""
+    n = FOURIER_SAMPLES
     vals = circle_values(u, center, radius, n)
     fft = np.fft.fft(vals)
     coeffs = [complex(fft[0].real / n, 0.0)]
@@ -173,16 +178,15 @@ def fourier_profile(u: HarmonicComponent, center: complex, radius: float,
     return FourierProfile(center=center, radius=radius, coefficients=tuple(coeffs))
 
 
-def _check_positive(u: HarmonicComponent, z0: complex, r: float,
-                    n_circles: int = 24, n_angles: int = 256):
-    for j in range(n_circles + 1):
-        rho = r * j / n_circles
+def _check_positive(u: HarmonicComponent, z0: complex, r: float):
+    for j in range(POSITIVITY_CIRCLES + 1):
+        rho = r * j / POSITIVITY_CIRCLES
         if rho == 0.0:
             val = float(u.value(z0))
             if val <= 0.0:
                 raise PositivityError(z0, val)
             continue
-        theta = np.arange(n_angles) * (2.0 * math.pi / n_angles)
+        theta = np.arange(POSITIVITY_ANGLES) * (2.0 * math.pi / POSITIVITY_ANGLES)
         z = z0 + rho * np.exp(1j * theta)
         vals = np.asarray(u.value(z), dtype=float)
         k = int(np.argmin(vals))

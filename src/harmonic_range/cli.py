@@ -29,7 +29,7 @@ from .theorems import (check_antipodal_theorem, check_cor_alpha,
 from .zeros import (Rect, detect_dependence, local_structure, trace_zero_set,
                     tract_report)
 
-__all__ = ["main"]
+__all__ = ["CliError", "main"]
 
 USAGE_ERROR = 2
 VERDICT_ERROR = 1
@@ -282,7 +282,7 @@ def _cmd_tracts(args) -> tuple[dict, int]:
 def _cmd_dependence(args) -> tuple[dict, int]:
     f = _resolve_map(args)
     s = _sample(args, f)
-    rep = detect_dependence(f, s, a=args.a, R=args.inner_R)
+    rep = detect_dependence(s, a=args.a, R=args.inner_R)
     return rep.to_dict(), 0
 
 

@@ -18,9 +18,7 @@ import numpy as np
 from .circles import NonFiniteError, circle_max
 from .expressions import HarmonicComponent, HarmonicMap
 from .reports import TheoremVerdict
-# find_zero is not used here; it stays importable from lewis, its former home
-from .zeros import (NoSignChangeError, Rect, _bisect, _sign_change_edges,
-                    find_zero)
+from .zeros import NoSignChangeError, Rect, _bisect, _sign_change_edges
 
 __all__ = [
     "LewisDisc",
@@ -34,6 +32,13 @@ __all__ = [
 CENTER_GRID_N = 96
 SEARCH_SAMPLES = 1024
 PRUNE_MARGIN = 1.05       # the sampled circle maximum is only nearly monotone
+# the certificates and the range check of a rescaled map use one mesh
+CHECK_GRID_N = 101
+CHECK_EPS = 1e-3
+# rescaled directions may stray this far from the cone over D_f ...
+RESCALED_ANGLE_TOL = math.radians(5.0)
+# ... and values below this fraction of the largest count as zero
+RESCALED_ZERO_TOL = 1e-2
 
 
 class ConstantComponentError(ValueError):
@@ -65,6 +70,13 @@ class LewisDisc:
             "domain_radius": self.domain_radius,
             "budget_met": self.budget_met,
         }
+
+
+def _check_points() -> np.ndarray:
+    """The points of the CHECK_GRID_N mesh in |z| <= 1 - CHECK_EPS."""
+    r = 1.0 - CHECK_EPS
+    Z = Rect(-r, r, -r, r).grid(CHECK_GRID_N).ravel()
+    return Z[np.abs(Z) <= r]
 
 
 def _candidate_centers(u: HarmonicComponent, R: float) -> list[complex]:
@@ -157,13 +169,11 @@ class RescaledMap:
     def value(self, z):
         return self.U(z) + 1j * self.V(z)
 
-    def certify(self, grid_n: int = 101, eps: float = 1e-3) -> dict:
+    def certify(self) -> dict:
         """Check the three rescaling certificates on a grid."""
-        Z = Rect(-1.0 + eps, 1.0 - eps, -1.0 + eps, 1.0 - eps).grid(grid_n)
-        mask = np.abs(Z) <= 1.0 - eps
-        Uv = np.asarray(self.U(Z), dtype=float)
+        Uv = np.asarray(self.U(_check_points()), dtype=float)
         u0 = abs(float(np.asarray(self.U(np.array(0.0j))).ravel()[0]))
-        sup_abs = float(np.max(np.abs(Uv[mask])))
+        sup_abs = float(np.max(np.abs(Uv)))
         m34 = circle_max(self.source.u, self.disc.center,
                          0.75 * self.disc.radius).value / self.disc.M
         C0 = self.disc.empirical_C0
@@ -195,14 +205,10 @@ def rescaled_sequence(f: HarmonicMap, R_schedule,
     return out
 
 
-def rescaled_range_check(rm: RescaledMap, D_f, grid_n: int = 101,
-                         angle_tol: float = math.radians(5.0),
-                         zero_tol: float = 1e-2) -> TheoremVerdict:
+def rescaled_range_check(rm: RescaledMap, D_f) -> TheoremVerdict:
     """Directions of the rescaled range must lie in the cone over D_f, and
     the zero-set inclusions {U=0} within {V=0} within {U>=0} must hold."""
-    eps = 1e-3
-    Z = Rect(-1.0 + eps, 1.0 - eps, -1.0 + eps, 1.0 - eps).grid(grid_n).ravel()
-    Z = Z[np.abs(Z) <= 1.0 - eps]
+    Z = _check_points()
     Uv = np.asarray(rm.U(Z), dtype=float)
     Vv = np.asarray(rm.V(Z), dtype=float)
     W = Uv + 1j * Vv
@@ -210,18 +216,18 @@ def rescaled_range_check(rm: RescaledMap, D_f, grid_n: int = 101,
     top = float(mods.max()) if mods.size else 0.0
     witnesses = []
 
-    nz = mods > zero_tol * max(top, 1e-300)
+    nz = mods > RESCALED_ZERO_TOL * max(top, 1e-300)
     angs = np.angle(W[nz])
     for z0, ang, w in zip(Z[nz], angs, W[nz]):
-        if D_f.distance(ang) > angle_tol:
+        if D_f.distance(ang) > RESCALED_ANGLE_TOL:
             witnesses.append({"z": [z0.real, z0.imag],
                               "w": [w.real, w.imag],
                               "kind": "direction"})
             if len(witnesses) >= 16:
                 break
 
-    tU = zero_tol * max(float(np.max(np.abs(Uv))), 1e-300)
-    tV = zero_tol * max(float(np.max(np.abs(Vv))), 1e-300)
+    tU = RESCALED_ZERO_TOL * max(float(np.max(np.abs(Uv))), 1e-300)
+    tV = RESCALED_ZERO_TOL * max(float(np.max(np.abs(Vv))), 1e-300)
     zU = np.abs(Uv) <= tU
     zV = np.abs(Vv) <= tV
     incl1 = zU & ~zV          # {U=0} not within {V=0}
@@ -239,7 +245,7 @@ def rescaled_range_check(rm: RescaledMap, D_f, grid_n: int = 101,
         hypothesis_witnesses=[],
         conclusion_holds=holds,
         conclusion_witnesses=witnesses,
-        params={"angle_tol": angle_tol, "zero_tol": zero_tol,
+        params={"angle_tol": RESCALED_ANGLE_TOL, "zero_tol": RESCALED_ZERO_TOL,
                 "disc": rm.disc.to_dict()},
-        sampling={"grid_n": grid_n, "eps": eps},
+        sampling={"grid_n": CHECK_GRID_N, "eps": CHECK_EPS},
     )

@@ -176,8 +176,7 @@ def _default_cutoffs(mods: np.ndarray) -> tuple[float, ...]:
     positive = mods[mods > 0]
     if positive.size == 0:
         return (1.0,)
-    qs = [float(np.quantile(positive, q)) for q in (0.90, 0.99, 0.999)]
-    m0 = float(np.quantile(positive, 0.5))
+    m0, *qs = np.quantile(positive, (0.5, 0.90, 0.99, 0.999)).tolist()
     top = float(positive.max())
     ladder = []
     m = max(m0, 1e-12)
@@ -188,9 +187,14 @@ def _default_cutoffs(mods: np.ndarray) -> tuple[float, ...]:
     return tuple(cuts) if cuts else (top,)
 
 
+# estimated arcs are widened by this many bins on each side
+FATTEN_BINS = 1
+# fewer samples than this beyond the top cutoff flag low confidence
+MIN_LARGE = 8
+
+
 def estimate_directions(samples: RangeSample, bins: int = 720,
-                        cutoffs=None, fatten_bins: int = 1,
-                        min_large: int = 8) -> DirectionEstimate:
+                        cutoffs=None) -> DirectionEstimate:
     """Bin sample directions and keep bins that survive every cutoff from
     the stabilization index on; merge surviving bins into closed arcs."""
     if bins < 90:
@@ -219,14 +223,14 @@ def estimate_directions(samples: RangeSample, bins: int = 720,
     keep = np.nonzero(occupied[stab])[0]
 
     n_large = int(np.count_nonzero(mods > cutoffs[-1]))
-    low_conf = n_large < min_large
+    low_conf = n_large < MIN_LARGE
 
     if n_large == 0:
         arcs, keep = ArcSet.empty(), []
     else:
         width = TWO_PI / bins
         intervals = [(k * width, (k + 1) * width) for k in keep]
-        arcs = ArcSet.from_intervals(intervals).fatten(fatten_bins * width)
+        arcs = ArcSet.from_intervals(intervals).fatten(FATTEN_BINS * width)
     return DirectionEstimate(arcs=arcs, cutoffs=cutoffs, bins=bins,
                              occupied_bins=len(keep),
                              stabilization_index=stab,
@@ -250,9 +254,11 @@ def antipodal_pairs(arcs: ArcSet, tol_rad: float = 0.0) -> ArcSet:
 # the grids of the values that antipodal_gap_alpha and i_alpha_fit report
 GAP_ALPHA_STEP = 1e-3
 I_ALPHA_STEPS = 200
+# clearance of the antipodal gap probes, and the margin of normalization
+GAP_TOL_RAD = 1e-3
 
 
-def antipodal_gap_alpha(E: ArcSet, tol_rad: float = 1e-3) -> float | None:
+def antipodal_gap_alpha(E: ArcSet, tol_rad: float = GAP_TOL_RAD) -> float | None:
     """The first angle alpha = k * GAP_ALPHA_STEP, k >= 0, whose three
     probes {alpha - pi/2, alpha, alpha + pi/2} all stay at least tol away
     from E, or None.
@@ -273,12 +279,11 @@ def antipodal_gap_alpha(E: ArcSet, tol_rad: float = 1e-3) -> float | None:
     return min(fits, default=None)
 
 
-def cone_avoidance_normalize(arcs: ArcSet, tol_rad: float = 1e-3,
-                             samples: RangeSample | None = None) -> dict | None:
-    """Rotation normalization: returns {theta, a, rho_hint} such that the
-    rotated arcs avoid the whole cone about the vertical axis and the half
-    cone about the negative real axis with margin, with a > 1."""
-    alpha = antipodal_gap_alpha(arcs, tol_rad=tol_rad)
+def cone_avoidance_normalize(arcs: ArcSet) -> dict | None:
+    """Rotation normalization: returns {theta, a} such that the rotated
+    arcs avoid the whole cone about the vertical axis and the half cone
+    about the negative real axis with margin GAP_TOL_RAD, with a > 1."""
+    alpha = antipodal_gap_alpha(arcs)
     if alpha is None:
         return None
     theta = math.pi - alpha  # sends e^{i alpha} to -1
@@ -286,17 +291,13 @@ def cone_avoidance_normalize(arcs: ArcSet, tol_rad: float = 1e-3,
     gap = min(rotated.distance(math.pi),
               rotated.distance(math.pi / 2),
               rotated.distance(3 * math.pi / 2))
-    phi = min(gap - tol_rad, math.pi / 4 - 1e-6)
+    phi = min(gap - GAP_TOL_RAD, math.pi / 4 - 1e-6)
     if phi <= 0:
         return None
     a = 1.0 / math.tan(phi)
     if a <= 1.0:
         return None
-    rho_hint = 0.0
-    if samples is not None:
-        mods = np.abs(samples.w)
-        rho_hint = float(np.quantile(mods[np.isfinite(mods)], 0.5))
-    return {"theta": theta, "a": a, "rho_hint": rho_hint}
+    return {"theta": theta, "a": a}
 
 
 def i_alpha_arcs(alpha: float) -> ArcSet:
@@ -360,8 +361,13 @@ def phi_profile(samples: RangeSample, bins: int = 200) -> PhiProfile:
                       radius=samples.radius)
 
 
-def phi_sublinearity_check(profile: PhiProfile, n_dyadic: int = 7,
-                           final_factor: float = 0.1) -> dict:
+# u0 runs over umax / 2^k for k = PHI_DYADIC_STEPS down to 1
+PHI_DYADIC_STEPS = 7
+# the last tail ratio must fall to this fraction of the first
+PHI_FINAL_FACTOR = 0.1
+
+
+def phi_sublinearity_check(profile: PhiProfile) -> dict:
     """Does the tail ratio max_{|u| >= u0} phi(u)/|u| vanish as u0 grows?
 
     The profile must span at least two decades of |u|.
@@ -377,7 +383,7 @@ def phi_sublinearity_check(profile: PhiProfile, n_dyadic: int = 7,
         return {"holds": False, "error": "insufficient-span", "ratios": []}
     # stop the schedule at umax/2: the tail at umax itself holds a single
     # bin and says nothing about the limit
-    u0s = [umax / 2 ** k for k in range(n_dyadic, 0, -1)]
+    u0s = [umax / 2 ** k for k in range(PHI_DYADIC_STEPS, 0, -1)]
     ratios = []
     for u0 in u0s:
         tail = absu >= u0
@@ -390,5 +396,5 @@ def phi_sublinearity_check(profile: PhiProfile, n_dyadic: int = 7,
     if ratios[0] <= 1e-12:
         holds = all(r <= 1e-12 for r in ratios)
     else:
-        holds = nonincreasing and ratios[-1] <= final_factor * ratios[0]
+        holds = nonincreasing and ratios[-1] <= PHI_FINAL_FACTOR * ratios[0]
     return {"holds": holds, "ratios": ratios, "u0_schedule": u0s}

@@ -7,7 +7,6 @@ fixed seed upstream gives byte-identical files.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 import numpy as np
 
@@ -19,6 +18,7 @@ __all__ = ["render_range_svg"]
 VIEW = 800
 MARGIN = 60
 RING_WIDTH = 14
+MAX_POINTS = 20000  # larger samples are thinned to at most this many dots
 
 
 def _fmt(x: float) -> str:
@@ -42,13 +42,11 @@ def _autoscale(w: np.ndarray) -> tuple[float, float, float]:
     return scale, x0, y0
 
 
-def render_range_svg(samples: RangeSample,
-                     arcs: Optional[ArcSet] = None,
-                     max_points: int = 20000) -> str:
+def render_range_svg(samples: RangeSample, arcs: ArcSet) -> str:
     w = samples.w
-    if w.size > max_points:
+    if w.size > MAX_POINTS:
         # deterministic thinning: fixed stride, no RNG
-        stride = int(math.ceil(w.size / max_points))
+        stride = int(math.ceil(w.size / MAX_POINTS))
         w = w[::stride]
     scale, x0, y0 = _autoscale(w)
     parts = [
@@ -61,26 +59,25 @@ def render_range_svg(samples: RangeSample,
     parts.append(
         f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(ring_r)}" '
         f'fill="none" stroke="#cccccc" stroke-width="1"/>')
-    if arcs is not None:
-        for lo, hi in arcs.arcs:
-            if hi - lo < 1e-9:
-                px = cx + ring_r * math.cos(lo)
-                py = cy - ring_r * math.sin(lo)
-                parts.append(
-                    f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="5" '
-                    f'fill="#d62728"/>')
-                continue
-            x1 = cx + ring_r * math.cos(lo)
-            y1 = cy - ring_r * math.sin(lo)
-            x2 = cx + ring_r * math.cos(hi)
-            y2 = cy - ring_r * math.sin(hi)
-            large = 1 if (hi - lo) > math.pi else 0
-            # sweep 0: counter-clockwise in math coordinates (y flipped)
+    for lo, hi in arcs.arcs:
+        if hi - lo < 1e-9:
+            px = cx + ring_r * math.cos(lo)
+            py = cy - ring_r * math.sin(lo)
             parts.append(
-                f'<path d="M {_fmt(x1)} {_fmt(y1)} '
-                f'A {_fmt(ring_r)} {_fmt(ring_r)} 0 {large} 0 '
-                f'{_fmt(x2)} {_fmt(y2)}" fill="none" stroke="#d62728" '
-                f'stroke-width="{RING_WIDTH}" stroke-linecap="round"/>')
+                f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="5" '
+                f'fill="#d62728"/>')
+            continue
+        x1 = cx + ring_r * math.cos(lo)
+        y1 = cy - ring_r * math.sin(lo)
+        x2 = cx + ring_r * math.cos(hi)
+        y2 = cy - ring_r * math.sin(hi)
+        large = 1 if (hi - lo) > math.pi else 0
+        # sweep 0: counter-clockwise in math coordinates (y flipped)
+        parts.append(
+            f'<path d="M {_fmt(x1)} {_fmt(y1)} '
+            f'A {_fmt(ring_r)} {_fmt(ring_r)} 0 {large} 0 '
+            f'{_fmt(x2)} {_fmt(y2)}" fill="none" stroke="#d62728" '
+            f'stroke-width="{RING_WIDTH}" stroke-linecap="round"/>')
     for wk in w:
         px = scale * wk.real + x0
         py = y0 - scale * wk.imag

@@ -33,6 +33,12 @@ __all__ = [
 ]
 
 CONSTANT_TOL = 1e-9
+# how far an estimated direction may stray: antipodal pairs, half circles
+DIRECTION_TOL_RAD = math.radians(1.0)
+# largest relative distance of the range from the line u = b v
+LINE_TOL = 1e-6
+# rounding allowance on both sides of the log 2 inequalities
+LOG2_SLACK = 1e-12
 
 
 class ExcludedPointError(ValueError):
@@ -78,44 +84,51 @@ def check_lewis_region(f: HarmonicMap, C: float,
 
 
 def check_antipodal_theorem(f: HarmonicMap, est: DirectionEstimate,
-                            samples: RangeSample,
-                            tol_rad: float = math.radians(1.0)) -> TheoremVerdict:
+                            samples: RangeSample) -> TheoremVerdict:
     """Contrapositive form: a nonconstant map must show an antipodal pair
     of estimated directions."""
     nonconstant = not (is_constant_proxy(samples.w.real)
                       and is_constant_proxy(samples.w.imag))
-    pairs = antipodal_pairs(est.arcs, tol_rad=tol_rad)
+    pairs = antipodal_pairs(est.arcs, tol_rad=DIRECTION_TOL_RAD)
     if not nonconstant:
         return TheoremVerdict(
             theorem="thm_antipodal", hypothesis_holds=False,
             hypothesis_witnesses=[{"note": "map is constant; contrapositive vacuous"}],
             conclusion_holds=True,
-            params={"tol_rad": tol_rad}, sampling=samples.metadata())
+            params={"tol_rad": DIRECTION_TOL_RAD}, sampling=samples.metadata())
     holds = not pairs.is_empty
     cw = [] if holds else [{"note": "no antipodal pair in estimated directions",
                             "arcs": est.arcs.to_dict()["arcs"]}]
     return TheoremVerdict(
         theorem="thm_antipodal", hypothesis_holds=True,
         conclusion_holds=holds, conclusion_witnesses=cw,
-        params={"tol_rad": tol_rad, "pairs": pairs.to_dict()["arcs"],
+        params={"tol_rad": DIRECTION_TOL_RAD, "pairs": pairs.to_dict()["arcs"],
                 "low_confidence": est.low_confidence},
         sampling=samples.metadata())
 
 
 def check_halfplane_theorem(f: HarmonicMap, alpha: float,
-                            est: DirectionEstimate, samples: RangeSample,
-                            tol_rad: float = math.radians(1.0)) -> TheoremVerdict:
+                            est: DirectionEstimate,
+                            samples: RangeSample) -> TheoremVerdict:
     """Directions inside the closed half circle about alpha force
-    cos(alpha) u + sin(alpha) v constant."""
+    cos(alpha) u + sin(alpha) v constant.
+
+    The reported margin is DIRECTION_TOL_RAD minus the farthest an
+    estimated direction lies from the half circle (None for an empty
+    estimate); the hypothesis holds when it is not negative, so a margin
+    near 0 marks a verdict decided on a float tie."""
     half = ArcSet.from_intervals([(alpha - math.pi / 2, alpha + math.pi / 2)])
-    hyp = est.arcs.subset_of(half, tol=tol_rad)
+    margin = (None if est.arcs.is_empty
+              else DIRECTION_TOL_RAD - est.arcs.directed_hausdorff(half))
+    hyp = margin is None or margin >= 0.0
     witnesses = []
     boundary = False
     if hyp and not est.arcs.is_empty:
         # endpoints reached only within tolerance: flag the boundary case
         strict = est.arcs.subset_of(
-            ArcSet.from_intervals([(alpha - math.pi / 2 + tol_rad,
-                                    alpha + math.pi / 2 - tol_rad)]), tol=0.0)
+            ArcSet.from_intervals([(alpha - math.pi / 2 + DIRECTION_TOL_RAD,
+                                    alpha + math.pi / 2 - DIRECTION_TOL_RAD)]),
+            tol=0.0)
         boundary = not strict
     if not hyp:
         witnesses.append({"note": "estimated directions leave the half circle",
@@ -130,8 +143,8 @@ def check_halfplane_theorem(f: HarmonicMap, alpha: float,
         theorem="thm_halfplane", hypothesis_holds=hyp,
         hypothesis_witnesses=witnesses,
         conclusion_holds=concl, conclusion_witnesses=cw,
-        params={"alpha": alpha, "c": med, "tol_rad": tol_rad,
-                "boundary_case": boundary},
+        params={"alpha": alpha, "c": med, "tol_rad": DIRECTION_TOL_RAD,
+                "boundary_case": boundary, "margin": margin},
         sampling=samples.metadata())
 
 
@@ -158,8 +171,7 @@ def check_cor_alpha(f: HarmonicMap, a: float, alpha: float, b: float,
 
 
 def check_murdoch_kuran(f: HarmonicMap, a: float, R: float,
-                        samples: RangeSample,
-                        line_tol: float = 1e-6) -> TheoremVerdict:
+                        samples: RangeSample) -> TheoremVerdict:
     """Polynomial u with |u| <= a|v| beyond radius R forces u = b v and a
     line-shaped range."""
     deg = f.u.degree()
@@ -171,7 +183,7 @@ def check_murdoch_kuran(f: HarmonicMap, a: float, R: float,
             conclusion_holds=True,
             params={"a": a, "R": R, "degree": deg},
             sampling=samples.metadata())
-    rep = detect_dependence(f, samples, a=a, R=R)
+    rep = detect_dependence(samples, a=a, R=R)
     hyp = rep.hypothesis_holds
     witnesses = [] if hyp else [rep.hypothesis_witness]
     concl = rep.dependent
@@ -181,7 +193,7 @@ def check_murdoch_kuran(f: HarmonicMap, a: float, R: float,
         scale = max(float(np.max(np.abs(samples.w.real))),
                     float(np.max(np.abs(samples.w.imag))), 1e-300)
         dev = float(np.max(np.abs(samples.w.real - rep.b * samples.w.imag))) / scale
-        concl = dev <= line_tol
+        concl = dev <= LINE_TOL
         if not concl:
             cw.append({"note": "range not within tolerance of the line",
                        "deviation": dev})
@@ -211,8 +223,7 @@ def log2_sample_points(n: int, seed: int, radius: float = 100.0) -> np.ndarray:
     return z[keep]
 
 
-def check_log2_inequalities(z_samples: np.ndarray,
-                            slack: float = 1e-12) -> TheoremVerdict:
+def check_log2_inequalities(z_samples: np.ndarray) -> TheoremVerdict:
     """|log+|z| - log+|z-1|| <= log 2 and max(log|z|, log|z-1|) >= -log 2
     away from the two punctures."""
     z = np.asarray(z_samples, dtype=complex)
@@ -224,8 +235,8 @@ def check_log2_inequalities(z_samples: np.ndarray,
     log2 = math.log(2.0)
     lp = np.maximum(np.log(az), 0.0)
     lp1 = np.maximum(np.log(az1), 0.0)
-    bad1 = np.abs(lp - lp1) > log2 + slack
-    bad2 = np.maximum(np.log(az), np.log(az1)) < -log2 - slack
+    bad1 = np.abs(lp - lp1) > log2 + LOG2_SLACK
+    bad2 = np.maximum(np.log(az), np.log(az1)) < -log2 - LOG2_SLACK
     witnesses = []
     for bad, note in ((bad1, "log+ difference exceeds log 2"),
                       (bad2, "max log below -log 2")):
@@ -235,4 +246,4 @@ def check_log2_inequalities(z_samples: np.ndarray,
     return TheoremVerdict(
         theorem="ineq_log2", hypothesis_holds=True,
         conclusion_holds=holds, conclusion_witnesses=witnesses,
-        params={"slack": slack}, sampling={"count": int(z.size)})
+        params={"slack": LOG2_SLACK}, sampling={"count": int(z.size)})

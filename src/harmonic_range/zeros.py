@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circles import NonFiniteError, circle_max, multiplicity
-from .expressions import HarmonicComponent, HarmonicMap
+from .expressions import HarmonicComponent
 from .ranges import RangeSample
 from .reports import TheoremVerdict
 
@@ -37,6 +37,10 @@ NEWTON_MAX_ITER = 60
 FIND_ZERO_GRID_N = 64
 TRACE_GRID_N = 48
 TRACE_MAX_STEPS = 4000
+CIRCLE_SCAN_N = 8192      # samples of the sign scans on a circle
+CLEANING_GRID_N = 201
+CLEANING_TOL = 1e-6       # relative size below which values count as zero
+RESIDUAL_TOL = 1e-6       # relative misfit of u = b v still called dependent
 
 
 class NoSignChangeError(ValueError):
@@ -226,7 +230,7 @@ def local_structure(u: HarmonicComponent, z0: complex,
     """Multiplicity n, the 2n zero-ray angles on a small circle, and the
     alternating sector signs between them."""
     n = multiplicity(u, z0, probe_radius)
-    m = 8192
+    m = CIRCLE_SCAN_N
     # half-step offset keeps symmetric zero rays off the sample grid
     theta = (np.arange(m) + 0.5) * (2.0 * math.pi / m)
     sx = np.sign(np.asarray(u.value(z0 + probe_radius * np.exp(1j * theta)),
@@ -243,13 +247,12 @@ def local_structure(u: HarmonicComponent, z0: complex,
     return {"n": n, "ray_angles": rays, "sector_signs": signs}
 
 
-def cleaning_check(U, V, r: float, tol: float = 1e-6,
-                   grid_n: int = 201) -> TheoremVerdict:
+def cleaning_check(U, V, r: float) -> TheoremVerdict:
     """On D(0,r): zero sets of U and V coincide and U*V has constant sign.
 
     U, V are callables (harmonic components or rescaled accessors).
     """
-    Z = Rect(-r, r, -r, r).grid(grid_n).ravel()
+    Z = Rect(-r, r, -r, r).grid(CLEANING_GRID_N).ravel()
     Z = Z[np.abs(Z) <= r]
     Uv = np.asarray(U(Z), dtype=float)
     Vv = np.asarray(V(Z), dtype=float)
@@ -257,16 +260,16 @@ def cleaning_check(U, V, r: float, tol: float = 1e-6,
     sV = max(float(np.max(np.abs(Vv))), 1e-300)
     u0 = abs(float(np.asarray(U(np.array(0.0j))).ravel()[0]))
     v0 = abs(float(np.asarray(V(np.array(0.0j))).ravel()[0]))
-    if u0 > tol * sU or v0 > tol * sV:
+    if u0 > CLEANING_TOL * sU or v0 > CLEANING_TOL * sV:
         raise ValueError("U and V must both vanish at the origin")
 
     # matched-resolution zero bands: |.| below a grid-scale threshold
-    band = 4.0 * r / grid_n
+    band = 4.0 * r / CLEANING_GRID_N
     gU = np.abs(np.asarray(_grad_mag(U, Z, band), dtype=float))
-    tU = band * np.maximum(gU, tol * sU / band)
+    tU = band * np.maximum(gU, CLEANING_TOL * sU / band)
     zU = np.abs(Uv) <= tU
     gV = np.abs(np.asarray(_grad_mag(V, Z, band), dtype=float))
-    tV = band * np.maximum(gV, tol * sV / band)
+    tV = band * np.maximum(gV, CLEANING_TOL * sV / band)
     zV = np.abs(Vv) <= tV
 
     witnesses = []
@@ -277,7 +280,7 @@ def cleaning_check(U, V, r: float, tol: float = 1e-6,
     coincide = not witnesses
 
     prod = Uv * Vv
-    sig = tol * sU * sV
+    sig = CLEANING_TOL * sU * sV
     pos = bool(np.any(prod > sig))
     neg = bool(np.any(prod < -sig))
     sign_const = not (pos and neg)
@@ -295,8 +298,8 @@ def cleaning_check(U, V, r: float, tol: float = 1e-6,
         hypothesis_holds=True,
         conclusion_holds=coincide and sign_const,
         conclusion_witnesses=witnesses,
-        params={"r": r, "tol": tol, "sign": sign},
-        sampling={"grid_n": grid_n},
+        params={"r": r, "tol": CLEANING_TOL, "sign": sign},
+        sampling={"grid_n": CLEANING_GRID_N},
     )
 
 
@@ -324,8 +327,8 @@ class TractReport:
         }
 
 
-def _sign_changes_on_circle(u: HarmonicComponent, R: float,
-                            n: int = 8192) -> int:
+def _sign_changes_on_circle(u: HarmonicComponent, R: float) -> int:
+    n = CIRCLE_SCAN_N
     theta = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
     vals = np.asarray(u.value(R * np.exp(1j * theta)), dtype=float)
     sx = np.sign(vals)
@@ -373,8 +376,8 @@ class DependenceReport:
         }
 
 
-def detect_dependence(f: HarmonicMap, samples: RangeSample, a: float,
-                      R: float, residual_tol: float = 1e-6) -> DependenceReport:
+def detect_dependence(samples: RangeSample, a: float,
+                      R: float) -> DependenceReport:
     """Check the cone hypothesis |u| <= a|v| beyond radius R and fit the
     least-squares coefficient b in u = b v."""
     far = np.abs(samples.z) > R
@@ -406,6 +409,6 @@ def detect_dependence(f: HarmonicMap, samples: RangeSample, a: float,
     b = float(np.dot(u, v) / vv)
     residual = float(np.max(np.abs(u - b * v))) / scale
     return DependenceReport(b=b, residual=residual,
-                            dependent=hyp and residual <= residual_tol,
+                            dependent=hyp and residual <= RESIDUAL_TOL,
                             bound_a=a, hypothesis_holds=hyp,
                             hypothesis_witness=witness)

@@ -124,7 +124,7 @@ def test_criterion_3_disc_search_and_rescaling(capsys):
             ok &= disc.empirical_C0 <= 100.0
             ok &= abs(f.u.value(disc.center)) <= 1e-8 * (1.0 + disc.M)
         for rm in rescaled_sequence(f, schedule):
-            cert = rm.certify(grid_n=101)
+            cert = rm.certify()
             ok &= cert["center_zero"] <= 1e-9
             ok &= cert["sup_abs"] <= 1.0 + 1e-6
             ok &= cert["M_three_quarters"] >= 1.0 / cert["empirical_C0"] - 1e-12
@@ -165,14 +165,14 @@ def test_criterion_5_dependence_detection(capsys):
         # v = lam * u with u = x: v = Im(lam * i * z)
         f = parse_map(f"u=re(z); v=im({lam}*i*z)")
         s = sample_range(f, 50.0, n_grid=128, seed=0)
-        rep = detect_dependence(f, s, a=a, R=1.0)
+        rep = detect_dependence(s, a=a, R=1.0)
         ok &= rep.dependent and abs(rep.b - 1.0 / lam) <= 1e-12
 
     # the two-exponential counterexample: no polynomial component, and the
     # least-squares line leaves a large residual
     f = parse_map("u=im(exp(z)); v=im(0-exp(0-z))")
     s = sample_range(f, 30.0, n_grid=256, seed=0)
-    rep = detect_dependence(f, s, a=1e9, R=1.0)
+    rep = detect_dependence(s, a=1e9, R=1.0)
     ok &= (not rep.dependent) and rep.residual >= 1e-2
     _announce(capsys, 5, "dependence recovery and counterexample", ok)
 
@@ -195,7 +195,7 @@ def test_criterion_6_zero_inclusions_for_normalized_maps(capsys):
         checked += 1
         f = entry.harmonic_map()
         for rm in rescaled_sequence(f, [4.0, 8.0]):
-            verdict = rescaled_range_check(rm, est.arcs, grid_n=101)
+            verdict = rescaled_range_check(rm, est.arcs)
             if verdict.conclusion_holds:
                 continue
             # a reported violation only counts if it survives independent

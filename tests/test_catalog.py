@@ -83,9 +83,8 @@ def test_every_nonconstant_map_has_antipodal_pair():
 def test_dependence_expectation_triple_line():
     from harmonic_range.zeros import detect_dependence
     entry = get_entry("triple-line")
-    f = entry.harmonic_map()
     s = entry.sample()
-    rep = detect_dependence(f, s, a=1.0, R=1.0)
+    rep = detect_dependence(s, a=1.0, R=1.0)
     assert rep.dependent
     assert rep.b == pytest.approx(entry.expected["dependence_b"], abs=1e-12)
 

@@ -103,6 +103,12 @@ def test_antipodal_gap_alpha_keeps_the_tolerance(capsys, tol):
         assert arcs.distance(probe) >= tol - 1e-12
 
 
+def test_normalization_holds_the_rotation_and_the_slope(capsys):
+    code, doc = run(capsys, "normalize", "--catalog", "lewis-cross")
+    assert code == 0
+    assert sorted(doc["normalization"]) == ["a", "theta"]
+
+
 def test_phi_profile_is_the_library_profile(capsys):
     src = "u=re(z^2); v=im(z^2)"
     code, doc = run(capsys, "phi", "--map", src, "--R", "10",

@@ -1,8 +1,11 @@
 """Package imports stay at module top, so an import cycle between the
 library modules fails at import time instead of hiding in a function;
-and zero finding keeps its single bisection loop."""
+zero finding keeps its single bisection loop; and every public function
+and class is listed in its module's ``__all__``, the names that the
+benchmark's layer tracer wraps."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -55,3 +58,17 @@ def test_one_bisection_loop_and_no_curve_tracing_in_lewis():
     assert loops == 1
     lewis = next(p for p in SOURCES if p.name == "lewis.py")
     assert "trace_zero_set" not in lewis.read_text()
+
+
+def _public_definitions(tree: ast.Module) -> list[str]:
+    return [node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_public_definitions_are_exported(path):
+    name = "harmonic_range" if path.stem == "__init__" else f"harmonic_range.{path.stem}"
+    exported = set(importlib.import_module(name).__all__)
+    public = _public_definitions(ast.parse(path.read_text()))
+    assert [n for n in public if n not in exported] == []

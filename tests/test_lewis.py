@@ -9,10 +9,11 @@ from harmonic_range import lewis
 from harmonic_range.expressions import (Add, Const, HarmonicComponent, Mul, Z,
                                         parse_map)
 from harmonic_range.circles import circle_max
+from harmonic_range.arcs import ArcSet
 from harmonic_range.lewis import (SEARCH_SAMPLES, LewisDisc,
-                                  NoSignChangeError, Rect, _candidate_centers,
-                                  find_zero, lewis_disc_search,
-                                  rescaled_sequence)
+                                  _candidate_centers, lewis_disc_search,
+                                  rescaled_range_check, rescaled_sequence)
+from harmonic_range.zeros import NoSignChangeError, Rect, find_zero
 
 
 def test_find_zero_on_line():
@@ -79,6 +80,18 @@ def test_rescaled_map_unit_normalization():
     theta = np.linspace(0.0, 2.0 * math.pi, 256, endpoint=False)
     boundary = np.asarray(rm.U(np.exp(1j * theta)), dtype=float)
     assert float(np.max(boundary)) == pytest.approx(1.0, abs=1e-6)
+
+
+def test_rescaled_range_check_of_a_line_map():
+    # v = 2u: the range is the line of slope 2 and {U=0} = {V=0}
+    f = parse_map("u=re(z); v=im(2*i*z)")
+    slope = math.atan2(2.0, 1.0)
+    rm = rescaled_sequence(f, [4.0])[0]
+    verdict = rescaled_range_check(rm, ArcSet.from_points([slope, slope + math.pi]))
+    assert verdict.conclusion_holds
+    assert verdict.params["angle_tol"] == math.radians(5.0)
+    assert verdict.params["zero_tol"] == 1e-2
+    assert verdict.sampling == {"grid_n": 101, "eps": 1e-3}
 
 
 def test_rescaled_sequence_rejects_bad_schedule():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from harmonic_range.catalog import get_entry
 from harmonic_range.expressions import parse_map
 from harmonic_range.ranges import estimate_directions, sample_range
 from harmonic_range.theorems import (ExcludedPointError,
@@ -53,6 +54,7 @@ def test_antipodal_identity_map():
     v = check_antipodal_theorem(f, est, s)
     assert v.hypothesis_holds
     assert v.conclusion_holds
+    assert v.params["tol_rad"] == math.radians(1.0)
 
 
 def test_antipodal_constant_map_vacuous():
@@ -61,6 +63,7 @@ def test_antipodal_constant_map_vacuous():
     v = check_antipodal_theorem(f, est, s)
     assert not v.hypothesis_holds
     assert v.consistent
+    assert v.params == {"tol_rad": math.radians(1.0)}
 
 
 def test_halfplane_vertical_line():
@@ -71,6 +74,8 @@ def test_halfplane_vertical_line():
     assert v.hypothesis_holds
     assert v.conclusion_holds
     assert v.params["c"] == pytest.approx(5.0, abs=1e-9)
+    assert v.params["tol_rad"] == math.radians(1.0)
+    assert v.params["margin"] > 0.0
 
 
 def test_halfplane_boundary_case_flagged():
@@ -91,7 +96,29 @@ def test_halfplane_full_circle_fails():
     est = estimate_directions(s)
     v = check_halfplane_theorem(f, 0.0, est, s)
     assert not v.hypothesis_holds
+    assert v.params["margin"] < 0.0
     assert v.consistent
+
+
+def test_halfplane_margin_shows_a_tie():
+    # the estimate of the catalog horizontal line reaches 1 deg past the
+    # half circle about pi/2 up to rounding, so the hypothesis holds by
+    # a margin of one rounding error
+    entry = get_entry("horizontal-line")
+    s = entry.sample()
+    v = check_halfplane_theorem(entry.harmonic_map(), math.pi / 2,
+                                entry.directions(s), s)
+    assert v.hypothesis_holds
+    assert 0.0 < v.params["margin"] < 1e-15
+
+
+def test_halfplane_margin_is_none_for_an_empty_estimate():
+    f, s = _sampled("u=re(0*z); v=im(0*z)")
+    est = estimate_directions(s)
+    assert est.arcs.is_empty
+    v = check_halfplane_theorem(f, 0.0, est, s)
+    assert v.hypothesis_holds
+    assert v.params["margin"] is None
 
 
 def test_cor_alpha_bounded_v():
@@ -161,6 +188,7 @@ def test_log2_bulk_samples():
     v = check_log2_inequalities(z)
     assert v.conclusion_holds
     assert not v.conclusion_witnesses
+    assert v.params == {"slack": 1e-12}
 
 
 @pytest.mark.parametrize("n, radius", [(0, 100.0), (-3, 100.0), (10, 0.0),

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from harmonic_range.expressions import parse_map
-from harmonic_range.lewis import Rect
 from harmonic_range.ranges import sample_range
 from harmonic_range.zeros import (BISECT_HALVINGS, NotPolynomialError,
-                                  RadiusTooSmallError, _bisect,
+                                  RadiusTooSmallError, Rect, _bisect,
                                   _newton_to_zero, cleaning_check,
                                   detect_dependence, local_structure,
                                   trace_zero_set, tract_report)
@@ -150,7 +149,7 @@ def test_tract_report_detects_unstable_radius():
 def test_dependence_exact_multiple():
     f = parse_map("u=re(z); v=im(3*i*z)")
     s = sample_range(f, 50.0, n_grid=128, seed=0)
-    rep = detect_dependence(f, s, a=1.0, R=1.0)
+    rep = detect_dependence(s, a=1.0, R=1.0)
     assert rep.dependent
     assert rep.b == pytest.approx(1.0 / 3.0, abs=1e-12)
     assert rep.residual < 1e-12
@@ -159,7 +158,7 @@ def test_dependence_exact_multiple():
 def test_dependence_rejects_exponential_pair():
     f = parse_map("u=im(exp(z)); v=im(0-exp(0-z))")
     s = sample_range(f, 30.0, n_grid=128, seed=0)
-    rep = detect_dependence(f, s, a=1e6, R=1.0)
+    rep = detect_dependence(s, a=1e6, R=1.0)
     assert not rep.dependent
     assert rep.residual >= 1e-2
 
@@ -167,7 +166,7 @@ def test_dependence_rejects_exponential_pair():
 def test_dependence_degenerate_v():
     f = parse_map("u=re(z); v=im(0)")
     s = sample_range(f, 10.0, n_grid=64, seed=0)
-    rep = detect_dependence(f, s, a=1.0, R=1.0)
+    rep = detect_dependence(s, a=1.0, R=1.0)
     assert rep.degenerate
     assert not rep.dependent
 
@@ -177,6 +176,8 @@ def test_cleaning_check_dependent_pair():
     verdict = cleaning_check(f.u.value, f.v.value, 1.0)
     assert verdict.hypothesis_holds
     assert verdict.conclusion_holds
+    assert verdict.params["tol"] == 1e-6
+    assert verdict.sampling == {"grid_n": 201}
 
 
 def test_cleaning_check_flags_mismatched_zero_sets():
