@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 TWO_PI = 2.0 * math.pi
 
 __all__ = ["ArcSet", "TWO_PI", "circle_distance"]
@@ -72,7 +74,10 @@ def _normalize(intervals: list[tuple[float, float]]) -> list[tuple[float, float]
 
 @dataclass(frozen=True)
 class ArcSet:
-    """Union of closed arcs; immutable after construction."""
+    """Union of closed arcs; immutable after construction.
+
+    ``distance`` and ``contains`` take one angle or a numpy array of
+    angles, and answer with a float or bool, or an array of that shape."""
 
     arcs: tuple[tuple[float, float], ...]
 
@@ -110,23 +115,34 @@ class ArcSet:
     def measure(self) -> float:
         return sum(hi - lo for lo, hi in self.arcs)
 
-    def contains(self, theta: float) -> bool:
+    def contains(self, theta):
+        """Whether an angle, or each angle of an array, lies in the set."""
         return self.distance(theta) == 0.0
 
-    def distance(self, theta: float) -> float:
-        """Geodesic distance from an angle to the set (0 if inside)."""
+    def distance(self, theta):
+        """Geodesic distance from an angle to the set (0 if inside), or from
+        each angle of an array, as an array of the same shape.  A NaN or
+        infinite angle is at distance inf."""
+        with np.errstate(invalid="ignore"):  # fmod of +-inf is NaN
+            t = np.fmod(np.asarray(theta, dtype=float), TWO_PI)
+        t = np.where(t < 0.0, t + TWO_PI, t)
+        # fmod can return exactly TWO_PI after the correction for tiny negatives
+        t = np.where(t >= TWO_PI, t - TWO_PI, t)
         if not self.arcs:
-            return math.pi
-        t = _mod(theta)
-        best = math.inf
-        for lo, hi in self.arcs:
-            # the arc may extend past 2*pi when it crosses the seam
-            for shift in (0.0, TWO_PI, -TWO_PI):
-                ts = t + shift
-                if lo <= ts <= hi:
-                    return 0.0
-                best = min(best, abs(ts - lo), abs(ts - hi))
-        return min(best, TWO_PI - best) if best <= TWO_PI else best
+            d = np.full(t.shape, math.pi)
+        else:
+            inside = np.zeros(t.shape, dtype=bool)
+            best = np.full(t.shape, math.inf)
+            for lo, hi in self.arcs:
+                # the arc may extend past 2*pi when it crosses the seam
+                for shift in (0.0, TWO_PI, -TWO_PI):
+                    ts = t + shift
+                    inside |= (lo <= ts) & (ts <= hi)
+                    # fmin skips NaN, so a NaN angle keeps best = inf
+                    best = np.fmin(best, np.fmin(np.abs(ts - lo), np.abs(ts - hi)))
+            d = np.where(inside, 0.0,
+                         np.where(best <= TWO_PI, np.minimum(best, TWO_PI - best), best))
+        return float(d) if d.ndim == 0 else d
 
     # ---- algebra ----
 
@@ -196,10 +212,9 @@ class ArcSet:
         its closure merges the two gaps beside a point arc into one."""
         arcs = other.arcs
         next_los = [lo for lo, _ in arcs[1:]] + [arcs[0][0] + TWO_PI]
-        mids = [(hi + lo) / 2.0 for (_, hi), lo in zip(arcs, next_los)]
-        probes = [t for arc in self.arcs for t in arc]
-        probes += [m for m in mids if self.contains(m)]
-        return max(other.distance(t) for t in probes)
+        mids = np.array([(hi + lo) / 2.0 for (_, hi), lo in zip(arcs, next_los)])
+        probes = np.concatenate([np.ravel(self.arcs), mids[self.contains(mids)]])
+        return float(np.max(other.distance(probes)))
 
     # ---- helpers ----
 

@@ -91,7 +91,8 @@ def _config_flags(path: str) -> list[str]:
 def _with_config(argv: list[str]) -> list[str]:
     """argv with ``--config FILE`` replaced by the file's flags, placed
     right after the subcommand name so that the user's own flags win."""
-    head = argparse.ArgumentParser(prog="harmonic-range", add_help=False)
+    head = argparse.ArgumentParser(prog="harmonic-range", add_help=False,
+                                   allow_abbrev=False)
     head.add_argument("--config")
     head.add_argument("rest", nargs=argparse.REMAINDER)
     ns, unknown = head.parse_known_args(argv)
@@ -398,13 +399,13 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
                  {"--out": dict(required=True, help="SVG output path")}),
     }
     parser = argparse.ArgumentParser(
-        prog="harmonic-range",
+        prog="harmonic-range", allow_abbrev=False,
         description="Numerical toolkit for ranges of planar harmonic maps.")
     parser.add_argument("--config", help="key=value file of flag defaults")
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {}
     for name, (func, *families) in table.items():
-        p = commands[name] = sub.add_parser(name)
+        p = commands[name] = sub.add_parser(name, allow_abbrev=False)
         p.set_defaults(func=func, entry=None)
         p.add_argument("--schema", action=_PrintSchema, const=name, nargs=0,
                        default=argparse.SUPPRESS,

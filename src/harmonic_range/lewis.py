@@ -117,17 +117,17 @@ def lewis_disc_search(u: HarmonicComponent, R: float,
                 continue
             circ = z + r * ring
             vals = np.asarray(u.value(circ), dtype=float)
-            M_u = float(np.max(vals))
+            M_u = float(vals.max())
             # maximum principle: M(u, z, r) does not grow as r shrinks, so
             # once the growth ratio alone loses, no smaller radius can win
             if (best is not None and M_u > 0
                     and M_half / M_u > PRUNE_MARGIN * best[0][0]):
                 break
-            M_abs = float(np.max(np.abs(vals)))
+            M_abs = max(M_u, -float(vals.min()))
             if M_abs <= 0 or zval > 1e-9 * M_abs:
                 continue
             vals34 = np.asarray(u.value(z + 0.75 * r * ring), dtype=float)
-            M_34 = float(np.max(vals34))
+            M_34 = float(vals34.max())
             if M_34 <= 0 or M_u <= 0:
                 continue
             doubling = M_abs / M_34
@@ -217,14 +217,8 @@ def rescaled_range_check(rm: RescaledMap, D_f) -> TheoremVerdict:
     witnesses = []
 
     nz = mods > RESCALED_ZERO_TOL * max(top, 1e-300)
-    angs = np.angle(W[nz])
-    for z0, ang, w in zip(Z[nz], angs, W[nz]):
-        if D_f.distance(ang) > RESCALED_ANGLE_TOL:
-            witnesses.append({"z": [z0.real, z0.imag],
-                              "w": [w.real, w.imag],
-                              "kind": "direction"})
-            if len(witnesses) >= 16:
-                break
+    astray = np.zeros(Z.shape, dtype=bool)
+    astray[nz] = D_f.distance(np.angle(W[nz])) > RESCALED_ANGLE_TOL
 
     tU = RESCALED_ZERO_TOL * max(float(np.max(np.abs(Uv))), 1e-300)
     tV = RESCALED_ZERO_TOL * max(float(np.max(np.abs(Vv))), 1e-300)
@@ -232,9 +226,10 @@ def rescaled_range_check(rm: RescaledMap, D_f) -> TheoremVerdict:
     zV = np.abs(Vv) <= tV
     incl1 = zU & ~zV          # {U=0} not within {V=0}
     incl2 = zV & (Uv < -tU)   # {V=0} not within {U>=0}
-    for bad, kind in ((incl1, "zeroU-not-zeroV"), (incl2, "zeroV-not-Upos")):
-        idx = np.nonzero(bad)[0][:8]
-        for k in idx:
+    for bad, kind, cap in ((astray, "direction", 16),
+                           (incl1, "zeroU-not-zeroV", 8),
+                           (incl2, "zeroV-not-Upos", 8)):
+        for k in np.nonzero(bad)[0][:cap]:
             witnesses.append({"z": [Z[k].real, Z[k].imag],
                               "w": [W[k].real, W[k].imag], "kind": kind})
 

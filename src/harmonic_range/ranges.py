@@ -256,6 +256,8 @@ GAP_ALPHA_STEP = 1e-3
 I_ALPHA_STEPS = 200
 # clearance of the antipodal gap probes, and the margin of normalization
 GAP_TOL_RAD = 1e-3
+# the directions that cone normalization and the three-arc fit keep clear of
+CONE_AXES = (math.pi / 2, math.pi, 3 * math.pi / 2)
 
 
 def antipodal_gap_alpha(E: ArcSet, tol_rad: float = GAP_TOL_RAD) -> float | None:
@@ -288,9 +290,7 @@ def cone_avoidance_normalize(arcs: ArcSet) -> dict | None:
         return None
     theta = math.pi - alpha  # sends e^{i alpha} to -1
     rotated = arcs.rotate(theta)
-    gap = min(rotated.distance(math.pi),
-              rotated.distance(math.pi / 2),
-              rotated.distance(3 * math.pi / 2))
+    gap = float(np.min(rotated.distance(CONE_AXES)))
     phi = min(gap - GAP_TOL_RAD, math.pi / 4 - 1e-6)
     if phi <= 0:
         return None
@@ -318,8 +318,7 @@ def i_alpha_fit(arcs: ArcSet, tol_rad: float = 1e-2) -> float | None:
     The fattened set leaves out the open arcs of radius alpha - tol about
     pi/2, pi and 3pi/2, so alpha works up to tol plus the distance from
     arcs to the nearest of those three directions."""
-    alpha_max = tol_rad + min(arcs.distance(c)
-                              for c in (math.pi / 2, math.pi, 3 * math.pi / 2))
+    alpha_max = tol_rad + float(np.min(arcs.distance(CONE_AXES)))
     # alpha at or below the tolerance would admit sets touching the
     # excluded directions; demand a genuine margin
     alphas = [(math.pi / 4) * k / I_ALPHA_STEPS for k in range(1, I_ALPHA_STEPS)]

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -166,10 +167,7 @@ def _sampled_subset_of(a, b, tol=0.0):
         return True
     fat = b.fatten(tol) if tol > 0 else b
     step = max(tol / 4.0, 1e-4)
-    for theta in _sample_points(a, step):
-        if not fat.contains(theta):
-            return False
-    return True
+    return bool(np.all(fat.contains(np.array(list(_sample_points(a, step))))))
 
 
 def _sampled_hausdorff(a, b):
@@ -179,10 +177,7 @@ def _sampled_hausdorff(a, b):
         return math.pi
 
     def directed(x, y, step=5e-4):
-        worst = 0.0
-        for theta in _sample_points(x, step):
-            worst = max(worst, y.distance(theta))
-        return worst
+        return float(np.max(y.distance(np.array(list(_sample_points(x, step))))))
     return max(directed(a, b), directed(b, a))
 
 
@@ -255,3 +250,68 @@ def test_de_morgan_for_union(a, b):
     lhs = a.union(b)
     rhs = a.complement().intersect(b.complement()).complement()
     assert lhs.hausdorff(rhs) <= 1e-12
+
+
+# ---- reference oracle: the per-angle loop that the array distance replaced ----
+
+def _scalar_distance(arcs, theta):
+    if not arcs.arcs:
+        return math.pi
+    t = math.fmod(theta, TWO_PI)
+    if t < 0.0:
+        t += TWO_PI
+    if t >= TWO_PI:
+        t -= TWO_PI
+    best = math.inf
+    for lo, hi in arcs.arcs:
+        for shift in (0.0, TWO_PI, -TWO_PI):
+            ts = t + shift
+            if lo <= ts <= hi:
+                return 0.0
+            best = min(best, abs(ts - lo), abs(ts - hi))
+    return min(best, TWO_PI - best) if best <= TWO_PI else best
+
+
+@st.composite
+def _sets_and_angles(draw):
+    """An arc set and angles that include its endpoints (and their turns by
+    +-2*pi), 0, -0, +-2*pi and angles far outside [0, 2*pi)."""
+    arcs = draw(_arc_sets())
+    ends = [t for arc in arcs.arcs for t in arc]
+    special = ends + [e + k * TWO_PI for e in ends for k in (-1, 1)]
+    special += [0.0, -0.0, TWO_PI, -TWO_PI, PI]
+    angle = st.one_of(st.sampled_from(special),
+                      st.floats(min_value=-20.0, max_value=20.0),
+                      st.floats(min_value=-1e6, max_value=1e6))
+    return arcs, draw(st.lists(angle, min_size=1, max_size=40))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_sets_and_angles())
+def test_array_distance_is_the_scalar_loop_bit_for_bit(case):
+    arcs, angles = case
+    want = np.array([_scalar_distance(arcs, t) for t in angles])
+    got = arcs.distance(np.array(angles))
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (arcs, angles)
+    assert np.array_equal(arcs.contains(np.array(angles)), want == 0.0)
+    for t in angles[:3]:
+        d, ref = arcs.distance(t), _scalar_distance(arcs, t)
+        assert type(d) is float and type(arcs.contains(t)) is bool
+        assert np.array([d]).view(np.uint64) == np.array([ref]).view(np.uint64)
+
+
+def test_distance_keeps_the_shape_of_its_input():
+    s = ArcSet.from_intervals([(0.0, 1.0), (3.0, 3.5)])
+    grid = np.linspace(-7.0, 7.0, 12).reshape(3, 4)
+    got = s.distance(grid)
+    assert got.shape == (3, 4)
+    assert got.tolist() == [[s.distance(float(t)) for t in row] for row in grid]
+    assert ArcSet.empty().distance(grid).tolist() == [[PI] * 4] * 3
+    assert s.distance(np.array([])).shape == (0,)
+
+
+def test_nonfinite_angle_is_infinitely_far():
+    s = ArcSet.from_intervals([(0.0, 1.0)])
+    assert s.distance(math.nan) == math.inf
+    assert s.distance(np.array([math.nan, math.inf, -math.inf])).tolist() == [math.inf] * 3

@@ -198,6 +198,24 @@ def test_bad_config_line_exits_two(tmp_path, capsys, command, line):
     assert "Traceback" not in captured.err
 
 
+def test_flag_prefix_is_not_the_flag(tmp_path, capsys):
+    """A prefix of a flag name is rejected, on the command line and as a
+    config key, instead of being read as the flag it starts."""
+    prefix, full = tmp_path / "prefix.cfg", tmp_path / "full.cfg"
+    prefix.write_text("n=64\n")
+    full.write_text("n_grid=64\n")
+    head = ["sample", "--map", "u=re(z); v=im(z)"]
+    assert main(["--config", str(full)] + head) == 0
+    capsys.readouterr()
+    for argv in (head + ["--n", "64"], ["--config", str(prefix)] + head,
+                 ["--conf", str(full)] + head):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("error: ") == 1
+        assert "Traceback" not in captured.err
+
+
 def _stdout(argv) -> tuple[int, str]:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):

@@ -94,6 +94,53 @@ def test_rescaled_range_check_of_a_line_map():
     assert verdict.sampling == {"grid_n": 101, "eps": 1e-3}
 
 
+def _reference_rescaled_witnesses(rm, D_f):
+    """The per-point loop that rescaled_range_check replaced."""
+    Z = lewis._check_points()
+    Uv = np.asarray(rm.U(Z), dtype=float)
+    Vv = np.asarray(rm.V(Z), dtype=float)
+    W = Uv + 1j * Vv
+    mods = np.abs(W)
+    witnesses = []
+    nz = mods > lewis.RESCALED_ZERO_TOL * max(float(mods.max()), 1e-300)
+    for z0, ang, w in zip(Z[nz], np.angle(W[nz]), W[nz]):
+        if D_f.distance(float(ang)) > lewis.RESCALED_ANGLE_TOL:
+            witnesses.append({"z": [z0.real, z0.imag], "w": [w.real, w.imag],
+                              "kind": "direction"})
+            if len(witnesses) >= 16:
+                break
+    tU = lewis.RESCALED_ZERO_TOL * max(float(np.max(np.abs(Uv))), 1e-300)
+    tV = lewis.RESCALED_ZERO_TOL * max(float(np.max(np.abs(Vv))), 1e-300)
+    zU = np.abs(Uv) <= tU
+    zV = np.abs(Vv) <= tV
+    for bad, kind in ((zU & ~zV, "zeroU-not-zeroV"),
+                      (zV & (Uv < -tU), "zeroV-not-Upos")):
+        for k in np.nonzero(bad)[0][:8]:
+            witnesses.append({"z": [Z[k].real, Z[k].imag],
+                              "w": [W[k].real, W[k].imag], "kind": kind})
+    return witnesses
+
+
+@pytest.mark.parametrize("source, D_f", [
+    # v = 2u: every direction lies on the line of slope 2
+    ("u=re(z); v=im(2*i*z)",
+     ArcSet.from_points([math.atan2(2.0, 1.0), math.atan2(2.0, 1.0) + math.pi])),
+    # the identity against one direction: the 16-witness cap is hit, and
+    # both zero-set inclusions fail after it
+    ("u=re(z); v=im(z)", ArcSet.from_points([0.3])),
+])
+def test_rescaled_range_check_matches_the_per_point_loop(source, D_f):
+    rm = rescaled_sequence(parse_map(source), [4.0])[0]
+    verdict = rescaled_range_check(rm, D_f)
+    want = _reference_rescaled_witnesses(rm, D_f)
+    assert verdict.conclusion_witnesses == want
+    assert verdict.conclusion_holds == (not want)
+    kinds = [w["kind"] for w in want]
+    if not verdict.conclusion_holds:
+        assert kinds[:17].count("direction") == 16
+        assert {"zeroU-not-zeroV", "zeroV-not-Upos"} <= set(kinds)
+
+
 def test_rescaled_sequence_rejects_bad_schedule():
     f = parse_map("u=re(z); v=im(z)")
     with pytest.raises(ValueError):

@@ -7,10 +7,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from harmonic_range.arcs import ArcSet, TWO_PI
 from harmonic_range.expressions import parse_map
-from harmonic_range.ranges import (antipodal_gap_alpha, antipodal_pairs,
+from harmonic_range.ranges import (GAP_TOL_RAD, antipodal_gap_alpha,
+                                   antipodal_pairs,
                                    cone_avoidance_normalize,
                                    estimate_directions, i_alpha_arcs,
                                    i_alpha_fit, phi_profile,
@@ -178,13 +180,11 @@ def _sampled_subset_of(a, b, tol=0.0):
         return True
     fat = b.fatten(tol) if tol > 0 else b
     step = max(tol / 4.0, 1e-4)
+    thetas = []
     for lo, hi in a.arcs:
         n = 1 if hi == lo else max(2, int(math.ceil((hi - lo) / step)) + 1)
-        for k in range(n):
-            theta = lo if n == 1 else lo + (hi - lo) * k / (n - 1)
-            if not fat.contains(theta):
-                return False
-    return True
+        thetas += [lo if n == 1 else lo + (hi - lo) * k / (n - 1) for k in range(n)]
+    return bool(np.all(fat.contains(np.array(thetas))))
 
 
 def _scanned_i_alpha_fit(arcs, tol_rad=1e-2, grid=200):
@@ -199,14 +199,11 @@ def _scanned_i_alpha_fit(arcs, tol_rad=1e-2, grid=200):
 
 
 def _scanned_gap_alpha(E, tol_rad=1e-3, grid_step=1e-3):
-    n = int(math.ceil(TWO_PI / grid_step))
-    for k in range(n):
-        alpha = k * grid_step
-        if (E.distance(alpha) >= tol_rad
-                and E.distance(alpha + math.pi / 2) >= tol_rad
-                and E.distance(alpha - math.pi / 2) >= tol_rad):
-            return alpha
-    return None
+    alphas = np.arange(int(math.ceil(TWO_PI / grid_step))) * grid_step
+    fits = ((E.distance(alphas) >= tol_rad)
+            & (E.distance(alphas + math.pi / 2) >= tol_rad)
+            & (E.distance(alphas - math.pi / 2) >= tol_rad))
+    return float(alphas[fits.argmax()]) if fits.any() else None
 
 
 def _random_arcs(rng, max_arcs, mean_len):
@@ -261,11 +258,31 @@ def test_antipodal_gap_alpha_needs_positive_tolerance(tol):
 
 def test_cone_avoidance_normalize_cross():
     cross = ArcSet.from_points([PI / 4, PI, 3 * PI / 2])
-    norm = cone_avoidance_normalize(cross)
-    assert norm is not None
-    rotated = cross.rotate(norm["theta"])
-    # the rotation pushes the set away from an axis cone; a > 0 quantifies it
-    assert norm["a"] > 0.0
+    assert cone_avoidance_normalize(cross) is not None
+
+
+_cone_test_sets = st.lists(
+    st.tuples(st.floats(min_value=-TWO_PI, max_value=2 * TWO_PI),
+              st.sampled_from([0.0, 1e-3, 0.1, 0.5, 1.5]) | st.floats(0.0, 2.0)),
+    max_size=4).map(lambda pairs: ArcSet.from_intervals(
+        [(lo, lo + n) for lo, n in pairs]))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_cone_test_sets)
+@example(ArcSet.from_points([PI / 4, PI, 3 * PI / 2]))
+@example(ArcSet.from_points([0.3]))
+def test_cone_avoidance_normalize_keeps_its_promise(arcs):
+    """With a > 1, the rotated set clears the cone of half-angle atan(1/a)
+    about the vertical axis, and about the negative real axis, by
+    GAP_TOL_RAD."""
+    norm = cone_avoidance_normalize(arcs)
+    if norm is None:
+        return
+    assert norm["a"] > 1.0
+    rotated = arcs.rotate(norm["theta"])
+    clearance = float(np.min(rotated.distance(np.array([PI / 2, PI, 3 * PI / 2]))))
+    assert clearance >= math.atan(1.0 / norm["a"]) + GAP_TOL_RAD - 1e-12
 
 
 def test_cone_avoidance_normalize_full_circle_fails():
