@@ -34,6 +34,15 @@ def circle_distance(a: float, b: float) -> float:
     return min(d, TWO_PI - d)
 
 
+def _add_piece(pieces: list[tuple[float, float]], lo: float, hi: float):
+    """Append the arc [lo, hi], 0 <= lo < 2*pi, split at the seam."""
+    if hi <= TWO_PI:
+        pieces.append((lo, hi))
+    else:
+        pieces.append((lo, TWO_PI))
+        pieces.append((0.0, hi - TWO_PI))
+
+
 def _normalize(intervals: list[tuple[float, float]]) -> list[tuple[float, float]]:
     """Split wrap-around arcs, sort, and merge overlapping/touching arcs."""
     pieces: list[tuple[float, float]] = []
@@ -44,12 +53,12 @@ def _normalize(intervals: list[tuple[float, float]]) -> list[tuple[float, float]
         span = hi - lo
         if span < 0:
             raise ValueError("arc with hi < lo")
-        hi_m = lo_m + span
-        if hi_m <= TWO_PI:
-            pieces.append((lo_m, hi_m))
-        else:
-            pieces.append((lo_m, TWO_PI))
-            pieces.append((0.0, hi_m - TWO_PI))
+        _add_piece(pieces, lo_m, lo_m + span)
+    return _merge(pieces)
+
+
+def _merge(pieces: list[tuple[float, float]]) -> list[tuple[float, float]]:
+    """Sort arcs inside [0, 2*pi] and merge overlapping/touching ones."""
     if not pieces:
         return []
     pieces.sort()
@@ -89,6 +98,26 @@ class ArcSet:
         if not all(math.isfinite(a) and math.isfinite(b) for a, b in pairs):
             raise ValueError("arc endpoints must be finite")
         return ArcSet(tuple(_normalize(pairs)))
+
+    @staticmethod
+    def from_bins(keep) -> "ArcSet":
+        """Union of the bins k = 0 .. n-1, the arcs [k w, (k+1) w] with
+        w = 2*pi / n, where the boolean array ``keep`` of length n is true.
+
+        The same set, bit for bit, as ``from_intervals`` over the kept bins
+        one by one, built from runs of adjacent bins.  A run is handed on as
+        [s w, (e+1) w], not through ``from_intervals``: that recomputes the
+        end as lo + (hi - lo), which is exact for one bin but can round off
+        by one ulp for a run."""
+        keep = np.asarray(keep, dtype=bool)
+        width = TWO_PI / keep.size
+        # where keep switches on or off, with off beyond both ends: each run
+        # starts at an even entry and stops before the odd one after it
+        edges = np.flatnonzero(np.diff(keep, prepend=False, append=False))
+        pieces: list[tuple[float, float]] = []
+        for lo, hi in (edges * width).reshape(-1, 2).tolist():
+            _add_piece(pieces, lo, hi)
+        return ArcSet(tuple(_merge(pieces)))
 
     @staticmethod
     def from_points(points) -> "ArcSet":

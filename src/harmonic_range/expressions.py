@@ -106,7 +106,7 @@ class ParseError(ValueError):
 #
 # expr   := term (('+'|'-') term)*
 # term   := factor ('*' factor)*
-# factor := base ('^' uint)?
+# factor := base ('^' uint)?       -- no '^' after a base that is '-' base
 # base   := 'z' | number | 'i' | 'pi' | 'e' | 'exp' '(' expr ')'
 #         | '(' expr ')' | '-' base
 # --------------------------------------------------------------------------
@@ -214,8 +214,13 @@ def _parse_term(tk: _Tokenizer) -> Expr:
 
 
 def _parse_factor(tk: _Tokenizer) -> Expr:
+    negated = tk.peek() == "-"
     node = _parse_base(tk)
     if tk.peek() == "^":
+        if negated:
+            # read either way, -z^2 would silently be one of two maps
+            raise ParseError("ambiguous unary '-' before '^': "
+                             "write (-z)^2 or -(z^2)", tk.pos)
         tk.pos += 1
         node = Pow(node, tk.uint())
     return node
@@ -311,7 +316,7 @@ def to_source(e: Expr) -> str:
             # '*' is left-associative: a left product needs no brackets
             return f"{_wrap(left, Add)}*{_wrap(right, Add, Mul, Neg)}"
         case Neg(operand):
-            # unary '-' binds tighter than '^': -z^2 parses as (-z)^2
+            # '-z^2' does not parse: a power after '-' keeps its brackets
             return f"-{_wrap(operand, Add, Mul, Pow)}"
         case Pow(base, k):
             return f"{_wrap(base, Add, Mul, Neg, Pow)}^{k}"

@@ -120,22 +120,36 @@ def sobol_points(n: int, seed: int) -> np.ndarray:
     return pts
 
 
+def _polar_fill(out: np.ndarray, r, t) -> None:
+    """Write r e^{it} into the complex array ``out``, with r and t
+    broadcast to its shape: r cos t into the real parts and r sin t into
+    the imaginary parts.  For r > 0 this equals ``r * np.exp(1j * t)`` bit
+    for bit (that product only adds exact zeros), without its complex
+    temporaries."""
+    np.multiply(r, np.cos(t), out=out.real)
+    np.multiply(r, np.sin(t), out=out.imag)
+
+
 def sample_range(f: HarmonicMap, R: float, n_grid: int = 256,
                  seed: int = 0) -> RangeSample:
-    """Deterministic polar grid on D(0,R) plus seeded quasi-random points."""
+    """Deterministic polar grid on D(0,R) plus seeded quasi-random points.
+
+    Samples where the map overflows are kept as inf or NaN, without numpy's
+    warning: estimate_directions and phi_profile refuse them with a
+    NonFiniteError."""
     if n_grid < 64:
         raise ValueError("n_grid must be at least 64")
     if not (math.isfinite(R) and R > 0):
         raise ValueError(f"radius R must be finite and positive, got {R}")
+    m = n_grid * n_grid
+    z = np.empty(2 * m, dtype=complex)  # the grid, then the Sobol' points
     radii = R * (np.arange(1, n_grid + 1) / n_grid)
     theta = TWO_PI * np.arange(n_grid) / n_grid
-    zg = (radii[:, None] * np.exp(1j * theta[None, :])).ravel()
-    pts = sobol_points(n_grid * n_grid, seed)
-    r = R * np.sqrt(pts[:, 0])
-    t = TWO_PI * pts[:, 1]
-    zq = r * np.exp(1j * t)
-    z = np.concatenate([zg, zq])
-    w = f.value(z)
+    _polar_fill(z[:m].reshape(n_grid, n_grid), radii[:, None], theta)
+    pts = sobol_points(m, seed)
+    _polar_fill(z[m:], R * np.sqrt(pts[:, 0]), TWO_PI * pts[:, 1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = f.value(z)
     return RangeSample(z=z, w=np.asarray(w, dtype=complex), radius=R,
                        n_grid=n_grid, seed=seed)
 
@@ -171,12 +185,39 @@ def _require_finite(samples: RangeSample) -> None:
                              "are not finite: the map overflows")
 
 
+def _quantiles(x: np.ndarray, qs) -> np.ndarray:
+    """np.quantile(x, qs), linear method, bit for bit, for ascending qs in
+    [0, 1]; partitions x in place.
+
+    Each order statistic comes from a one-pivot partition of the part of x
+    above the one before, and its successor from a min.  np.quantile
+    partitions at all of them in one call, which takes about 5x longer."""
+    n = x.size
+    virtual = (n - 1) * np.asarray(qs, dtype=float)
+    below = np.floor(virtual)
+    gamma = virtual - below
+    lo, hi = np.empty(gamma.size), np.empty(gamma.size)
+    start = 0
+    for j, k in enumerate(below.astype(np.intp).tolist()):
+        if k + 1 >= n:  # q = 1, or a single value
+            lo[j] = hi[j] = x[start:].max()
+            continue
+        x[start:].partition(k - start)
+        lo[j], hi[j] = x[k], x[k + 1:].min()
+        start = k
+    # numpy's _lerp, step for step
+    diff = hi - lo
+    out = lo + diff * gamma
+    np.subtract(hi, diff * (1 - gamma), out=out, where=gamma >= 0.5)
+    return out
+
+
 def _default_cutoffs(mods: np.ndarray) -> tuple[float, ...]:
     """Quantile cutoffs plus a geometric ladder of absolute floors."""
     positive = mods[mods > 0]
     if positive.size == 0:
         return (1.0,)
-    m0, *qs = np.quantile(positive, (0.5, 0.90, 0.99, 0.999)).tolist()
+    m0, *qs = _quantiles(positive, (0.5, 0.90, 0.99, 0.999)).tolist()
     top = float(positive.max())
     ladder = []
     m = max(m0, 1e-12)
@@ -185,6 +226,19 @@ def _default_cutoffs(mods: np.ndarray) -> tuple[float, ...]:
         m *= 4.0
     cuts = sorted(set(qs + ladder))
     return tuple(cuts) if cuts else (top,)
+
+
+def _bin_index(w: np.ndarray, bins: int) -> np.ndarray:
+    """Index of the equal direction bin of [0, 2*pi) that each value's
+    angle lies in.  The angles are those of np.mod(np.angle(w), 2*pi) bit
+    for bit (adding 0.0 turns -0.0 into +0.0 as np.mod does), in one array
+    worked in place, at under half the cost of np.mod."""
+    ang = np.arctan2(w.imag, w.real)
+    ang += TWO_PI * (ang < 0.0)
+    ang /= TWO_PI
+    ang *= bins
+    idx = ang.astype(np.intp)
+    return np.minimum(idx, bins - 1, out=idx)
 
 
 # estimated arcs are widened by this many bins on each side
@@ -205,11 +259,9 @@ def estimate_directions(samples: RangeSample, bins: int = 720,
     if cutoffs is None:
         cutoffs = _default_cutoffs(mods)
     cutoffs = tuple(sorted(float(c) for c in cutoffs))
-    ang = np.mod(np.angle(w), TWO_PI)
-    idx = np.minimum((ang / TWO_PI * bins).astype(int), bins - 1)
     # per-bin maximum modulus
     G = np.zeros(bins)
-    np.maximum.at(G, idx, mods)
+    np.maximum.at(G, _bin_index(w, bins), mods)
 
     occupied = [G > c for c in cutoffs]
     stab = len(cutoffs) - 1
@@ -220,19 +272,18 @@ def estimate_directions(samples: RangeSample, bins: int = 720,
     # occupancy is monotone in the cutoff, so the occupied set at the
     # stabilization index is the one every later cutoff agrees on up to
     # further shrinking; it is the estimate
-    keep = np.nonzero(occupied[stab])[0]
+    keep = occupied[stab]
 
     n_large = int(np.count_nonzero(mods > cutoffs[-1]))
     low_conf = n_large < MIN_LARGE
 
     if n_large == 0:
-        arcs, keep = ArcSet.empty(), []
+        arcs, n_kept = ArcSet.empty(), 0
     else:
-        width = TWO_PI / bins
-        intervals = [(k * width, (k + 1) * width) for k in keep]
-        arcs = ArcSet.from_intervals(intervals).fatten(FATTEN_BINS * width)
+        arcs = ArcSet.from_bins(keep).fatten(FATTEN_BINS * (TWO_PI / bins))
+        n_kept = int(np.count_nonzero(keep))
     return DirectionEstimate(arcs=arcs, cutoffs=cutoffs, bins=bins,
-                             occupied_bins=len(keep),
+                             occupied_bins=n_kept,
                              stabilization_index=stab,
                              low_confidence=low_conf,
                              radius=samples.radius)

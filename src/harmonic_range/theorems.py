@@ -12,9 +12,10 @@ import math
 
 import numpy as np
 
-from .arcs import ArcSet
+from .arcs import TWO_PI, ArcSet
 from .expressions import HarmonicMap
-from .ranges import DirectionEstimate, RangeSample, antipodal_pairs, sobol_points
+from .ranges import (DirectionEstimate, RangeSample, _polar_fill,
+                     antipodal_pairs, sobol_points)
 from .reports import TheoremVerdict
 from .zeros import detect_dependence
 
@@ -216,11 +217,10 @@ def log2_sample_points(n: int, seed: int, radius: float = 100.0) -> np.ndarray:
     if not (math.isfinite(radius) and radius > 0):
         raise ValueError(f"radius must be finite and positive, got {radius}")
     pts = sobol_points(n, seed)
-    r = radius * np.sqrt(pts[:, 0])
-    t = 2.0 * math.pi * pts[:, 1]
-    z = r * np.exp(1j * t)
+    z = np.empty(n, dtype=complex)
+    _polar_fill(z, radius * np.sqrt(pts[:, 0]), TWO_PI * pts[:, 1])
     keep = (np.abs(z) > 1e-9) & (np.abs(z - 1.0) > 1e-9)
-    return z[keep]
+    return z if keep.all() else z[keep]
 
 
 def check_log2_inequalities(z_samples: np.ndarray) -> TheoremVerdict:

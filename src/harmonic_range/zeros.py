@@ -108,18 +108,20 @@ def _newton_to_zero(u: HarmonicComponent, z: complex,
 
     Returns the last point and whether |u| reached target there; it stops
     unconverged where u or its gradient is not finite, where the gradient
-    vanishes, or when the steps run out."""
-    for _ in range(NEWTON_MAX_ITER):
-        val = float(u.value(z))
-        if not math.isfinite(val):
-            break  # overflow: no step can recover from NaN
-        if abs(val) <= target:
-            return z, True
-        g = u.gradient(z)
-        g2 = g.real * g.real + g.imag * g.imag
-        if not math.isfinite(g2) or g2 < 1e-300:
-            break
-        z = z - val * g / g2
+    vanishes, or when the steps run out.  Overflow is one of those stops,
+    so numpy's overflow warning is silenced here."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(NEWTON_MAX_ITER):
+            val = float(u.value(z))
+            if not math.isfinite(val):
+                break  # overflow: no step can recover from NaN
+            if abs(val) <= target:
+                return z, True
+            g = u.gradient(z)
+            g2 = g.real * g.real + g.imag * g.imag
+            if not math.isfinite(g2) or g2 < 1e-300:
+                break
+            z = z - val * g / g2
     return z, False
 
 

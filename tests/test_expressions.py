@@ -65,6 +65,11 @@ def test_evaluate_vectorized():
     ".",
     "z*.",
     "..5",
+    # a unary '-' directly before '^'
+    "2*-z^3",
+    "--z^2",
+    "-(z)^2",
+    "- 2 ^ 2",
 ])
 def test_parse_errors(bad):
     with pytest.raises(ParseError):
@@ -363,7 +368,11 @@ def test_to_source_round_trips_chains_at_the_depth_cap(op, terms):
 
 
 def test_to_source_keeps_negated_powers():
-    # unary '-' binds tighter than '^', so -(z^2) must keep its brackets
+    # '-z^2' is rejected as ambiguous, so both readings keep their brackets
     e = Neg(Pow(Z, 2))
     assert to_source(e) == "-(z^2)"
-    assert parse_expr("-z^2") == Pow(Neg(Z), 2)
+    assert to_source(Pow(Neg(Z), 2)) == "(-z)^2"
+    with pytest.raises(ParseError, match=r"\(-z\)\^2 or -\(z\^2\)"):
+        parse_expr("-z^2")
+    assert parse_expr("(-z)^2") == Pow(Neg(Z), 2)
+    assert parse_expr("0-z^2") == Add(Const(0j), Neg(Pow(Z, 2)))

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import json
 import math
 import random
 
@@ -11,8 +12,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from harmonic_range.arcs import ArcSet, TWO_PI
 from harmonic_range.expressions import parse_map
-from harmonic_range.ranges import (GAP_TOL_RAD, antipodal_gap_alpha,
-                                   antipodal_pairs,
+from harmonic_range.ranges import (FATTEN_BINS, GAP_TOL_RAD, RangeSample,
+                                   _bin_index, _polar_fill, _quantiles,
+                                   antipodal_gap_alpha, antipodal_pairs,
                                    cone_avoidance_normalize,
                                    estimate_directions, i_alpha_arcs,
                                    i_alpha_fit, phi_profile,
@@ -57,6 +59,42 @@ def test_sample_range_rejects_bad_radius(R):
     f = parse_map("u=re(z); v=im(z)")
     with pytest.raises(ValueError):
         sample_range(f, R, n_grid=64)
+
+
+def _bits(a: np.ndarray) -> bytes:
+    return np.ascontiguousarray(a).tobytes()
+
+
+def _polar(r, t) -> np.ndarray:
+    out = np.empty(np.broadcast_shapes(np.shape(r), np.shape(t)), dtype=complex)
+    _polar_fill(out, r, t)
+    return out
+
+
+@pytest.mark.parametrize("n_grid, seed", [(64, 0), (64, 9), (256, 3), (100, 2**31 - 1)])
+def test_sample_range_points_are_the_complex_exponential_bit_for_bit(n_grid, seed):
+    # the points as r * exp(1j * t), grid and Sobol' part concatenated
+    R = 7.5
+    radii = R * (np.arange(1, n_grid + 1) / n_grid)
+    theta = TWO_PI * np.arange(n_grid) / n_grid
+    zg = (radii[:, None] * np.exp(1j * theta[None, :])).ravel()
+    pts = sobol_points(n_grid * n_grid, seed)
+    r = R * np.sqrt(pts[:, 0])
+    t = TWO_PI * pts[:, 1]
+    want = np.concatenate([zg, r * np.exp(1j * t)])
+    s = sample_range(parse_map("u=re(z); v=im(z)"), R, n_grid=n_grid, seed=seed)
+    assert _bits(s.z) == _bits(want)
+
+
+def test_polar_fill_is_the_complex_exponential_bit_for_bit():
+    rng = np.random.default_rng(20)
+    r = rng.uniform(1e-3, 1e3, 10**6)
+    t = rng.uniform(-4 * PI, 4 * PI, 10**6)
+    assert _bits(_polar(r, t)) == _bits(r * np.exp(1j * t))
+    # the quarter turns, where one of cos and sin is (nearly) zero
+    r = np.array([[1e-300], [0.5], [1.0], [3.0], [1e300]])
+    t = np.arange(-8, 9) * (PI / 2)
+    assert _bits(_polar(r, t)) == _bits(r * np.exp(1j * t))
 
 
 def test_to_csv_bytes_match_csv_writer(tmp_path):
@@ -127,6 +165,104 @@ def test_directions_line_map():
     est = estimate_directions(s)
     want = ArcSet.from_points([0.0, PI])
     assert math.degrees(est.arcs.hausdorff(want)) < 2.0
+
+
+def _bin_index_by_mod(w, bins):
+    """The binning _bin_index replaced."""
+    return np.minimum((np.mod(np.angle(w), TWO_PI) / TWO_PI * bins).astype(int),
+                      bins - 1)
+
+
+@pytest.mark.parametrize("bins", [90, 95, 100, 720, 1000])
+def test_bin_index_matches_the_mod_of_the_angle(bins):
+    edge = np.array([complex(1.0, 0.0), complex(1.0, -0.0),     # angle +-0
+                     complex(-1.0, 0.0), complex(-1.0, -0.0),   # +-pi
+                     complex(0.0, -1.0), complex(-0.0, -1.0),   # -pi/2
+                     complex(0.0, 1.0), complex(0.0, 0.0), complex(-0.0, -0.0),
+                     complex(1.0, -1e-300),                     # rounds up to 2 pi
+                     complex(-1.0, -1e-300), complex(1e300, 1e-300)])
+    rng = np.random.default_rng(bins)
+    w = np.concatenate([edge, rng.normal(size=4096) + 1j * rng.normal(size=4096)])
+    idx = _bin_index(w, bins)
+    assert idx.dtype == np.intp
+    assert np.array_equal(idx, _bin_index_by_mod(w, bins))
+    assert idx[9] == bins - 1
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(st.one_of(st.integers(0, 4).map(float),
+                          st.floats(0.0, 1e300), st.just(math.inf)),
+                min_size=1, max_size=300),
+       st.lists(st.floats(0.0, 1.0), max_size=6))
+@example([3.0], [])
+@example([2.0, 1.0], [0.0, 1.0])
+def test_quantiles_match_numpy(values, qs):
+    qs = sorted(qs + [0.5, 0.9, 0.99, 0.999])
+    x = np.array(values)
+    with np.errstate(invalid="ignore"):  # inf - inf between two infinities
+        want = np.quantile(x, qs)
+        got = _quantiles(x.copy(), qs)
+    assert got.tobytes() == want.tobytes()
+
+
+def _estimate_per_bin(samples, bins, cutoffs):
+    """estimate_directions as it was built: np.mod binning, then one
+    interval per kept bin through ArcSet.from_intervals."""
+    mods = np.abs(samples.w)
+    cutoffs = tuple(sorted(float(c) for c in cutoffs))
+    G = np.zeros(bins)
+    np.maximum.at(G, _bin_index_by_mod(samples.w, bins), mods)
+    occupied = [G > c for c in cutoffs]
+    stab = len(cutoffs) - 1
+    for j in range(len(cutoffs) - 1):
+        if np.array_equal(occupied[j], occupied[j + 1]):
+            stab = j
+            break
+    keep = np.nonzero(occupied[stab])[0]
+    if not np.count_nonzero(mods > cutoffs[-1]):
+        return ArcSet.empty(), 0
+    width = TWO_PI / bins
+    arcs = ArcSet.from_intervals([(k * width, (k + 1) * width) for k in keep])
+    return arcs.fatten(FATTEN_BINS * width), len(keep)
+
+
+@st.composite
+def _bin_masks(draw):
+    """Kept bins as a union of runs, which may wrap from the last bin to 0."""
+    bins = draw(st.sampled_from([90, 95, 100, 360, 720, 721, 1000]))
+    keep = np.zeros(bins, dtype=bool)
+    for start, length in draw(st.lists(st.tuples(st.integers(0, bins - 1),
+                                                 st.integers(1, bins)),
+                                       max_size=6)):
+        keep[(start + np.arange(length)) % bins] = True
+    return keep
+
+
+def _mask(bins, *runs):
+    keep = np.zeros(bins, dtype=bool)
+    for lo, hi in runs:
+        keep[lo:hi] = True
+    return keep
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_bin_masks())
+@example(_mask(720))                                  # empty
+@example(_mask(720, (0, 1)))                          # one bin at the seam
+@example(_mask(95, (94, 95)))                         # the last bin, past 2 pi
+@example(_mask(720, (0, 720)))                        # every bin
+@example(_mask(95, (0, 95)))
+@example(_mask(720, (0, 4), (700, 720)))              # a run across the seam
+@example(_mask(100, (0, 1), (37, 60), (99, 100)))
+def test_estimate_directions_matches_the_per_bin_arcs(keep):
+    # one sample at the middle of each bin, large in the kept bins
+    bins = keep.size
+    w = np.where(keep, 2.0, 0.5) * np.exp(1j * (np.arange(bins) + 0.5) * (TWO_PI / bins))
+    samples = RangeSample(z=w.copy(), w=w, radius=1.0, n_grid=64, seed=0)
+    est = estimate_directions(samples, bins=bins, cutoffs=(1.0,))
+    arcs, n_kept = _estimate_per_bin(samples, bins, (1.0,))
+    assert json.dumps(est.arcs.to_dict()) == json.dumps(arcs.to_dict())
+    assert est.occupied_bins == n_kept == np.count_nonzero(keep)
 
 
 def test_antipodal_pairs_on_line():

@@ -7,7 +7,7 @@ import pytest
 
 from harmonic_range.catalog import get_entry
 from harmonic_range.expressions import parse_map
-from harmonic_range.ranges import estimate_directions, sample_range
+from harmonic_range.ranges import estimate_directions, sample_range, sobol_points
 from harmonic_range.theorems import (ExcludedPointError,
                                      check_antipodal_theorem, check_cor_alpha,
                                      check_halfplane_theorem,
@@ -189,6 +189,22 @@ def test_log2_bulk_samples():
     assert v.conclusion_holds
     assert not v.conclusion_witnesses
     assert v.params == {"slack": 1e-12}
+
+
+@pytest.mark.parametrize("n, seed, radius", [(4096, 11, 100.0), (1 << 18, 5, 100.0),
+                                             (1000, 2**31 - 1, 1.0)])
+def test_log2_sample_points_are_the_complex_exponential_bit_for_bit(n, seed, radius):
+    pts = sobol_points(n, seed)
+    r = radius * np.sqrt(pts[:, 0])
+    t = 2.0 * math.pi * pts[:, 1]
+    z = r * np.exp(1j * t)
+    want = z[(np.abs(z) > 1e-9) & (np.abs(z - 1.0) > 1e-9)]
+    assert log2_sample_points(n, seed, radius).tobytes() == want.tobytes()
+
+
+def test_log2_sample_points_drop_the_punctures():
+    # radius 1e-9: every point lies within 1e-9 of 0
+    assert log2_sample_points(64, seed=0, radius=1e-9).size == 0
 
 
 @pytest.mark.parametrize("n, radius", [(0, 100.0), (-3, 100.0), (10, 0.0),
