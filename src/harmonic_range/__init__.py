@@ -6,14 +6,6 @@ asymptotic-direction estimation, Lewis discs and rescaled maps, zero-set
 tracing, and theorem-instance checkers.
 """
 
-import os as _os
-
-# cap BLAS worker pools before numpy spins them up
-_threads = _os.environ.get("HARMONIC_RANGE_THREADS")
-if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        _os.environ.setdefault(_var, _threads)
-
 from .arcs import ArcSet, circle_distance
 from .catalog import CatalogEntry, entry_names, get_entry, load_catalog
 from .circles import (CircleMax, FourierProfile, NonFiniteError, circle_max,

@@ -110,7 +110,7 @@ def _resolve_map(args) -> HarmonicMap:
         if args.entry.kind != "map":
             raise CliError(f"catalog entry {args.catalog!r} is not a map")
         return args.entry.harmonic_map()
-    text = args.map if args.map else Path(args.map_file).read_text().strip()
+    text = args.map if args.map else Path(args.map_file).read_text()
     try:
         return parse_map(text)
     except ParseError as exc:

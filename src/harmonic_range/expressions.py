@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -102,8 +103,10 @@ class ParseError(ValueError):
 
 
 # --------------------------------------------------------------------------
-# Tokenizer / recursive-descent parser
+# Scanner / recursive-descent parser
 #
+# map    := 'u' '=' part '(' expr ')' ';' 'v' '=' part '(' expr ')'
+# part   := 're' | 'im'
 # expr   := term (('+'|'-') term)*
 # term   := factor ('*' factor)*
 # factor := base ('^' uint)?       -- no '^' after a base that is '-' base
@@ -119,101 +122,65 @@ MAX_NESTING = 200
 # F', about twice as deep) must fit the interpreter stack.  >= MAX_NESTING + 1.
 MAX_DEPTH = 256
 
+# After ASCII whitespace (the ASCII characters str.isspace accepts), one
+# ASCII number, ASCII name, other character, or the end of the text.  An 'e'
+# with no digits after it is no exponent: '2e' is 2 and the Euler constant.
+_TOKEN = re.compile(r"""[\t-\r\x1c-\x20]*(?:
+      (?P<number>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)
+    | (?P<name>[A-Za-z_]+)
+    | (?P<char>.)
+    | (?P<end>\Z))""", re.VERBOSE | re.DOTALL)
 
-class _Tokenizer:
+_PARTS = {"re": "real", "im": "imag"}
+
+
+class _Tokens:
+    """The (kind, text, position) tokens of a text, scanned once and read
+    front to back; the last token is ('end', '', len(text))."""
+
     def __init__(self, src: str):
-        self.src = src
-        self.pos = 0
+        self.tokens = [(m.lastgroup, m[m.lastgroup], m.start(m.lastgroup))
+                       for m in _TOKEN.finditer(src)]
+        self.i = 0
         self.depth = 0
 
-    def enter(self):
-        if self.depth == MAX_NESTING:
-            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", self.pos)
-        self.depth += 1
-
-    def _skip_ws(self):
-        while self.pos < len(self.src) and self.src[self.pos].isspace():
-            self.pos += 1
-
     def peek(self) -> str:
-        self._skip_ws()
-        if self.pos >= len(self.src):
-            return ""
-        return self.src[self.pos]
+        return self.tokens[self.i][1]
 
-    def expect(self, ch: str):
-        self._skip_ws()
-        if self.pos >= len(self.src) or self.src[self.pos] != ch:
-            raise ParseError(f"expected '{ch}'", self.pos)
-        self.pos += 1
+    @property
+    def pos(self) -> int:
+        return self.tokens[self.i][2]
 
-    def number(self) -> float:
-        self._skip_ws()
-        start = self.pos
-        s = self.src
-        n = len(s)
-        while self.pos < n and s[self.pos].isdigit():
-            self.pos += 1
-        if self.pos < n and s[self.pos] == ".":
-            self.pos += 1
-            while self.pos < n and s[self.pos].isdigit():
-                self.pos += 1
-        if not any(ch.isdigit() for ch in s[start:self.pos]):
-            raise ParseError("expected a number", start)
-        if self.pos < n and s[self.pos] in "eE":
-            mark = self.pos
-            self.pos += 1
-            if self.pos < n and s[self.pos] in "+-":
-                self.pos += 1
-            if self.pos < n and s[self.pos].isdigit():
-                while self.pos < n and s[self.pos].isdigit():
-                    self.pos += 1
-            else:
-                self.pos = mark  # bare 'e' is the Euler constant, not an exponent
-        return float(s[start:self.pos])
+    def take(self) -> tuple[str, str, int]:
+        self.i += 1
+        return self.tokens[self.i - 1]
 
-    def uint(self) -> int:
-        self._skip_ws()
-        start = self.pos
-        s = self.src
-        if self.pos < len(s) and s[self.pos] in "+-":
-            raise ParseError("exponent must be a nonnegative integer", self.pos)
-        while self.pos < len(s) and s[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise ParseError("expected a nonnegative integer exponent", start)
-        if self.pos < len(s) and s[self.pos] == ".":
-            raise ParseError("exponent must be an integer", self.pos)
-        return int(s[start:self.pos])
-
-    def ident(self) -> str:
-        self._skip_ws()
-        start = self.pos
-        s = self.src
-        while self.pos < len(s) and (s[self.pos].isalpha() or s[self.pos] == "_"):
-            self.pos += 1
-        return s[start:self.pos]
+    def expect(self, text: str):
+        """Step over the next token, which must be text ('' for the end)."""
+        if self.peek() != text:
+            raise ParseError(f"expected '{text}'" if text else "trailing input",
+                             self.pos)
+        self.i += 1
 
 
-def _parse_expr(tk: _Tokenizer) -> Expr:
+def _parse_expr(tk: _Tokens) -> Expr:
     node = _parse_term(tk)
     while tk.peek() in ("+", "-"):
-        op = tk.peek()
-        tk.pos += 1
+        op = tk.take()[1]
         rhs = _parse_term(tk)
         node = Add(node, rhs if op == "+" else Neg(rhs))
     return node
 
 
-def _parse_term(tk: _Tokenizer) -> Expr:
+def _parse_term(tk: _Tokens) -> Expr:
     node = _parse_factor(tk)
     while tk.peek() == "*":
-        tk.pos += 1
+        tk.take()
         node = Mul(node, _parse_factor(tk))
     return node
 
 
-def _parse_factor(tk: _Tokenizer) -> Expr:
+def _parse_factor(tk: _Tokens) -> Expr:
     negated = tk.peek() == "-"
     node = _parse_base(tk)
     if tk.peek() == "^":
@@ -221,57 +188,57 @@ def _parse_factor(tk: _Tokenizer) -> Expr:
             # read either way, -z^2 would silently be one of two maps
             raise ParseError("ambiguous unary '-' before '^': "
                              "write (-z)^2 or -(z^2)", tk.pos)
-        tk.pos += 1
-        node = Pow(node, tk.uint())
+        tk.take()
+        kind, text, pos = tk.take()
+        if kind != "number" or not text.isdigit():
+            raise ParseError("exponent must be a nonnegative integer", pos)
+        node = Pow(node, int(text))
     return node
 
 
-def _parse_base(tk: _Tokenizer) -> Expr:
-    ch = tk.peek()
-    if ch == "":
-        raise ParseError("unexpected end of input", tk.pos)
-    if ch == "-":
-        tk.enter()
-        tk.pos += 1
-        node = _parse_base(tk)
-        tk.depth -= 1
-        return Neg(node)
-    if ch == "(":
-        tk.enter()
-        tk.pos += 1
+def _parse_base(tk: _Tokens) -> Expr:
+    kind, text, pos = tk.take()
+    if kind == "number":
+        value = float(text)
+        if math.isinf(value):
+            raise ParseError(f"number {text} overflows a float", pos)
+        return Const(complex(value))
+    if text == "z":
+        return Var()
+    if text in _CONSTANTS:
+        return Const(_CONSTANTS[text])
+    if text not in ("-", "(", "exp"):
+        what = {"end": "unexpected end of input",
+                "name": f"unknown identifier '{text}'"}
+        raise ParseError(what.get(kind, f"unexpected character '{text}'"), pos)
+    if tk.depth == MAX_NESTING:
+        raise ParseError(f"nesting deeper than {MAX_NESTING} levels", pos)
+    tk.depth += 1
+    if text == "-":
+        node = Neg(_parse_base(tk))
+    elif text == "(":
         node = _parse_expr(tk)
         tk.expect(")")
-        tk.depth -= 1
-        return node
-    if ch.isdigit() or ch == ".":
-        return Const(complex(tk.number()))
-    if ch.isalpha() or ch == "_":
-        pos = tk.pos
-        name = tk.ident()
-        if name == "z":
-            return Var()
-        if name == "exp":
-            tk.enter()
-            tk.expect("(")
-            node = _parse_expr(tk)
-            tk.expect(")")
-            tk.depth -= 1
-            return Exp(node)
-        if name in _CONSTANTS:
-            return Const(_CONSTANTS[name])
-        raise ParseError(f"unknown identifier '{name}'", pos)
-    raise ParseError(f"unexpected character '{ch}'", tk.pos)
+    else:
+        tk.expect("(")
+        node = Exp(_parse_expr(tk))
+        tk.expect(")")
+    tk.depth -= 1
+    return node
+
+
+def _parse_tree(tk: _Tokens, close: str) -> Expr:
+    """One expression no deeper than MAX_DEPTH, and the token close after it."""
+    pos = tk.pos
+    node = _parse_expr(tk)
+    tk.expect(close)
+    if _depth(node) > MAX_DEPTH:
+        raise ParseError(f"expression tree deeper than {MAX_DEPTH} levels", pos)
+    return node
 
 
 def parse_expr(src: str) -> Expr:
-    tk = _Tokenizer(src)
-    node = _parse_expr(tk)
-    tk._skip_ws()
-    if tk.pos != len(src):
-        raise ParseError("trailing input", tk.pos)
-    if _depth(node) > MAX_DEPTH:
-        raise ParseError(f"expression tree deeper than {MAX_DEPTH} levels", 0)
-    return node
+    return _parse_tree(_Tokens(src), "")
 
 
 def _depth(e: Expr) -> int:
@@ -561,25 +528,24 @@ class HarmonicMap:
         return f"u={self.u.to_source()}; v={self.v.to_source()}"
 
 
-def _parse_component(src: str, slot: str) -> HarmonicComponent:
-    s = src.strip()
-    if not s.startswith(slot + "="):
-        raise ParseError(f"expected '{slot}=' in map literal", 0)
-    body = s[len(slot) + 1:].strip()
-    if body.startswith("re(") and body.endswith(")"):
-        part = "real"
-    elif body.startswith("im(") and body.endswith(")"):
-        part = "imag"
-    else:
-        raise ParseError("component must use a re(...) or im(...) selector", 0)
-    return HarmonicComponent(parse_expr(body[3:-1]), part)
+def _parse_component(tk: _Tokens, slot: str) -> HarmonicComponent:
+    tk.expect(slot)
+    tk.expect("=")
+    _, part, pos = tk.take()
+    if part not in _PARTS:
+        raise ParseError("component must use a re(...) or im(...) selector", pos)
+    tk.expect("(")
+    return HarmonicComponent(_parse_tree(tk, ")"), _PARTS[part])
 
 
 def parse_map(src: str, name: str | None = None) -> HarmonicMap:
-    """Parse a map literal of the form ``u=re(<expr>); v=im(<expr>)``."""
-    pieces = src.split(";")
-    if len(pieces) != 2:
-        raise ParseError("map literal must have exactly two components", 0)
-    u = _parse_component(pieces[0], "u")
-    v = _parse_component(pieces[1], "v")
+    """Parse a map literal of the form ``u=re(<expr>); v=im(<expr>)``.
+
+    Whitespace may stand between any two tokens, and a ParseError's
+    position counts from the start of src."""
+    tk = _Tokens(src)
+    u = _parse_component(tk, "u")
+    tk.expect(";")
+    v = _parse_component(tk, "v")
+    tk.expect("")
     return HarmonicMap(u, v, name=name)

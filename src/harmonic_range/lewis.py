@@ -88,6 +88,17 @@ def _candidate_centers(u: HarmonicComponent, R: float) -> list[complex]:
     return _bisect(u.value, *_sign_change_edges(Z, u.value(Z))).tolist()
 
 
+def _finite(value: float, z: complex, r: float) -> float:
+    """value, an extreme of u on |w - z| = r, unless it overflowed: a NaN
+    score compares false with every key, so it would never be replaced."""
+    if not math.isfinite(value):
+        raise NonFiniteError(f"u is not finite on the circle of radius {r:g} "
+                             f"about {z:g}: the map overflows")
+    return value
+
+
+# overflow is reported by NonFiniteError, not by numpy warnings
+@np.errstate(over="ignore", invalid="ignore")
 def lewis_disc_search(u: HarmonicComponent, R: float,
                       C0_budget: float = 100.0) -> LewisDisc:
     """Search discs centered on the zero set with dyadic radii; return the
@@ -117,17 +128,17 @@ def lewis_disc_search(u: HarmonicComponent, R: float,
                 continue
             circ = z + r * ring
             vals = np.asarray(u.value(circ), dtype=float)
-            M_u = float(vals.max())
+            M_u = _finite(float(vals.max()), z, r)
             # maximum principle: M(u, z, r) does not grow as r shrinks, so
             # once the growth ratio alone loses, no smaller radius can win
             if (best is not None and M_u > 0
                     and M_half / M_u > PRUNE_MARGIN * best[0][0]):
                 break
-            M_abs = max(M_u, -float(vals.min()))
+            M_abs = max(M_u, -_finite(float(vals.min()), z, r))
             if M_abs <= 0 or zval > 1e-9 * M_abs:
                 continue
             vals34 = np.asarray(u.value(z + 0.75 * r * ring), dtype=float)
-            M_34 = float(vals34.max())
+            M_34 = _finite(float(vals34.max()), z, 0.75 * r)
             if M_34 <= 0 or M_u <= 0:
                 continue
             doubling = M_abs / M_34

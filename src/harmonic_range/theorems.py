@@ -136,8 +136,7 @@ def check_halfplane_theorem(f: HarmonicMap, alpha: float,
                           "arcs": est.arcs.to_dict()["arcs"]})
     g = math.cos(alpha) * samples.w.real + math.sin(alpha) * samples.w.imag
     med = float(np.median(g))
-    scale = 1.0 + float(np.max(np.abs(g)))
-    concl = float(np.max(np.abs(g - med))) <= CONSTANT_TOL * scale
+    concl = is_constant_proxy(g)
     cw = [] if concl else [{"note": "combination not constant",
                             "max_dev": float(np.max(np.abs(g - med)))}]
     return TheoremVerdict(

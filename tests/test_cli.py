@@ -40,6 +40,15 @@ def test_eval_complex_point(capsys):
     assert doc["w"] == [1.0, 2.0]
 
 
+def test_map_file_error_position_counts_from_the_file_start(tmp_path, capsys):
+    path = tmp_path / "map.txt"
+    path.write_text("\nu=re(z);\nv=im(z+)\n")
+    assert main(["eval", "--map-file", str(path), "--z", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: map parse error: ")
+    assert "(at position 17)" in err
+
+
 def test_directions_catalog_cross(capsys):
     code, doc = run(capsys, "directions", "--catalog", "exp-exp-cross")
     assert code == 0

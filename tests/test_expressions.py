@@ -70,6 +70,14 @@ def test_evaluate_vectorized():
     "--z^2",
     "-(z)^2",
     "- 2 ^ 2",
+    # a number literal too large for a float
+    "z*1e400",
+    "2e308",
+    # tokens are ASCII: no other digits, superscripts or spaces
+    "\u0663*z",
+    "z*\u00b2",
+    "z^\u00b2",
+    "z\u00a0+1",
 ])
 def test_parse_errors(bad):
     with pytest.raises(ParseError):
@@ -130,6 +138,26 @@ def test_parse_map_selectors():
     z = 1.0 + 0.5j
     assert abs(f.u.value(z) - math.exp(1.0) * math.sin(0.5)) < 1e-12
     assert abs(f.v.value(z) - 1.0) < 1e-12
+
+
+def test_parse_map_allows_spaces_around_every_token():
+    f = parse_map(" u = re ( z^2 ) ;\tv = im( z )\n")
+    g = parse_map("u=re(z^2); v=im(z)")
+    assert (f.u, f.v) == (g.u, g.v)
+
+
+@pytest.mark.parametrize("src,position", [
+    ("u=re(z); v=im(z+)", 16),  # the ')' of the v part, not 2 in 'z+'
+    ("u=re(z+); v=im(z)", 7),
+    ("u=re(z); v=im(z*1e400)", 16),
+    ("u=re(z); w=im(z)", 9),
+    ("u=re(z); v=abs(z)", 11),
+    ("u=re(z); v=im(z); ", 16),
+])
+def test_map_error_positions_index_the_map_text(src, position):
+    with pytest.raises(ParseError) as info:
+        parse_map(src)
+    assert info.value.position == position
 
 
 def test_parse_map_rejects_garbage():
@@ -352,6 +380,26 @@ def _extend(children):
         st.builds(Add, children, children), st.builds(Mul, children, children),
         st.builds(Neg, children), st.builds(Exp, children),
         st.builds(Pow, children, st.integers(min_value=0, max_value=12)))
+
+
+# text near the grammar, with characters that str.isdigit, str.isalpha or
+# str.isspace accept but the ASCII scanner refuses
+_near_grammar = st.lists(st.sampled_from(
+    list("z()+-*^.0123456789eEipx_ =;uvrm\t")
+    + ["exp", "re(", "im(", "\u00b2", "\u0663", "\u2460", "\u03c0", "\u00a0"]),
+    max_size=30).map("".join)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(st.one_of(st.text(), _near_grammar,
+                 st.builds("u=re({}); v=im({})".format, _near_grammar,
+                           _near_grammar)))
+def test_parse_gives_a_tree_or_a_positioned_parse_error(text):
+    for parse in (parse_expr, parse_map):
+        try:
+            parse(text)
+        except ParseError as exc:
+            assert 0 <= exc.position <= len(text)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)

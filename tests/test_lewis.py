@@ -8,7 +8,7 @@ import pytest
 from harmonic_range import lewis
 from harmonic_range.expressions import (Add, Const, HarmonicComponent, Mul, Z,
                                         parse_map)
-from harmonic_range.circles import circle_max
+from harmonic_range.circles import NonFiniteError, circle_max
 from harmonic_range.arcs import ArcSet
 from harmonic_range.lewis import (SEARCH_SAMPLES, LewisDisc,
                                   _candidate_centers, lewis_disc_search,
@@ -145,6 +145,16 @@ def test_rescaled_sequence_rejects_bad_schedule():
     f = parse_map("u=re(z); v=im(z)")
     with pytest.raises(ValueError):
         rescaled_sequence(f, [4.0, 2.0])
+
+
+@pytest.mark.parametrize("R", [8.0, 30.0])
+def test_overflow_in_the_search_is_a_typed_error(R):
+    # at R = 8, exp(exp(z)) overflows on scanned circles though not on
+    # |z| = R/2, and a disc picked among NaN scores would be no answer.
+    # Under the warnings filter, a leaked numpy overflow warning fails this
+    u = parse_map("u=re(exp(exp(z))); v=im(z)").u
+    with pytest.raises(NonFiniteError, match="overflow"):
+        lewis_disc_search(u, R)
 
 
 def _exhaustive_disc_search(u, R, C0_budget=100.0):

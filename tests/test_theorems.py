@@ -7,13 +7,17 @@ import pytest
 
 from harmonic_range.catalog import get_entry
 from harmonic_range.expressions import parse_map
-from harmonic_range.ranges import estimate_directions, sample_range, sobol_points
-from harmonic_range.theorems import (ExcludedPointError,
+from harmonic_range.arcs import ArcSet
+from harmonic_range.ranges import (DirectionEstimate, RangeSample,
+                                   estimate_directions, sample_range,
+                                   sobol_points)
+from harmonic_range.theorems import (CONSTANT_TOL, ExcludedPointError,
                                      check_antipodal_theorem, check_cor_alpha,
                                      check_halfplane_theorem,
                                      check_lewis_region,
                                      check_log2_inequalities,
-                                     check_murdoch_kuran, log2_sample_points)
+                                     check_murdoch_kuran, is_constant_proxy,
+                                     log2_sample_points)
 
 
 def _sampled(src, R=10.0, n_grid=64, seed=0):
@@ -119,6 +123,19 @@ def test_halfplane_margin_is_none_for_an_empty_estimate():
     v = check_halfplane_theorem(f, 0.0, est, s)
     assert v.hypothesis_holds
     assert v.params["margin"] is None
+
+
+def test_halfplane_constancy_is_the_oscillation_test():
+    # u spreads 1.5e-9 about its median 0: within the tolerance of the
+    # median, but an oscillation past it, so u is not constant
+    u = np.array([-0.75, 0.0, 0.75]) * CONSTANT_TOL
+    s = RangeSample(z=np.zeros(3, dtype=complex), w=u + 0j, radius=1.0,
+                    n_grid=1, seed=0)
+    est = DirectionEstimate(arcs=ArcSet.empty(), cutoffs=(), bins=1)
+    v = check_halfplane_theorem(None, 0.0, est, s)
+    assert not is_constant_proxy(u)
+    assert not v.conclusion_holds
+    assert v.params["c"] == 0.0
 
 
 def test_cor_alpha_bounded_v():
