@@ -108,8 +108,8 @@ def _golden_max(g, lo: float, hi: float) -> tuple[float, float]:
 def circle_max(u: HarmonicComponent, z: complex, r: float,
                absolute: bool = False, n: int = DEFAULT_SAMPLES) -> CircleMax:
     """M(u, z, r) (or M(|u|, z, r) with absolute=True)."""
-    if r <= 0:
-        raise ValueError("radius must be positive")
+    if not (math.isfinite(r) and r > 0):
+        raise ValueError(f"radius must be finite and positive, got {r}")
     vals = circle_values(u, z, r, n)
     nan = int(np.count_nonzero(np.isnan(vals)))
     if nan:

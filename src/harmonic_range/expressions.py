@@ -35,6 +35,7 @@ __all__ = [
     "evaluate",
     "derivative",
     "degree",
+    "coefficients",
     "HarmonicComponent",
     "HarmonicMap",
     "parse_map",
@@ -447,6 +448,66 @@ def degree(e: Expr) -> int | None:
         case Exp(operand):
             return 0 if degree(operand) == 0 else None
     raise TypeError(f"not an expression: {e!r}")
+
+
+def coefficients(e: Expr, z=0j) -> np.ndarray | None:
+    """Coefficients c_0, ..., c_d of e(z + h) as a polynomial in h, or None
+    when e is transcendental: at the default z = 0, the power basis.
+
+    z may be an array of points; the result then has shape (d + 1,) +
+    z.shape.  The tree is evaluated node by node, as evaluate does, in the
+    arithmetic of polynomials in h, so the rounding errors stay those of
+    evaluating e near z: (z - 10)^8 is expanded about z after z - 10 is
+    formed, not from the power basis, whose terms cancel near 10.
+    Structural like degree: no leading zero is trimmed, so
+    len(coefficients(e)) - 1 == degree(e) always (z - z gives [0, 0]).  The
+    cost grows with the square of the degree, so check degree(e) first.
+    """
+    z = np.asarray(z, dtype=complex)
+    match e:
+        case Const(value):
+            return np.full((1,) + z.shape, value, dtype=complex)
+        case Var():
+            return np.stack([z, np.ones_like(z)])
+        case Add(left, right) | Mul(left, right):
+            a, b = coefficients(left, z), coefficients(right, z)
+            if a is None or b is None:
+                return None
+            if len(a) > len(b):
+                a, b = b, a
+            if isinstance(e, Mul):
+                return _series_product(a, b)
+            out = b.copy()
+            out[:len(a)] += a
+            return out
+        case Neg(operand):
+            a = coefficients(operand, z)
+            return None if a is None else -a
+        case Pow(base, k):
+            a = coefficients(base, z)
+            if a is None:
+                return None
+            out = np.ones((1,) + z.shape, dtype=complex)
+            while k:  # by squaring
+                if k & 1:
+                    out = _series_product(out, a)
+                k >>= 1
+                if k:
+                    a = _series_product(a, a)
+            return out
+        case Exp(operand):
+            a = coefficients(operand, z)
+            return None if a is None or len(a) > 1 else np.exp(a)
+    raise TypeError(f"not an expression: {e!r}")
+
+
+def _series_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The coefficients of the product of two polynomials in h, given along
+    the first axis; one array operation per coefficient of a."""
+    out = np.zeros((len(a) + len(b) - 1,) + a.shape[1:], dtype=complex)
+    for i, ai in enumerate(a):
+        out[i:i + len(b)] += ai * b
+    return out
 
 
 # --------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circles import NonFiniteError, circle_max
-from .expressions import HarmonicComponent, HarmonicMap
+from .expressions import HarmonicComponent, HarmonicMap, coefficients
 from .reports import TheoremVerdict
 from .zeros import NoSignChangeError, Rect, _bisect, _sign_change_edges
 
@@ -31,6 +31,10 @@ __all__ = [
 
 CENTER_GRID_N = 96
 SEARCH_SAMPLES = 1024
+# polynomial components of degree 2 up to this one are sampled on the scan
+# circles from Taylor coefficients; the table of cos kt and sin kt is then
+# at most (2 * 64 + 2) x SEARCH_SAMPLES doubles, about 1 MB
+TAYLOR_MAX_DEGREE = 64
 PRUNE_MARGIN = 1.05       # the sampled circle maximum is only nearly monotone
 # the certificates and the range check of a rescaled map use one mesh
 CHECK_GRID_N = 101
@@ -88,6 +92,53 @@ def _candidate_centers(u: HarmonicComponent, R: float) -> list[complex]:
     return _bisect(u.value, *_sign_change_edges(Z, u.value(Z))).tolist()
 
 
+def _scan_sampler(u: HarmonicComponent, centers: list[complex]):
+    """A function of (i, r): the SEARCH_SAMPLES values of u on the circle of
+    radius r about centers[i], at the angles 2 pi n / SEARCH_SAMPLES.
+
+    For a polynomial F of degree d with Taylor coefficients b_k at z,
+    u(z + r e^{it}) is the real or imaginary part of sum_k b_k r^k e^{ikt}: a
+    trigonometric polynomial of degree d.  The b_k of all centers come from
+    one pass over the expression tree (coefficients), and a circle is the
+    product of its 2d+2 reals Re b_k r^k, Im b_k r^k with a fixed table of
+    cos kt and sin kt.  By Cauchy's estimate |b_k| r^k <= max |F| on the
+    circle, so a sum of the product overflows only where F comes within a
+    factor 2d+2 of the float range there, and _finite reports it.
+
+    Degree 1 gains nothing from the table (and every disc of radius R/2 of
+    a linear map ties exactly, so rounding would pick another), so it is
+    evaluated directly, as are transcendental components and degrees above
+    TAYLOR_MAX_DEGREE.
+    """
+    theta = np.arange(SEARCH_SAMPLES) * (2.0 * math.pi / SEARCH_SAMPLES)
+    ring = np.exp(1j * theta)
+
+    def direct(i: int, r: float) -> np.ndarray:
+        return np.asarray(u.value(centers[i] + r * ring), dtype=float)
+
+    d = u.degree()
+    if d is None or not 2 <= d <= TAYLOR_MAX_DEGREE:
+        return direct
+    b = coefficients(u.expr, np.array(centers, dtype=complex))
+    # Re(b e^{ikt}) = Re b cos kt - Im b sin kt, Im(b e^{ikt}) = Im b cos kt
+    # + Re b sin kt
+    parts = (b.real, -b.imag) if u.part == "real" else (b.imag, b.real)
+    rows = np.ascontiguousarray(np.concatenate(parts).T)
+    k = np.arange(d + 1)
+    kk = np.concatenate([k, k])
+    # k n reduced mod SEARCH_SAMPLES: each k t is one of the ring's angles
+    angle = (np.outer(k, np.arange(SEARCH_SAMPLES)) % SEARCH_SAMPLES) \
+        * (2.0 * math.pi / SEARCH_SAMPLES)
+    table = np.concatenate([np.cos(angle), np.sin(angle)])
+    powers: dict[float, np.ndarray] = {}  # r^k of the 40 scanned radii
+
+    def from_table(i: int, r: float) -> np.ndarray:
+        if r not in powers:
+            powers[r] = r ** kk
+        return (rows[i] * powers[r]) @ table
+    return from_table
+
+
 def _finite(value: float, z: complex, r: float) -> float:
     """value, an extreme of u on |w - z| = r, unless it overflowed: a NaN
     score compares false with every key, so it would never be replaced."""
@@ -102,9 +153,19 @@ def _finite(value: float, z: complex, r: float) -> float:
 def lewis_disc_search(u: HarmonicComponent, R: float,
                       C0_budget: float = 100.0) -> LewisDisc:
     """Search discs centered on the zero set with dyadic radii; return the
-    one minimizing max(doubling_ratio, growth_ratio)."""
-    if R <= 0:
-        raise ValueError("R must be positive")
+    one minimizing max(doubling_ratio, growth_ratio).
+
+    The scan samples each circle at SEARCH_SAMPLES points.  A polynomial
+    component of degree 2 up to TAYLOR_MAX_DEGREE is sampled there from its
+    Taylor coefficients at the center (see _scan_sampler); any other is
+    evaluated directly.  The winning disc is refined with circle_max, by
+    direct evaluation, and every reported value comes from that refinement.
+    """
+    if not (math.isfinite(R) and R > 0):
+        raise ValueError(f"R must be finite and positive, got {R}")
+    if not (math.isfinite(C0_budget) and C0_budget > 0):
+        raise ValueError(
+            f"C0_budget must be finite and positive, got {C0_budget}")
     M_half = circle_max(u, 0.0, R / 2.0).value
     osc = circle_max(u, 0.0, R / 2.0, absolute=True).value
     if not (math.isfinite(M_half) and math.isfinite(osc)):
@@ -115,19 +176,17 @@ def lewis_disc_search(u: HarmonicComponent, R: float,
         raise ConstantComponentError("u is constant at this scale")
 
     centers = _candidate_centers(u, R)
-    theta = np.arange(SEARCH_SAMPLES) * (2.0 * math.pi / SEARCH_SAMPLES)
-    ring = np.exp(1j * theta)
+    sample = _scan_sampler(u, centers)
 
     best = None  # ((score, r, center key), center, r)
-    for z in centers:
+    for i, z in enumerate(centers):
         zval = abs(float(u.value(z)))
         max_r = R - abs(z)
         for j in range(1, 21):
             r = R * 2.0 ** (-j)
             if r > max_r:
                 continue
-            circ = z + r * ring
-            vals = np.asarray(u.value(circ), dtype=float)
+            vals = sample(i, r)
             M_u = _finite(float(vals.max()), z, r)
             # maximum principle: M(u, z, r) does not grow as r shrinks, so
             # once the growth ratio alone loses, no smaller radius can win
@@ -137,7 +196,7 @@ def lewis_disc_search(u: HarmonicComponent, R: float,
             M_abs = max(M_u, -_finite(float(vals.min()), z, r))
             if M_abs <= 0 or zval > 1e-9 * M_abs:
                 continue
-            vals34 = np.asarray(u.value(z + 0.75 * r * ring), dtype=float)
+            vals34 = sample(i, 0.75 * r)
             M_34 = _finite(float(vals34.max()), z, 0.75 * r)
             if M_34 <= 0 or M_u <= 0:
                 continue

@@ -172,8 +172,13 @@ def trace_zero_set(u: HarmonicComponent, box: Rect,
                    step: float) -> list[ZeroCurve]:
     """Predictor-corrector marching along the zero level set of u; a branch
     also ends where the corrector does not converge."""
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"step must be finite and positive, got {step}")
+    # chained comparisons are false for NaN as well
+    if not (-math.inf < box.x0 < box.x1 < math.inf
+            and -math.inf < box.y0 < box.y1 < math.inf):
+        raise ValueError(f"box must be finite with x0 < x1 and y0 < y1, "
+                         f"got {box}")
     seeds = _seed_zeros(u, box)
     if not seeds:
         return []
@@ -343,6 +348,8 @@ def _sign_changes_on_circle(u: HarmonicComponent, R: float) -> int:
 def tract_report(u: HarmonicComponent, R: float) -> TractReport:
     """Count unbounded sign components of a harmonic polynomial outside a
     large disc via boundary sign changes; 2n of them for degree n."""
+    if not (math.isfinite(R) and R > 0):
+        raise ValueError(f"radius R must be finite and positive, got {R}")
     deg = u.degree()
     if deg is None:
         raise NotPolynomialError("component is not polynomial")

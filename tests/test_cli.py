@@ -292,6 +292,28 @@ def test_bad_input_exit_two_without_traceback(capsys, argv):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["lewis-discs", "--map", "u=re(z); v=im(z)", "--R", "nan"],
+    ["lewis-discs", "--map", "u=re(z); v=im(z)", "--R", "inf"],
+    ["lewis-discs", "--map", "u=re(z); v=im(z)", "--R", "4", "--budget", "nan"],
+    ["rescale", "--map", "u=re(z); v=im(z)", "--schedule", "2,nan"],
+    ["zeros", "--map", "u=re(z); v=im(z)", "--box=-1,1,-1,1", "--step", "nan"],
+    ["zeros", "--map", "u=re(z); v=im(z)", "--box=-1,1,-1,nan"],
+    ["zeros", "--map", "u=re(z); v=im(z)", "--box=1,-1,-1,1"],
+    ["tracts", "--map", "u=re(z^2); v=im(z)", "--R", "nan"],
+    ["tracts", "--map", "u=re(z^2); v=im(z)", "--R", "inf"],
+])
+def test_a_non_finite_or_empty_input_exits_two_saying_so(capsys, argv):
+    # these once exited 0 with an empty or unmet answer, or 2 blaming an
+    # overflow of the map or the JSON encoder
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "must be finite" in captured.err
+    assert "Traceback" not in captured.err
+
+
 EXP_EXP = "u=re(exp(exp(z))); v=im(exp(exp(z)))"
 
 

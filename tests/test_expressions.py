@@ -13,9 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from harmonic_range.expressions import (MAX_DEPTH, MAX_NESTING, Add, Const,
                                         Exp, Mul, Neg, ParseError, Pow, Var, Z,
-                                        _compile, degree, derivative,
-                                        evaluate, parse_expr, parse_map,
-                                        to_source)
+                                        _compile, coefficients, degree,
+                                        derivative, evaluate, parse_expr,
+                                        parse_map, to_source)
 
 
 @pytest.mark.parametrize("src", [
@@ -107,6 +107,29 @@ def test_derivative_folds_trivial_terms():
 ])
 def test_degree(src, deg):
     assert degree(parse_expr(src)) == deg
+
+
+@pytest.mark.parametrize("src,want", [
+    ("2.5", [2.5]),
+    ("z", [0, 1]),
+    ("z-z", [0, 0]),                      # structural: no leading zero trimmed
+    ("z^0", [1]),
+    ("(z+1)^2", [1, 2, 1]),
+    ("-(z*z)+i", [1j, 0, -1]),
+    ("(z+1)*(z-1)", [-1, 0, 1]),
+    ("exp(2)*z^2", [0, 0, math.exp(2)]),
+    ("(2*z-1)^3", [-1, 6, -12, 8]),
+])
+def test_coefficients(src, want):
+    assert coefficients(parse_expr(src)) == pytest.approx(want, rel=1e-15)
+
+
+@pytest.mark.parametrize("src", ["exp(z)", "z*exp(z-z)", "exp(z)-exp(z)",
+                                 "exp(z^0*z)", "(z+exp(i*z))^2"])
+def test_coefficients_of_a_transcendental_expression_are_none(src):
+    e = parse_expr(src)
+    assert degree(e) is None
+    assert coefficients(e) is None
 
 
 def test_pow_rejects_negative_exponent():
@@ -347,6 +370,28 @@ def test_compiled_program_matches_mpmath_at_50_digits():
                 tol = 1e-13 * (1.0 + _scale(e, abs(zk)))
                 assert abs(mpmath.mpc(complex(values[k])) - exact) <= tol, to_source(e)
                 assert abs(mpmath.mpc(program(complex(zk))) - exact) <= tol, to_source(e)
+
+
+def test_coefficients_match_the_evaluator_on_random_trees():
+    # powers of sums, products, negations and exp of z-free subtrees, never
+    # in Horner form; the transcendental trees have no coefficients.  The
+    # coefficients of e(z + h) in h, about 0 and about 16 centers at once
+    centers, h = _points(16, 13), 0.5 * _points(16, 14)
+    trees = _random_trees(13, 300)
+    assert sum(degree(e) is not None for e in trees) > 150
+    for e in trees:
+        for z in (0j, centers):
+            c = coefficients(e, z)
+            if degree(e) is None:
+                assert c is None, to_source(e)
+                continue
+            assert c.shape == (degree(e) + 1,) + np.shape(z), to_source(e)
+            series = np.zeros_like(h)
+            for ck in c[::-1]:            # Horner's rule
+                series = series * h + ck
+            scale = np.array([_scale(e, x) for x in np.abs(z) + np.abs(h)])
+            err = np.abs(series - evaluate(e, z + h))
+            assert np.all(err <= 1e-12 * scale), to_source(e)
 
 
 def test_map_value_matches_tree_walk_bit_for_bit():

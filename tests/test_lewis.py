@@ -1,18 +1,22 @@
 """Zero finding, disc search, and rescaled unit-disc maps."""
 
 import math
+import re
 
+import mpmath
 import numpy as np
 import pytest
 
 from harmonic_range import lewis
-from harmonic_range.expressions import (Add, Const, HarmonicComponent, Mul, Z,
+from harmonic_range.expressions import (Add, Const, Exp, HarmonicComponent,
+                                        Mul, Neg, Pow, Var, Z, degree,
                                         parse_map)
 from harmonic_range.circles import NonFiniteError, circle_max
 from harmonic_range.arcs import ArcSet
 from harmonic_range.lewis import (SEARCH_SAMPLES, LewisDisc,
-                                  _candidate_centers, lewis_disc_search,
-                                  rescaled_range_check, rescaled_sequence)
+                                  _candidate_centers, _scan_sampler,
+                                  lewis_disc_search, rescaled_range_check,
+                                  rescaled_sequence)
 from harmonic_range.zeros import NoSignChangeError, Rect, find_zero
 
 
@@ -235,3 +239,198 @@ def test_pruned_search_matches_exhaustive_scan_on_polynomials(monkeypatch, u, R)
     monkeypatch.setattr(lewis, "CENTER_GRID_N", 12)
     assert lewis_disc_search(u, R).to_dict() == \
         _exhaustive_disc_search(u, R).to_dict()
+
+
+def _random_polynomial(rng, deg, depth=3):
+    """Seeded random tree of degree deg, not in Horner form: powers of sums,
+    products, negations and exp of constants."""
+    def const():
+        c = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        return Exp(Const(c)) if rng.random() < 0.2 else Const(c)
+    if deg == 0:
+        return const()
+    if deg == 1:
+        return Add(Mul(const(), Z), const())
+    forms = ["mul"] + ["add", "neg"] * (depth > 0)
+    divisors = [k for k in range(2, deg + 1) if deg % k == 0]
+    form = rng.choice(forms + ["pow"] * bool(divisors))
+    if form == "pow":
+        k = int(rng.choice(divisors))
+        return Pow(_random_polynomial(rng, deg // k, depth), k)
+    if form == "mul":
+        a = int(rng.integers(1, deg))
+        return Mul(_random_polynomial(rng, a, depth),
+                   _random_polynomial(rng, deg - a, depth))
+    if form == "neg":
+        return Neg(_random_polynomial(rng, deg, depth - 1))
+    lower = int(rng.integers(0, deg))
+    return Add(_random_polynomial(rng, deg, depth - 1),
+               _random_polynomial(rng, lower, depth - 1))
+
+
+def _majorant(e, x):
+    """e with every constant replaced by its modulus, at x = |z| + r: it
+    bounds every term summed on the way to e on the circle |w - z| = r, so
+    rounding errors are a small multiple of eps times it."""
+    match e:
+        case Const(value):
+            return abs(value)
+        case Var():
+            return x
+        case Add(left, right):
+            return _majorant(left, x) + _majorant(right, x)
+        case Mul(left, right):
+            return _majorant(left, x) * _majorant(right, x)
+        case Neg(operand):
+            return _majorant(operand, x)
+        case Pow(base, k):
+            return _majorant(base, x) ** k
+        case Exp(operand):
+            return math.exp(_majorant(operand, x))
+    raise TypeError(e)
+
+
+def test_taylor_table_samples_match_direct_evaluation():
+    rng = np.random.default_rng(3)
+    ring = np.exp(1j * np.arange(SEARCH_SAMPLES) * (2.0 * math.pi / SEARCH_SAMPLES))
+    cases = [(_random_polynomial(rng, int(rng.integers(2, 9))), k % 2)
+             for k in range(60)]
+    cases.append((Pow(Add(Mul(Const(0.5 + 0.1j), Z), Const(0.3)), 64), 0))
+    for k, (expr, part) in enumerate(cases):
+        u = HarmonicComponent(expr, ("real", "imag")[part])
+        z = complex(*rng.uniform(-3.0, 3.0, size=2))
+        r = float(rng.uniform(0.01, 3.0))
+        samples = _scan_sampler(u, [z])(0, r)
+        want = np.asarray(u.value(z + r * ring), dtype=float)
+        bound = 64 * np.finfo(float).eps * _majorant(expr, abs(z) + r)
+        assert np.max(np.abs(samples - want)) <= bound, k
+
+
+def test_taylor_table_keeps_the_accuracy_of_the_tree():
+    # in the power basis, (z - 10)^8 has terms near 10^8 that cancel near
+    # 10: expanded from it, these samples of size 1e-9 were wrong by 1e3
+    # times their size.  Expanded about the center after z - 10 is formed,
+    # they are as accurate as direct evaluation
+    u = parse_map("u=re((z-10)^8); v=im(z)").u
+    z = 10 + 0.1 * complex(math.cos(math.pi / 16), math.sin(math.pi / 16))
+    r = 1e-3
+    samples = _scan_sampler(u, [z])(0, r)
+    ks = range(0, SEARCH_SAMPLES, 64)
+    with mpmath.workdps(40):
+        exact = np.array([float(mpmath.re(
+            (mpmath.mpc(z) - 10 + r * mpmath.expjpi(mpmath.mpf(2 * k) / SEARCH_SAMPLES))
+            ** 8)) for k in ks])
+    assert np.max(np.abs(samples[list(ks)] - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+
+def _high_degree_searches(seed=11):
+    """(component, R) pairs: re or im of a random tree of degree 5-8."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for k, deg in enumerate((5, 5, 6, 6, 7, 7, 8, 8)):
+        expr = _random_polynomial(rng, deg)
+        assert degree(expr) == deg
+        u = HarmonicComponent(expr, ("real", "imag")[k % 2])
+        out.append((u, round(float(rng.uniform(4.0, 30.0)), 3)))
+    return out
+
+
+@pytest.mark.parametrize("u,R", [
+    pytest.param(u, R, id=f"deg{u.degree()}-{k}")
+    for k, (u, R) in enumerate(_high_degree_searches())])
+def test_pruned_search_matches_exhaustive_scan_on_high_degrees(monkeypatch, u, R):
+    # the scan samples these from the Taylor table, the oracle evaluates
+    # every circle directly
+    monkeypatch.setattr(lewis, "CENTER_GRID_N", 12)
+    assert lewis_disc_search(u, R).to_dict() == \
+        _exhaustive_disc_search(u, R).to_dict()
+
+
+_VALUE = HarmonicComponent.value
+_CANDIDATE_CENTERS = lewis._candidate_centers
+
+
+def _scan_evaluations(monkeypatch, u, R) -> int:
+    """Array evaluations of u in lewis_disc_search outside the center search
+    and the circle maxima: those of the radius scan."""
+    elsewhere = [0]
+    count = [0]
+
+    def value(self, z):
+        if isinstance(z, np.ndarray) and not elsewhere[0]:
+            count[0] += 1
+        return _VALUE(self, z)
+
+    def off_scan(fn):
+        def wrapped(*args, **kwargs):
+            elsewhere[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                elsewhere[0] -= 1
+        return wrapped
+
+    monkeypatch.setattr(HarmonicComponent, "value", value)
+    monkeypatch.setattr(lewis, "_candidate_centers", off_scan(_CANDIDATE_CENTERS))
+    monkeypatch.setattr(lewis, "circle_max", off_scan(circle_max))
+    lewis_disc_search(u, R)
+    return count[0]
+
+
+@pytest.mark.parametrize("src,R,table", [
+    ("u=re(z^2+z); v=im(z)", 8.0, True),
+    ("u=im((1+i)*z^3-2); v=im(z)", 8.0, True),
+    ("u=re(z^64+z); v=im(z)", 2.0, True),          # the cap
+    ("u=re(z); v=im(z)", 8.0, False),
+    ("u=im(exp(z)); v=re(exp(z))", 8.0, False),
+    ("u=re(z^65+z); v=im(z)", 2.0, False),         # above the cap
+])
+def test_the_scan_evaluates_u_only_off_the_table(monkeypatch, src, R, table):
+    assert lewis.TAYLOR_MAX_DEGREE == 64
+    monkeypatch.setattr(lewis, "CENTER_GRID_N", 12)
+    u = parse_map(src).u
+    now = _scan_evaluations(monkeypatch, u, R)
+    # a cap of 1 turns the table off: every circle is evaluated directly
+    monkeypatch.setattr(lewis, "TAYLOR_MAX_DEGREE", 1)
+    direct = _scan_evaluations(monkeypatch, u, R)
+    assert direct > 0
+    assert now == (0 if table else direct)
+
+
+def test_a_degree_above_the_cap_builds_no_coefficient_array(monkeypatch):
+    u = parse_map("u=re(z^100000); v=im(z)").u
+
+    def refuse(expr):
+        raise AssertionError("the coefficients of z^100000 were expanded")
+    monkeypatch.setattr(lewis, "coefficients", refuse)
+    with pytest.raises(Exception) as got:
+        lewis_disc_search(u, 2.0)
+    assert not isinstance(got.value, AssertionError)
+    # the error of the scan without the table
+    monkeypatch.setattr(lewis, "TAYLOR_MAX_DEGREE", 1)
+    with pytest.raises(type(got.value), match=f"^{re.escape(str(got.value))}$"):
+        lewis_disc_search(u, 2.0)
+
+
+@pytest.mark.parametrize("R", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_a_radius_not_finite_and_positive_is_a_bad_input(R):
+    # NaN and inf once came out as NonFiniteError, "the map overflows"
+    u = parse_map("u=re(z^2); v=im(z)").u
+    for search in (lambda: lewis_disc_search(u, R), lambda: circle_max(u, 0.0, R)):
+        with pytest.raises(ValueError, match="finite and positive") as exc:
+            search()
+        assert not isinstance(exc.value, NonFiniteError)
+
+
+@pytest.mark.parametrize("budget", [math.nan, math.inf, 0.0, -1.0])
+def test_a_budget_not_finite_and_positive_is_a_bad_input(budget):
+    u = parse_map("u=re(z); v=im(z)").u
+    with pytest.raises(ValueError, match="C0_budget must be finite and positive"):
+        lewis_disc_search(u, 4.0, C0_budget=budget)
+
+
+def test_a_nan_in_the_schedule_is_a_bad_input():
+    # NaN compares false, so it passes the increasing check
+    with pytest.raises(ValueError, match="finite and positive") as exc:
+        rescaled_sequence(parse_map("u=re(z); v=im(z)"), [2.0, math.nan])
+    assert not isinstance(exc.value, NonFiniteError)

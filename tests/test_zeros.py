@@ -134,6 +134,27 @@ def test_tract_count_twice_degree(src, deg):
     assert rep.components == 2 * deg
 
 
+@pytest.mark.parametrize("box,step", [
+    (Rect(-1, 1, -1, 1), math.nan),
+    (Rect(-1, 1, -1, 1), math.inf),
+    (Rect(-1, 1, -1, math.nan), 0.05),
+    (Rect(-1, math.inf, -1, 1), 0.05),
+    (Rect(1, -1, -1, 1), 0.05),           # reversed
+    (Rect(-1, 1, 1, -1), 0.05),
+    (Rect(-1, 1, 0.5, 0.5), 0.05),        # empty
+])
+def test_trace_zero_set_refuses_inputs_that_give_no_curves(box, step):
+    # each of these once returned [] without a word
+    with pytest.raises(ValueError, match="must be finite"):
+        trace_zero_set(_u("u=re(z); v=im(z)"), box, step)
+
+
+@pytest.mark.parametrize("R", [math.nan, math.inf, 0.0, -1.0])
+def test_tract_report_refuses_a_radius_not_finite_and_positive(R):
+    with pytest.raises(ValueError, match="finite and positive"):
+        tract_report(_u("u=re(z^2); v=im(z)"), R)
+
+
 def test_tract_report_rejects_transcendental():
     with pytest.raises(NotPolynomialError):
         tract_report(_u("u=im(exp(z)); v=im(z)"), 10.0)
