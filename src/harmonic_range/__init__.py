@@ -6,8 +6,8 @@ asymptotic-direction estimation, Lewis discs and rescaled maps, zero-set
 tracing, and theorem-instance checkers.
 """
 
-from .arcs import ArcSet, circle_distance
-from .catalog import CatalogEntry, entry_names, get_entry, load_catalog
+from .arcs import ArcSet
+from .catalog import CatalogEntry, get_entry, load_catalog
 from .circles import (CircleMax, FourierProfile, NonFiniteError, circle_max,
                       circle_values, fourier_profile, harnack_bound_check,
                       lemma_abs_check, multiplicity)
@@ -32,8 +32,8 @@ from .zeros import (DependenceReport, Rect, TractReport, ZeroCurve,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArcSet", "circle_distance",
-    "CatalogEntry", "entry_names", "get_entry", "load_catalog",
+    "ArcSet",
+    "CatalogEntry", "get_entry", "load_catalog",
     "CircleMax", "FourierProfile", "NonFiniteError", "circle_max",
     "circle_values", "fourier_profile", "harnack_bound_check",
     "lemma_abs_check", "multiplicity",

@@ -15,7 +15,7 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-__all__ = ["ArcSet", "TWO_PI", "circle_distance"]
+__all__ = ["ArcSet", "TWO_PI"]
 
 
 def _mod(theta: float) -> float:
@@ -26,12 +26,6 @@ def _mod(theta: float) -> float:
     if t >= TWO_PI:
         t -= TWO_PI
     return t
-
-
-def circle_distance(a: float, b: float) -> float:
-    """Geodesic distance between two angles on the circle."""
-    d = abs(_mod(a) - _mod(b))
-    return min(d, TWO_PI - d)
 
 
 def _add_piece(pieces: list[tuple[float, float]], lo: float, hi: float):

@@ -12,7 +12,7 @@ from .arcs import ArcSet
 from .expressions import HarmonicMap, parse_map
 from .ranges import DirectionEstimate, RangeSample, estimate_directions, sample_range
 
-__all__ = ["CatalogEntry", "CatalogError", "load_catalog", "get_entry", "entry_names"]
+__all__ = ["CatalogEntry", "CatalogError", "load_catalog", "get_entry"]
 
 
 class CatalogError(RuntimeError):
@@ -36,7 +36,7 @@ class CatalogEntry:
     def harmonic_map(self) -> HarmonicMap:
         if self.kind != "map":
             raise CatalogError(f"catalog entry {self.name!r} holds no map")
-        return parse_map(self.map_source, name=self.name)
+        return parse_map(self.map_source)
 
     def sample(self) -> RangeSample:
         p = self.params
@@ -55,8 +55,7 @@ class CatalogEntry:
     def expected_directions(self) -> Optional[ArcSet]:
         if "directions" not in self.expected:
             return None
-        return ArcSet.from_intervals(
-            [tuple(a) for a in self.expected["directions"]])
+        return ArcSet.from_intervals(self.expected["directions"])
 
     def to_dict(self) -> dict:
         out = {"name": self.name, "kind": self.kind,
@@ -83,9 +82,7 @@ def load_catalog() -> dict[str, CatalogEntry]:
     doc = json.loads(raw.decode())
     entries = {}
     for item in doc["entries"]:
-        arcs = None
-        if item["kind"] == "arcset":
-            arcs = ArcSet.from_intervals([tuple(a) for a in item["arcs"]])
+        arcs = ArcSet.from_dict(item) if item["kind"] == "arcset" else None
         entries[item["name"]] = CatalogEntry(
             name=item["name"], kind=item["kind"],
             expected=item["expected"], provenance=item["provenance"],
@@ -101,7 +98,3 @@ def get_entry(name: str) -> CatalogEntry:
     except KeyError:
         raise CatalogError(
             f"unknown catalog entry {name!r}; available: {sorted(cat)}") from None
-
-
-def entry_names() -> list[str]:
-    return sorted(load_catalog())

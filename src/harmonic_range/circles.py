@@ -62,22 +62,24 @@ class NonFiniteError(ValueError):
     """A maximum or a sample came out inf or NaN: the map overflows."""
 
 
+def _require_finite(values: np.ndarray, what: str) -> None:
+    """NonFiniteError if any of values, the samples named by what, is inf or NaN."""
+    bad = int(np.count_nonzero(~np.isfinite(values)))
+    if bad:
+        raise NonFiniteError(f"{bad} of {values.size} {what} are not finite: "
+                             "the map overflows")
+
+
+def _require_positive(value: float, name: str) -> None:
+    """ValueError unless the input called name is finite and positive."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 @dataclass(frozen=True)
 class CircleMax:
-    center: complex
-    radius: float
     value: float
     argmax_angle: float
-    samples_used: int
-
-    def to_dict(self) -> dict:
-        return {
-            "center": [self.center.real, self.center.imag],
-            "radius": self.radius,
-            "value": self.value,
-            "argmax_angle": self.argmax_angle,
-            "samples_used": self.samples_used,
-        }
 
 
 def circle_values(u: HarmonicComponent, center: complex, radius: float,
@@ -108,8 +110,7 @@ def _golden_max(g, lo: float, hi: float) -> tuple[float, float]:
 def circle_max(u: HarmonicComponent, z: complex, r: float,
                absolute: bool = False, n: int = DEFAULT_SAMPLES) -> CircleMax:
     """M(u, z, r) (or M(|u|, z, r) with absolute=True)."""
-    if not (math.isfinite(r) and r > 0):
-        raise ValueError(f"radius must be finite and positive, got {r}")
+    _require_positive(r, "radius")
     vals = circle_values(u, z, r, n)
     nan = int(np.count_nonzero(np.isnan(vals)))
     if nan:
@@ -122,9 +123,8 @@ def circle_max(u: HarmonicComponent, z: complex, r: float,
     left = np.roll(vals, 1)
     right = np.roll(vals, -1)
     is_peak = (vals >= left) & (vals >= right)
+    # never empty: with NaN refused, the largest value is a peak
     peaks = np.nonzero(is_peak)[0]
-    if peaks.size == 0:
-        peaks = np.array([int(np.argmax(vals))])
     order = np.lexsort((peaks, -vals[peaks]))  # by value desc, then smaller angle
     top = peaks[order][:REFINE_PEAKS]
     step = 2.0 * math.pi / n
@@ -145,9 +145,7 @@ def circle_max(u: HarmonicComponent, z: complex, r: float,
     if vals[k0] > best_val:
         best_val = float(vals[k0])
         best_theta = k0 * step
-    return CircleMax(center=z, radius=r, value=best_val,
-                     argmax_angle=best_theta % (2.0 * math.pi),
-                     samples_used=n)
+    return CircleMax(value=best_val, argmax_angle=best_theta % (2.0 * math.pi))
 
 
 @dataclass(frozen=True)

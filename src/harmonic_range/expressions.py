@@ -302,6 +302,15 @@ def _wrap(e: Expr, *parenthesized: type) -> str:
 # Evaluation and differentiation
 # --------------------------------------------------------------------------
 
+def _scalar_pow(w: complex, k: int) -> complex:
+    """w ** k, or numpy's inf or NaN where Python's raises OverflowError."""
+    try:
+        return w ** k
+    except OverflowError:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return complex(np.power(w, k))
+
+
 # One operation per node type.  Array operations are explicit ufunc calls:
 # with `a * b` numpy may reuse a large temporary b in place as `b * a`, and
 # complex multiplication is not bitwise commutative under SIMD.  Pow keeps
@@ -309,7 +318,7 @@ def _wrap(e: Expr, *parenthesized: type) -> str:
 _ARRAY_OPS = {Add: np.add, Mul: np.multiply, Neg: np.negative,
               Pow: operator.pow, Exp: np.exp}
 _SCALAR_OPS = {Add: operator.add, Mul: operator.mul, Neg: operator.neg,
-               Pow: operator.pow, Exp: lambda w: complex(np.exp(w))}
+               Pow: _scalar_pow, Exp: lambda w: complex(np.exp(w))}
 
 
 def _node(op, a, *rest):
@@ -530,12 +539,8 @@ class HarmonicComponent:
         return _compile(self.expr)
 
     @cached_property
-    def deriv_expr(self) -> Expr:
-        return derivative(self.expr)
-
-    @cached_property
     def _deriv_program(self):
-        return _compile(self.deriv_expr)
+        return _compile(derivative(self.expr))
 
     def __getstate__(self):
         # the compiled programs are closures, which pickle cannot store;
@@ -567,10 +572,6 @@ class HarmonicComponent:
     def degree(self) -> int | None:
         return degree(self.expr)
 
-    def to_source(self) -> str:
-        sel = "re" if self.part == "real" else "im"
-        return f"{sel}({to_source(self.expr)})"
-
 
 @dataclass
 class HarmonicMap:
@@ -578,15 +579,9 @@ class HarmonicMap:
 
     u: HarmonicComponent
     v: HarmonicComponent
-    name: str | None = None
 
     def value(self, z):
         return self.u.value(z) + 1j * self.v.value(z)
-
-    __call__ = value
-
-    def to_source(self) -> str:
-        return f"u={self.u.to_source()}; v={self.v.to_source()}"
 
 
 def _parse_component(tk: _Tokens, slot: str) -> HarmonicComponent:
@@ -599,7 +594,7 @@ def _parse_component(tk: _Tokens, slot: str) -> HarmonicComponent:
     return HarmonicComponent(_parse_tree(tk, ")"), _PARTS[part])
 
 
-def parse_map(src: str, name: str | None = None) -> HarmonicMap:
+def parse_map(src: str) -> HarmonicMap:
     """Parse a map literal of the form ``u=re(<expr>); v=im(<expr>)``.
 
     Whitespace may stand between any two tokens, and a ParseError's
@@ -609,4 +604,4 @@ def parse_map(src: str, name: str | None = None) -> HarmonicMap:
     tk.expect(";")
     v = _parse_component(tk, "v")
     tk.expect("")
-    return HarmonicMap(u, v, name=name)
+    return HarmonicMap(u, v)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circles import NonFiniteError, circle_max
+from .circles import NonFiniteError, _require_positive, circle_max
 from .expressions import HarmonicComponent, HarmonicMap, coefficients
 from .reports import TheoremVerdict
 from .zeros import NoSignChangeError, Rect, _bisect, _sign_change_edges
@@ -161,11 +161,8 @@ def lewis_disc_search(u: HarmonicComponent, R: float,
     evaluated directly.  The winning disc is refined with circle_max, by
     direct evaluation, and every reported value comes from that refinement.
     """
-    if not (math.isfinite(R) and R > 0):
-        raise ValueError(f"R must be finite and positive, got {R}")
-    if not (math.isfinite(C0_budget) and C0_budget > 0):
-        raise ValueError(
-            f"C0_budget must be finite and positive, got {C0_budget}")
+    _require_positive(R, "R")
+    _require_positive(C0_budget, "C0_budget")
     M_half = circle_max(u, 0.0, R / 2.0).value
     osc = circle_max(u, 0.0, R / 2.0, absolute=True).value
     if not (math.isfinite(M_half) and math.isfinite(osc)):
@@ -235,9 +232,6 @@ class RescaledMap:
     def V(self, z):
         w = self.disc.center + self.disc.radius * np.asarray(z, dtype=complex)
         return self.source.v.value(w) / self.disc.M
-
-    def value(self, z):
-        return self.U(z) + 1j * self.V(z)
 
     def certify(self) -> dict:
         """Check the three rescaling certificates on a grid."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arcs import ArcSet, TWO_PI
-from .circles import NonFiniteError
+from .circles import _require_finite, _require_positive
 from .expressions import HarmonicMap
 
 __all__ = [
@@ -139,8 +139,7 @@ def sample_range(f: HarmonicMap, R: float, n_grid: int = 256,
     NonFiniteError."""
     if n_grid < 64:
         raise ValueError("n_grid must be at least 64")
-    if not (math.isfinite(R) and R > 0):
-        raise ValueError(f"radius R must be finite and positive, got {R}")
+    _require_positive(R, "radius R")
     m = n_grid * n_grid
     z = np.empty(2 * m, dtype=complex)  # the grid, then the Sobol' points
     radii = R * (np.arange(1, n_grid + 1) / n_grid)
@@ -174,15 +173,6 @@ class DirectionEstimate:
             "radius": self.radius,
             "occupied_bins": self.occupied_bins,
         }
-
-
-def _require_finite(samples: RangeSample) -> None:
-    """Nonfinite values carry no direction or slab, and dropping them would
-    drop the largest moduli, which decide the answer."""
-    bad = int(np.count_nonzero(~np.isfinite(samples.w)))
-    if bad:
-        raise NonFiniteError(f"{bad} of {samples.count} samples of the range "
-                             "are not finite: the map overflows")
 
 
 def _quantiles(x: np.ndarray, qs) -> np.ndarray:
@@ -225,7 +215,7 @@ def _default_cutoffs(mods: np.ndarray) -> tuple[float, ...]:
         ladder.append(m)
         m *= 4.0
     cuts = sorted(set(qs + ladder))
-    return tuple(cuts) if cuts else (top,)
+    return tuple(cuts)  # never empty: it holds the quantiles
 
 
 def _bin_index(w: np.ndarray, bins: int) -> np.ndarray:
@@ -253,7 +243,8 @@ def estimate_directions(samples: RangeSample, bins: int = 720,
     the stabilization index on; merge surviving bins into closed arcs."""
     if bins < 90:
         raise ValueError("need at least 90 bins")
-    _require_finite(samples)
+    # the largest moduli decide, so overflowed samples cannot be dropped
+    _require_finite(samples.w, "samples of the range")
     w = samples.w
     mods = np.abs(w)
     if cutoffs is None:
@@ -395,7 +386,7 @@ class PhiProfile:
 
 
 def phi_profile(samples: RangeSample, bins: int = 200) -> PhiProfile:
-    _require_finite(samples)
+    _require_finite(samples.w, "samples of the range")
     u = samples.w.real
     v = samples.w.imag
     lo, hi = float(u.min()), float(u.max())
@@ -434,13 +425,9 @@ def phi_sublinearity_check(profile: PhiProfile) -> dict:
     # stop the schedule at umax/2: the tail at umax itself holds a single
     # bin and says nothing about the limit
     u0s = [umax / 2 ** k for k in range(PHI_DYADIC_STEPS, 0, -1)]
-    ratios = []
-    for u0 in u0s:
-        tail = absu >= u0
-        if not np.any(tail):
-            ratios.append(0.0)
-            continue
-        ratios.append(float(np.max(phi[tail] / absu[tail])))
+    ratio = phi / absu
+    # no tail is empty: every u0 is at most umax / 2
+    ratios = [float(np.max(ratio[absu >= u0])) for u0 in u0s]
     nonincreasing = all(b <= a * (1.0 + 1e-9) + 1e-12
                         for a, b in zip(ratios, ratios[1:]))
     if ratios[0] <= 1e-12:

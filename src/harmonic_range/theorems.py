@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from .arcs import TWO_PI, ArcSet
+from .circles import _require_positive
 from .expressions import HarmonicMap
 from .ranges import (DirectionEstimate, RangeSample, _polar_fill,
                      antipodal_pairs, sobol_points)
@@ -213,8 +214,7 @@ def log2_sample_points(n: int, seed: int, radius: float = 100.0) -> np.ndarray:
     """Quasi-random points in D(0, radius) staying away from 0 and 1."""
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    if not (math.isfinite(radius) and radius > 0):
-        raise ValueError(f"radius must be finite and positive, got {radius}")
+    _require_positive(radius, "radius")
     pts = sobol_points(n, seed)
     z = np.empty(n, dtype=complex)
     _polar_fill(z, radius * np.sqrt(pts[:, 0]), TWO_PI * pts[:, 1])

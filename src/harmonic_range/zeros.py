@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circles import NonFiniteError, circle_max, multiplicity
+from .circles import (_require_finite, _require_positive, circle_max,
+                      multiplicity)
 from .expressions import HarmonicComponent
 from .ranges import RangeSample
 from .reports import TheoremVerdict
@@ -80,8 +81,6 @@ class ZeroCurve:
 
     @property
     def arc_length(self) -> float:
-        if len(self.points) < 2:
-            return 0.0
         return float(np.sum(np.abs(np.diff(self.points))))
 
 
@@ -155,10 +154,18 @@ def find_zero(u: HarmonicComponent, search_box: Rect) -> complex:
     return z  # Newton stagnated; keep the bisection point
 
 
+def _finite_values(u: HarmonicComponent, z: np.ndarray, what: str) -> np.ndarray:
+    """u at the points z, all finite: NaN has no sign, and inf - inf is NaN."""
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        vals = np.asarray(u.value(z), dtype=float)
+    _require_finite(vals, what)
+    return vals
+
+
 def _seed_zeros(u: HarmonicComponent, box: Rect) -> list[complex]:
     """Converged zeros polished from each sign-change edge of the grid."""
     Z = box.grid(TRACE_GRID_N)
-    V = np.asarray(u.value(Z), dtype=float)
+    V = _finite_values(u, Z, "samples of u on the trace mesh")
     target = 1e-10 * max(float(np.max(np.abs(V))), 1e-300)
     seeds = []
     for z in _bisect(u.value, *_sign_change_edges(Z, V)).tolist():
@@ -172,8 +179,7 @@ def trace_zero_set(u: HarmonicComponent, box: Rect,
                    step: float) -> list[ZeroCurve]:
     """Predictor-corrector marching along the zero level set of u; a branch
     also ends where the corrector does not converge."""
-    if not (math.isfinite(step) and step > 0):
-        raise ValueError(f"step must be finite and positive, got {step}")
+    _require_positive(step, "step")
     # chained comparisons are false for NaN as well
     if not (-math.inf < box.x0 < box.x1 < math.inf
             and -math.inf < box.y0 < box.y1 < math.inf):
@@ -236,12 +242,13 @@ def local_structure(u: HarmonicComponent, z0: complex,
                     probe_radius: float = 1e-2) -> dict:
     """Multiplicity n, the 2n zero-ray angles on a small circle, and the
     alternating sector signs between them."""
-    n = multiplicity(u, z0, probe_radius)
     m = CIRCLE_SCAN_N
     # half-step offset keeps symmetric zero rays off the sample grid
     theta = (np.arange(m) + 0.5) * (2.0 * math.pi / m)
-    sx = np.sign(np.asarray(u.value(z0 + probe_radius * np.exp(1j * theta)),
-                            dtype=float))
+    # before multiplicity, whose FFT would turn inf into a degenerate zero
+    sx = np.sign(_finite_values(u, z0 + probe_radius * np.exp(1j * theta),
+                                "samples of u on the probe circle"))
+    n = multiplicity(u, z0, probe_radius)
 
     def on_ray(t):
         return u.value(z0 + probe_radius * np.exp(1j * t))
@@ -337,7 +344,7 @@ class TractReport:
 def _sign_changes_on_circle(u: HarmonicComponent, R: float) -> int:
     n = CIRCLE_SCAN_N
     theta = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
-    vals = np.asarray(u.value(R * np.exp(1j * theta)), dtype=float)
+    vals = _finite_values(u, R * np.exp(1j * theta), f"samples of u on |z| = {R:g}")
     sx = np.sign(vals)
     nz = sx[sx != 0]
     if nz.size == 0:
@@ -348,8 +355,7 @@ def _sign_changes_on_circle(u: HarmonicComponent, R: float) -> int:
 def tract_report(u: HarmonicComponent, R: float) -> TractReport:
     """Count unbounded sign components of a harmonic polynomial outside a
     large disc via boundary sign changes; 2n of them for degree n."""
-    if not (math.isfinite(R) and R > 0):
-        raise ValueError(f"radius R must be finite and positive, got {R}")
+    _require_positive(R, "radius R")
     deg = u.degree()
     if deg is None:
         raise NotPolynomialError("component is not polynomial")
@@ -394,12 +400,10 @@ def detect_dependence(samples: RangeSample, a: float,
         raise ValueError("samples do not cover |z| > R")
     u = samples.w.real[far]
     v = samples.w.imag[far]
-    finite = np.isfinite(u) & np.isfinite(v)
-    if not np.all(finite):
-        raise NonFiniteError(
-            f"{int(np.count_nonzero(~finite))} of {finite.size} samples "
-            f"beyond R = {R:g} are not finite: the map overflows")
-    scale = max(float(np.max(np.abs(u))), float(np.max(np.abs(v))), 1e-300)
+    # finite exactly where both u and v are, and it cannot overflow
+    larger = np.maximum(np.abs(u), np.abs(v))
+    _require_finite(larger, f"samples beyond R = {R:g}")
+    scale = max(float(larger.max()), 1e-300)
     slack = 1e-9 * scale
 
     bad = np.abs(u) > a * np.abs(v) + slack

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from harmonic_range.arcs import ArcSet, TWO_PI, circle_distance
+from harmonic_range.arcs import ArcSet, TWO_PI
 
 PI = math.pi
 
@@ -143,11 +143,6 @@ def test_full_and_empty():
 def test_serialization_roundtrip():
     s = ArcSet.from_intervals([(0.1, 0.9), (5.9, 0.3 + TWO_PI)])
     assert ArcSet.from_dict(s.to_dict()).arcs == s.arcs
-
-
-def test_circle_distance():
-    assert circle_distance(0.1, TWO_PI - 0.1) == pytest.approx(0.2)
-    assert circle_distance(1.0, 1.0 + PI) == pytest.approx(PI)
 
 
 # ---- reference oracles: the sampling versions these routines replaced ----

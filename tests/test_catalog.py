@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from harmonic_range.catalog import CatalogError, entry_names, get_entry, load_catalog
+from harmonic_range.catalog import CatalogError, get_entry, load_catalog
 from harmonic_range.ranges import antipodal_pairs
 from harmonic_range.theorems import is_constant_proxy
 
@@ -37,11 +37,6 @@ def test_checksum_guard(tmp_path, monkeypatch):
 def test_unknown_entry_raises():
     with pytest.raises(CatalogError):
         get_entry("no-such-entry")
-
-
-def test_entry_names_sorted():
-    names = entry_names()
-    assert names == sorted(names)
 
 
 @pytest.mark.parametrize("name", ["vertical-line", "exp-wedge",

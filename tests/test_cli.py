@@ -315,6 +315,16 @@ def test_a_non_finite_or_empty_input_exits_two_saying_so(capsys, argv):
 
 
 EXP_EXP = "u=re(exp(exp(z))); v=im(exp(exp(z)))"
+# each once exited 0 with a wrong answer, or 2 with a bare OverflowError
+OVERFLOWS = [
+    ["tracts", "--map", "u=re(z^300-z^299); v=im(z)", "--R", "40"],
+    ["zeros", "--map", EXP_EXP, "--box=-8,8,-8,8"],
+    ["zeros", "--map", "u=re(exp(z^3)); v=im(z)", "--box=-8,8,-8,8"],
+    ["lewis-discs", "--map", "u=re(z^100000); v=im(z)", "--R", "2"],
+    ["lewis-discs", "--map", "u=re(z^100000); v=im(z)", "--R", "30"],
+    ["local-structure", "--map", "u=re(z^400); v=im(z)", "--z0", "0",
+     "--probe-radius", "8"],
+]
 
 
 @pytest.mark.parametrize("argv", [
@@ -326,6 +336,7 @@ EXP_EXP = "u=re(exp(exp(z))); v=im(exp(exp(z)))"
     ["normalize", "--map", EXP_EXP, "--R", "30", "--n-grid", "128"],
     ["phi", "--map", EXP_EXP, "--R", "30", "--n-grid", "128"],
     ["plot", "--map", EXP_EXP, "--R", "30", "--n-grid", "128", "--out", os.devnull],
+    *OVERFLOWS,
 ])
 def test_overflow_is_a_typed_error(capsys, argv):
     assert main(argv) == 2
@@ -368,16 +379,19 @@ def _subprocess_env():
     return env
 
 
-@pytest.mark.parametrize("command", ["lewis-discs", "dependence"])
-def test_overflow_stderr_is_one_error_line(command):
+@pytest.mark.parametrize("argv", [
+    pytest.param([command, "--map", EXP_EXP, "--R", "30"], id=command)
+    for command in ("lewis-discs", "dependence")] + OVERFLOWS)
+def test_overflow_stderr_is_one_error_line(argv):
     """numpy's overflow warnings stay off stderr; only the typed error shows."""
     proc = subprocess.run(
-        [sys.executable, "-m", "harmonic_range.cli", command, "--map", EXP_EXP,
-         "--R", "30"], env=_subprocess_env(), capture_output=True, text=True)
+        [sys.executable, "-m", "harmonic_range.cli", *argv],
+        env=_subprocess_env(), capture_output=True, text=True)
     assert proc.returncode == 2
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "overflows" in lines[0]
 
 
 def test_cli_import_does_not_load_scipy():

@@ -305,6 +305,15 @@ def test_compiled_program_matches_tree_walk_bit_for_bit_on_scalars():
             assert _bits(got) == _bits(want), to_source(e)
 
 
+@pytest.mark.parametrize("src,z", [("z^400", 8.0), ("z^100000", 1.5 + 1j),
+                                   ("(z^200)^2", 40j)])
+def test_a_scalar_power_that_overflows_is_not_finite(src, z):
+    # Python's complex power raised OverflowError here, where the array path
+    # gives inf or NaN; the callers' finiteness checks report either
+    got = _compile(parse_expr(src))(complex(z))
+    assert type(got) is complex and not cmath.isfinite(got)
+
+
 def test_compiled_program_keeps_shapes():
     e = parse_expr("(1+2*i)*z^2+3")
     program = _compile(e)

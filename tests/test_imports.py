@@ -1,8 +1,10 @@
 """Package imports stay at module top, so an import cycle between the
 library modules fails at import time instead of hiding in a function;
-zero finding keeps its single bisection loop; and every public function
-and class is listed in its module's ``__all__``, the names that the
-benchmark's layer tracer wraps."""
+zero finding keeps its single bisection loop; every public function and
+class is listed in its module's ``__all__``, the names that the
+benchmark's layer tracer wraps; the finite-and-positive input test is
+written once, in its guard; and no module imports a name it never uses,
+which a deletion can leave behind."""
 
 import ast
 import importlib
@@ -72,3 +74,75 @@ def test_public_definitions_are_exported(path):
     exported = set(importlib.import_module(name).__all__)
     public = _public_definitions(ast.parse(path.read_text()))
     assert [n for n in public if n not in exported] == []
+
+
+def _is_finite_and_positive(node: ast.AST) -> bool:
+    """Whether node is `isfinite(x) and x > 0`, in any order and spelling."""
+    if not (isinstance(node, ast.BoolOp) and isinstance(node.op, ast.And)):
+        return False
+    finite, positive = set(), set()
+    for test in node.values:
+        if (isinstance(test, ast.Call) and test.args
+                and getattr(test.func, "attr", getattr(test.func, "id", None))
+                == "isfinite"):
+            finite.add(ast.dump(test.args[0]))
+        elif isinstance(test, ast.Compare) and len(test.ops) == 1:
+            left, right = test.left, test.comparators[0]
+            if isinstance(test.ops[0], ast.Lt):
+                left, right = right, left
+            elif not isinstance(test.ops[0], ast.Gt):
+                continue
+            if isinstance(right, ast.Constant) and right.value == 0:
+                positive.add(ast.dump(left))
+    return bool(finite & positive)
+
+
+def _finite_and_positive_lines(tree: ast.AST) -> list[int]:
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if _is_finite_and_positive(node))
+
+
+def test_finite_and_positive_is_tested_once_in_its_guard():
+    found = [(p.name, line) for p in SOURCES
+             for line in _finite_and_positive_lines(ast.parse(p.read_text()))]
+    circles = next(p for p in SOURCES if p.name == "circles.py")
+    guard = next(node for node in ast.parse(circles.read_text()).body
+                 if isinstance(node, ast.FunctionDef)
+                 and node.name == "_require_positive")
+    assert [(name, guard.lineno <= line <= guard.end_lineno)
+            for name, line in found] == [("circles.py", True)]
+
+
+def test_the_check_sees_an_inline_positivity_test():
+    tree = ast.parse("if not (math.isfinite(r) and r > 0):\n    pass\n"
+                     "ok = 0 < step and np.isfinite(step)\n")
+    assert _finite_and_positive_lines(tree) == [1, 3]
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names the module imports and never reads; a name in its ``__all__``
+    counts as read, since the package re-exports it."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+            used |= set(ast.literal_eval(node.value))
+    return sorted(imported - used)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+def test_the_check_sees_an_import_left_unused():
+    tree = ast.parse("import math\nimport numpy as np\n"
+                     "from .circles import circle_max, multiplicity\n"
+                     "x = np.pi * circle_max\n")
+    assert _unused_imports(tree) == ["math", "multiplicity"]

@@ -161,6 +161,15 @@ def test_overflow_in_the_search_is_a_typed_error(R):
         lewis_disc_search(u, R)
 
 
+@pytest.mark.parametrize("R", [2.0, 30.0])
+def test_a_power_that_overflows_is_a_typed_error(R):
+    # the scalar power at a candidate center or on |z| = R/2 once raised a
+    # bare OverflowError
+    u = parse_map("u=re(z^100000); v=im(z)").u
+    with pytest.raises(NonFiniteError, match="overflow"):
+        lewis_disc_search(u, R)
+
+
 def _exhaustive_disc_search(u, R, C0_budget=100.0):
     """Oracle: the radius scan of lewis_disc_search without pruning, which
     evaluates every admissible (center, radius) on the same centers."""

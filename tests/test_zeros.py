@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from harmonic_range.circles import NonFiniteError
 from harmonic_range.expressions import parse_map
 from harmonic_range.ranges import sample_range
 from harmonic_range.zeros import (BISECT_HALVINGS, NotPolynomialError,
@@ -107,6 +108,21 @@ def test_newton_stops_at_the_first_nonfinite_value(z0, calls):
     assert not converged
     assert z == z0
     assert (u.values, u.gradients) == calls
+
+
+@pytest.mark.parametrize("src,run", [
+    # NaN samples of the trace mesh once gave no curves or 3-point ones
+    ("u=re(exp(exp(z))); v=im(exp(exp(z)))",
+     lambda u: trace_zero_set(u, Rect(-8, 8, -8, 8), 0.1)),
+    ("u=re(exp(z^3)); v=im(z)", lambda u: trace_zero_set(u, Rect(-8, 8, -8, 8), 0.1)),
+    # inf - inf once counted 4675 components for degree 300
+    ("u=re(z^300-z^299); v=im(z)", lambda u: tract_report(u, 40.0)),
+    # inf on the probe circle once raised a bare OverflowError
+    ("u=re(z^400); v=im(z)", lambda u: local_structure(u, 0.0, probe_radius=8.0)),
+], ids=["trace-exp-exp", "trace-exp-cube", "tracts", "local-structure"])
+def test_overflow_is_a_nonfinite_error(src, run):
+    with pytest.raises(NonFiniteError, match="the map overflows"):
+        run(_u(src))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
