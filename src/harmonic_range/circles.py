@@ -3,17 +3,19 @@
 The central quantity is M(u, z, r): the maximum of u over the circle
 |w - z| = r.  Sampling is dense and deterministic, followed by
 golden-section refinement of the best brackets, so results are
-reproducible bit-for-bit.
+reproducible bit-for-bit.  Every sample and every maximum is finite, or
+the call raises NonFiniteError.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
-from .expressions import HarmonicComponent
+from .expressions import HarmonicComponent, NonFiniteError
 
 __all__ = [
     "CircleMax",
@@ -58,10 +60,6 @@ class DegenerateZeroError(ValueError):
     """u appears to vanish identically on the disc."""
 
 
-class NonFiniteError(ValueError):
-    """A maximum or a sample came out inf or NaN: the map overflows."""
-
-
 def _require_finite(values: np.ndarray, what: str) -> None:
     """NonFiniteError if any of values, the samples named by what, is inf or NaN."""
     bad = int(np.count_nonzero(~np.isfinite(values)))
@@ -82,11 +80,36 @@ class CircleMax:
     argmax_angle: float
 
 
+@cache
+def _ring(n: int, offset: float = 0.0) -> np.ndarray:
+    """e^{i (k + offset) 2 pi / n} for k < n: built once, shared, read-only."""
+    ring = np.exp(1j * ((np.arange(n) + offset) * (2.0 * math.pi / n)))
+    ring.flags.writeable = False
+    return ring
+
+
+def _finite_values(u: HarmonicComponent, z: np.ndarray, what: str) -> np.ndarray:
+    """u at the points z, all finite: NaN has no sign and no order."""
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        vals = np.asarray(u.value(z), dtype=float)
+    _require_finite(vals, what)
+    return vals
+
+
+def _finite(value: float, z: complex, r: float) -> float:
+    """value, a sample or extreme of u on |w - z| = r, unless inf or NaN."""
+    if not math.isfinite(value):
+        raise NonFiniteError(f"u is not finite on the circle of radius {r:g} "
+                             f"about {z:g}: the map overflows")
+    return value
+
+
 def circle_values(u: HarmonicComponent, center: complex, radius: float,
                   n: int = DEFAULT_SAMPLES) -> np.ndarray:
-    theta = np.arange(n) * (2.0 * math.pi / n)
-    z = center + radius * np.exp(1j * theta)
-    return np.asarray(u.value(z), dtype=float)
+    """u at n equally spaced points of |w - center| = radius, from angle 0."""
+    return _finite_values(u, center + radius * _ring(n),
+                          f"samples of u on the circle of radius {radius:g} "
+                          f"about {center:g}")
 
 
 def _golden_max(g, lo: float, hi: float) -> tuple[float, float]:
@@ -107,30 +130,28 @@ def _golden_max(g, lo: float, hi: float) -> tuple[float, float]:
     return theta, g(theta)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is a NonFiniteError
 def circle_max(u: HarmonicComponent, z: complex, r: float,
                absolute: bool = False, n: int = DEFAULT_SAMPLES) -> CircleMax:
-    """M(u, z, r) (or M(|u|, z, r) with absolute=True)."""
+    """M(u, z, r) (or M(|u|, z, r) with absolute=True), always finite: a
+    grid sample or a refinement point that is not raises NonFiniteError."""
     _require_positive(r, "radius")
     vals = circle_values(u, z, r, n)
-    nan = int(np.count_nonzero(np.isnan(vals)))
-    if nan:
-        # argmax and the peak comparisons below would skip NaN silently
-        raise NonFiniteError(f"u is NaN at {nan} of {n} samples on the circle of "
-                             f"radius {r:g} about {z:g}: the map overflows")
     if absolute:
         vals = np.abs(vals)
     # local maxima on the cyclic grid
     left = np.roll(vals, 1)
     right = np.roll(vals, -1)
     is_peak = (vals >= left) & (vals >= right)
-    # never empty: with NaN refused, the largest value is a peak
+    # never empty: the samples are finite, so the largest is a peak
     peaks = np.nonzero(is_peak)[0]
     order = np.lexsort((peaks, -vals[peaks]))  # by value desc, then smaller angle
     top = peaks[order][:REFINE_PEAKS]
     step = 2.0 * math.pi / n
 
     def g(theta: float) -> float:
-        w = float(u.value(z + r * complex(math.cos(theta), math.sin(theta))))
+        w = _finite(float(u.value(z + r * complex(math.cos(theta),
+                                                  math.sin(theta)))), z, r)
         return abs(w) if absolute else w
 
     best_val = -math.inf
@@ -184,12 +205,11 @@ def _check_positive(u: HarmonicComponent, z0: complex, r: float):
             if val <= 0.0:
                 raise PositivityError(z0, val)
             continue
-        theta = np.arange(POSITIVITY_ANGLES) * (2.0 * math.pi / POSITIVITY_ANGLES)
-        z = z0 + rho * np.exp(1j * theta)
-        vals = np.asarray(u.value(z), dtype=float)
+        vals = circle_values(u, z0, rho, POSITIVITY_ANGLES)
         k = int(np.argmin(vals))
         if vals[k] <= 0.0:
-            raise PositivityError(complex(z[k]), float(vals[k]))
+            raise PositivityError(complex(z0 + rho * _ring(POSITIVITY_ANGLES)[k]),
+                                  float(vals[k]))
 
 
 def harnack_bound_check(u: HarmonicComponent, z0: complex, r: float,

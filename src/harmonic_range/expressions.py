@@ -30,6 +30,7 @@ __all__ = [
     "MAX_NESTING",
     "MAX_DEPTH",
     "ParseError",
+    "NonFiniteError",
     "parse_expr",
     "to_source",
     "evaluate",
@@ -101,6 +102,11 @@ class ParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
+
+
+class NonFiniteError(ValueError):
+    """A constant, a sample or a maximum came out inf or NaN: the map
+    overflows."""
 
 
 # --------------------------------------------------------------------------
@@ -351,7 +357,12 @@ def _build(e: Expr, ops: dict, const):
             args = (_build(operand, ops, const),)
         case _:
             raise TypeError(f"not an expression: {e!r}")
-    return _node(ops[type(e)], *args)
+    out = _node(ops[type(e)], *args)
+    # a z-free subtree that overflows does so at every z
+    if not callable(out) and not np.isfinite(out).all():
+        raise NonFiniteError(f"the constant {to_source(e)} is not finite: "
+                             "the map overflows")
+    return out
 
 
 def _compile(e: Expr):
@@ -359,10 +370,12 @@ def _compile(e: Expr):
 
     Subtrees free of z are folded at compile time: for arrays on a
     1-element complex array, so the bits match an elementwise evaluation,
-    and for scalars with Python complex arithmetic.
+    and for scalars with Python complex arithmetic.  A folded constant that
+    overflows is a NonFiniteError.
     """
-    array = _build(e, _ARRAY_OPS, lambda c: np.full(1, c, dtype=complex))
-    scalar = _build(e, _SCALAR_OPS, complex)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused in _build
+        array = _build(e, _ARRAY_OPS, lambda c: np.full(1, c, dtype=complex))
+        scalar = _build(e, _SCALAR_OPS, complex)
     if not callable(array):  # e is free of z
         array = lambda z, c=array[0]: np.full(z.shape, c)
         scalar = lambda z, c=scalar: c

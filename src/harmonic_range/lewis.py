@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circles import NonFiniteError, _require_positive, circle_max
+from .circles import (_finite, _finite_values, _require_positive, _ring,
+                      circle_max)
 from .expressions import HarmonicComponent, HarmonicMap, coefficients
 from .reports import TheoremVerdict
 from .zeros import NoSignChangeError, Rect, _bisect, _sign_change_edges
@@ -89,7 +90,8 @@ def _candidate_centers(u: HarmonicComponent, R: float) -> list[complex]:
     edges at once."""
     half = R / math.sqrt(2.0)
     Z = Rect(-half, half, -half, half).grid(CENTER_GRID_N)
-    return _bisect(u.value, *_sign_change_edges(Z, u.value(Z))).tolist()
+    V = _finite_values(u, Z, "samples of u on the center mesh")
+    return _bisect(u.value, *_sign_change_edges(Z, V)).tolist()
 
 
 def _scan_sampler(u: HarmonicComponent, centers: list[complex]):
@@ -110,8 +112,7 @@ def _scan_sampler(u: HarmonicComponent, centers: list[complex]):
     evaluated directly, as are transcendental components and degrees above
     TAYLOR_MAX_DEGREE.
     """
-    theta = np.arange(SEARCH_SAMPLES) * (2.0 * math.pi / SEARCH_SAMPLES)
-    ring = np.exp(1j * theta)
+    ring = _ring(SEARCH_SAMPLES)
 
     def direct(i: int, r: float) -> np.ndarray:
         return np.asarray(u.value(centers[i] + r * ring), dtype=float)
@@ -139,15 +140,6 @@ def _scan_sampler(u: HarmonicComponent, centers: list[complex]):
     return from_table
 
 
-def _finite(value: float, z: complex, r: float) -> float:
-    """value, an extreme of u on |w - z| = r, unless it overflowed: a NaN
-    score compares false with every key, so it would never be replaced."""
-    if not math.isfinite(value):
-        raise NonFiniteError(f"u is not finite on the circle of radius {r:g} "
-                             f"about {z:g}: the map overflows")
-    return value
-
-
 # overflow is reported by NonFiniteError, not by numpy warnings
 @np.errstate(over="ignore", invalid="ignore")
 def lewis_disc_search(u: HarmonicComponent, R: float,
@@ -165,10 +157,6 @@ def lewis_disc_search(u: HarmonicComponent, R: float,
     _require_positive(C0_budget, "C0_budget")
     M_half = circle_max(u, 0.0, R / 2.0).value
     osc = circle_max(u, 0.0, R / 2.0, absolute=True).value
-    if not (math.isfinite(M_half) and math.isfinite(osc)):
-        raise NonFiniteError(
-            f"u overflows on |z| = {R / 2.0:g}: M(u) = {M_half}, "
-            f"M(|u|) = {osc}")
     if osc <= 1e-14:
         raise ConstantComponentError("u is constant at this scale")
 

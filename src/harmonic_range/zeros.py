@@ -7,12 +7,12 @@ the underlying sets are exact, floating point is not.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .circles import (_require_finite, _require_positive, circle_max,
-                      multiplicity)
+from .circles import (_finite_values, _require_finite, _require_positive,
+                      _ring, circle_max, multiplicity)
 from .expressions import HarmonicComponent
 from .ranges import RangeSample
 from .reports import TheoremVerdict
@@ -137,7 +137,7 @@ def _sign_change_edges(Z: np.ndarray, V: np.ndarray):
 def find_zero(u: HarmonicComponent, search_box: Rect) -> complex:
     """A point where u vanishes, via grid sign change + bisection + Newton."""
     Z = search_box.grid(FIND_ZERO_GRID_N)
-    V = np.asarray(u.value(Z), dtype=float)
+    V = _finite_values(u, Z, "samples of u on the search grid")
     scale = float(V.max() - V.min())
     if scale <= 0.0:
         raise NoSignChangeError("u is constant on the search grid")
@@ -152,14 +152,6 @@ def find_zero(u: HarmonicComponent, search_box: Rect) -> complex:
     if abs(float(u.value(zn))) <= abs(float(u.value(z))):
         return zn
     return z  # Newton stagnated; keep the bisection point
-
-
-def _finite_values(u: HarmonicComponent, z: np.ndarray, what: str) -> np.ndarray:
-    """u at the points z, all finite: NaN has no sign, and inf - inf is NaN."""
-    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-        vals = np.asarray(u.value(z), dtype=float)
-    _require_finite(vals, what)
-    return vals
 
 
 def _seed_zeros(u: HarmonicComponent, box: Rect) -> list[complex]:
@@ -244,9 +236,7 @@ def local_structure(u: HarmonicComponent, z0: complex,
     alternating sector signs between them."""
     m = CIRCLE_SCAN_N
     # half-step offset keeps symmetric zero rays off the sample grid
-    theta = (np.arange(m) + 0.5) * (2.0 * math.pi / m)
-    # before multiplicity, whose FFT would turn inf into a degenerate zero
-    sx = np.sign(_finite_values(u, z0 + probe_radius * np.exp(1j * theta),
+    sx = np.sign(_finite_values(u, z0 + probe_radius * _ring(m, 0.5),
                                 "samples of u on the probe circle"))
     n = multiplicity(u, z0, probe_radius)
 
@@ -254,7 +244,8 @@ def local_structure(u: HarmonicComponent, z0: complex,
         return u.value(z0 + probe_radius * np.exp(1j * t))
 
     flips = np.nonzero(sx * np.roll(sx, -1) < 0)[0]
-    ends = _bisect(on_ray, theta[flips], theta[flips] + 2.0 * math.pi / m)
+    lo = (flips + 0.5) * (2.0 * math.pi / m)
+    ends = _bisect(on_ray, lo, lo + 2.0 * math.pi / m)
     rays = sorted((ends % (2.0 * math.pi)).tolist())
     signs = [1 if on_ray(0.5 * (a + b)) > 0 else -1
              for a, b in zip(rays, rays[1:] + [rays[0] + 2.0 * math.pi])]
@@ -333,18 +324,12 @@ class TractReport:
     components: int
 
     def to_dict(self) -> dict:
-        return {
-            "degree": self.degree,
-            "radius": self.radius,
-            "sign_changes": self.sign_changes,
-            "components": self.components,
-        }
+        return asdict(self)
 
 
 def _sign_changes_on_circle(u: HarmonicComponent, R: float) -> int:
-    n = CIRCLE_SCAN_N
-    theta = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
-    vals = _finite_values(u, R * np.exp(1j * theta), f"samples of u on |z| = {R:g}")
+    vals = _finite_values(u, R * _ring(CIRCLE_SCAN_N, 0.5),
+                          f"samples of u on |z| = {R:g}")
     sx = np.sign(vals)
     nz = sx[sx != 0]
     if nz.size == 0:
@@ -380,15 +365,7 @@ class DependenceReport:
     degenerate: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "b": self.b,
-            "residual": self.residual,
-            "dependent": self.dependent,
-            "bound_a": self.bound_a,
-            "hypothesis_holds": self.hypothesis_holds,
-            "hypothesis_witness": self.hypothesis_witness,
-            "degenerate": self.degenerate,
-        }
+        return asdict(self)
 
 
 def detect_dependence(samples: RangeSample, a: float,

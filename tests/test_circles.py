@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from harmonic_range.circles import (CenterNotZeroError, NonFiniteError,
-                                    PositivityError, circle_max, circle_values, fourier_profile,
+                                    PositivityError, _ring, circle_max,
+                                    circle_values, fourier_profile,
                                     harnack_bound_check, lemma_abs_check,
                                     multiplicity)
 from harmonic_range.expressions import parse_map
@@ -122,7 +123,41 @@ def test_circle_max_raises_on_nan_samples():
     # argmax would skip the NaN samples and report 0.0
     u = _comp("u=re(exp(exp(z))-exp(exp(z))); v=im(z)")
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NonFiniteError, match="NaN at 153 of 4096 samples"):
+        with pytest.raises(NonFiniteError, match="153 of 4096 samples of u on "
+                           "the circle of radius 7 about 0 are not finite"):
             circle_max(u, 0.0, 7.0)
         with pytest.raises(NonFiniteError):
             circle_max(u, 0.0, 7.0, absolute=True)
+
+
+@pytest.mark.parametrize("run", [
+    # once M(u, 0, 8) = inf and the |u|-lemma held on rhs = inf
+    lambda: circle_max(_comp("u=re(z^400); v=im(z)"), 0.0, 8.0),
+    lambda: lemma_abs_check(_comp("u=re(z^400); v=im(z)"), 0.0, 8.0),
+    # once the NaN samples on the outer positivity circles passed as positive
+    lambda: harnack_bound_check(
+        _comp("u=re(exp(exp(z))-exp(exp(z))+1); v=im(z)"), 0.0, 7.5, 5.0),
+], ids=["circle-max", "lemma-abs", "harnack"])
+def test_an_overflowing_circle_is_a_nonfinite_error(run):
+    with pytest.raises(NonFiniteError, match="the map overflows"):
+        run()
+
+
+class _InfBetweenSamples:
+    """cos t on the sample grid of the unit circle, inf anywhere else."""
+
+    def value(self, z):
+        return z.real.copy() if isinstance(z, np.ndarray) else math.inf
+
+
+def test_circle_max_refuses_a_refinement_point_that_overflows():
+    with pytest.raises(NonFiniteError, match="radius 1 about 0"):
+        circle_max(_InfBetweenSamples(), 0.0, 1.0)
+
+
+def test_rings_are_shared_and_read_only():
+    ring = _ring(64, 0.5)
+    assert ring is _ring(64, 0.5)
+    assert not ring.flags.writeable
+    theta = (np.arange(64) + 0.5) * (2.0 * math.pi / 64)
+    assert np.array_equal(ring, np.exp(1j * theta))

@@ -324,6 +324,7 @@ OVERFLOWS = [
     ["lewis-discs", "--map", "u=re(z^100000); v=im(z)", "--R", "30"],
     ["local-structure", "--map", "u=re(z^400); v=im(z)", "--z0", "0",
      "--probe-radius", "8"],
+    ["eval", "--map", "u=re(z+10^400); v=im(z)", "--z", "0"],
 ]
 
 
@@ -355,7 +356,8 @@ def test_nan_circle_maximum_is_a_typed_error(capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: u is NaN at ")
+    assert captured.err.startswith(
+        "error: 153 of 4096 samples of u on the circle of radius 7 about 0 ")
     assert "overflows" in captured.err
 
 

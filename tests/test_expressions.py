@@ -11,11 +11,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import harmonic_range
+from harmonic_range import circles
 from harmonic_range.expressions import (MAX_DEPTH, MAX_NESTING, Add, Const,
-                                        Exp, Mul, Neg, ParseError, Pow, Var, Z,
-                                        _compile, coefficients, degree,
-                                        derivative, evaluate, parse_expr,
-                                        parse_map, to_source)
+                                        Exp, Mul, Neg, NonFiniteError,
+                                        ParseError, Pow, Var, Z, _compile,
+                                        coefficients, degree, derivative,
+                                        evaluate, parse_expr, parse_map,
+                                        to_source)
 
 
 @pytest.mark.parametrize("src", [
@@ -312,6 +315,22 @@ def test_a_scalar_power_that_overflows_is_not_finite(src, z):
     # gives inf or NaN; the callers' finiteness checks report either
     got = _compile(parse_expr(src))(complex(z))
     assert type(got) is complex and not cmath.isfinite(got)
+
+
+@pytest.mark.parametrize("src", ["z+10^400", "exp(exp(1000))*z",
+                                 "z*(10^200*10^200)"])
+def test_a_constant_that_overflows_is_a_nonfinite_error(src):
+    # folded at compile time, it once leaked numpy's overflow warning, and
+    # the CLI failed on encoding inf as JSON
+    u = parse_map(f"u=re({src}); v=im(z)").u
+    for z in (0j, np.zeros(3, dtype=complex)):
+        with pytest.raises(NonFiniteError, match="is not finite: the map overflows"):
+            u.value(z)
+
+
+def test_one_nonfinite_error_class():
+    assert circles.NonFiniteError is NonFiniteError
+    assert harmonic_range.NonFiniteError is NonFiniteError
 
 
 def test_compiled_program_keeps_shapes():

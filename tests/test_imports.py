@@ -3,8 +3,9 @@ library modules fails at import time instead of hiding in a function;
 zero finding keeps its single bisection loop; every public function and
 class is listed in its module's ``__all__``, the names that the
 benchmark's layer tracer wraps; the finite-and-positive input test is
-written once, in its guard; and no module imports a name it never uses,
-which a deletion can leave behind."""
+written once, in its guard; no module imports a name it never uses,
+which a deletion can leave behind; and one function builds the rings of
+circle samples."""
 
 import ast
 import importlib
@@ -146,3 +147,61 @@ def test_the_check_sees_an_import_left_unused():
                      "from .circles import circle_max, multiplicity\n"
                      "x = np.pi * circle_max\n")
     assert _unused_imports(tree) == ["math", "multiplicity"]
+
+
+def _angle_grid(node: ast.AST, names: set[str]) -> bool:
+    """Whether node uses np.arange or np.linspace, or a name in names."""
+    return any((isinstance(n, ast.Call)
+                and getattr(n.func, "attr", None) in ("arange", "linspace"))
+               or (isinstance(n, ast.Name) and n.id in names)
+               for n in ast.walk(node))
+
+
+def _ring_builders(tree: ast.Module) -> list[str]:
+    """Functions and methods, as ``f`` or ``Class.f``, that build a ring:
+    np.exp of an imaginary multiple of a grid of angles from np.arange or
+    np.linspace, directly or through local names.  e^{ikt} at given angles,
+    as in FourierProfile.reconstruct or the bisection on a probe circle,
+    builds none."""
+    defs = [(node.name, node) for node in tree.body
+            if isinstance(node, ast.FunctionDef)]
+    defs += [(f"{cls.name}.{node.name}", node) for cls in tree.body
+             if isinstance(cls, ast.ClassDef) for node in cls.body
+             if isinstance(node, ast.FunctionDef)]
+    found = []
+    for name, fn in defs:
+        grids: set[str] = set()  # local names bound to grids of angles
+        while True:
+            bound = {t.id for node in ast.walk(fn) if isinstance(node, ast.Assign)
+                     and _angle_grid(node.value, grids)
+                     for t in node.targets if isinstance(t, ast.Name)}
+            if bound <= grids:
+                break
+            grids |= bound
+        if any(isinstance(node, ast.Call)
+               and getattr(node.func, "attr", None) == "exp" and node.args
+               and _angle_grid(node.args[0], grids)
+               and any(isinstance(c, ast.Constant) and isinstance(c.value, complex)
+                       for c in ast.walk(node.args[0]))
+               for node in ast.walk(fn)):
+            found.append(name)
+    return found
+
+
+def test_one_function_builds_rings():
+    found = [(p.name, name) for p in SOURCES
+             for name in _ring_builders(ast.parse(p.read_text()))]
+    assert found == [("circles.py", "_ring")]
+
+
+def test_the_check_sees_a_hand_built_ring():
+    tree = ast.parse("def f(u, n):\n"
+                     "    theta = np.arange(n) * (2.0 * math.pi / n)\n"
+                     "    z = 2.0 * np.exp(1j * theta)\n"
+                     "    return u.value(z)\n"
+                     "class P:\n"
+                     "    def g(self, n):\n"
+                     "        return np.exp(2j * np.pi * np.linspace(0, 1, n))\n"
+                     "def h(t, k):\n"
+                     "    return np.exp(1j * k * t)\n")
+    assert _ring_builders(tree) == ["f", "P.g"]

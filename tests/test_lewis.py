@@ -161,6 +161,15 @@ def test_overflow_in_the_search_is_a_typed_error(R):
         lewis_disc_search(u, R)
 
 
+def test_an_overflowing_center_mesh_is_a_typed_error():
+    # u is finite on |z| = 6.5 but not at the corners of the center mesh,
+    # |z| = 13, where NaN once dropped its sign-change edges unseen
+    u = parse_map("u=re(exp(exp(z))); v=im(z)").u
+    with pytest.raises(NonFiniteError, match="518 of 9216 samples of u on "
+                       "the center mesh are not finite"):
+        lewis_disc_search(u, 13.0)
+
+
 @pytest.mark.parametrize("R", [2.0, 30.0])
 def test_a_power_that_overflows_is_a_typed_error(R):
     # the scalar power at a candidate center or on |z| = R/2 once raised a

@@ -11,8 +11,9 @@ from harmonic_range.ranges import sample_range
 from harmonic_range.zeros import (BISECT_HALVINGS, NotPolynomialError,
                                   RadiusTooSmallError, Rect, _bisect,
                                   _newton_to_zero, cleaning_check,
-                                  detect_dependence, local_structure,
-                                  trace_zero_set, tract_report)
+                                  detect_dependence, find_zero,
+                                  local_structure, trace_zero_set,
+                                  tract_report)
 
 
 def _u(src):
@@ -119,7 +120,11 @@ def test_newton_stops_at_the_first_nonfinite_value(z0, calls):
     ("u=re(z^300-z^299); v=im(z)", lambda u: tract_report(u, 40.0)),
     # inf on the probe circle once raised a bare OverflowError
     ("u=re(z^400); v=im(z)", lambda u: local_structure(u, 0.0, probe_radius=8.0)),
-], ids=["trace-exp-exp", "trace-exp-cube", "tracts", "local-structure"])
+    # NaN on the search grid once dropped its sign-change edges unseen
+    ("u=re(exp(exp(z))-exp(exp(z))+z); v=im(z)",
+     lambda u: find_zero(u, Rect(-8, 8, -8, 8))),
+], ids=["trace-exp-exp", "trace-exp-cube", "tracts", "local-structure",
+        "find-zero"])
 def test_overflow_is_a_nonfinite_error(src, run):
     with pytest.raises(NonFiniteError, match="the map overflows"):
         run(_u(src))
