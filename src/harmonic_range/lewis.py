@@ -16,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circles import (_finite, _finite_values, _require_positive, _ring,
-                      circle_max)
-from .expressions import HarmonicComponent, HarmonicMap, coefficients
+                      circle_max, circle_values)
+from .expressions import (Exp, HarmonicComponent, HarmonicMap, coefficients,
+                          degree)
 from .reports import TheoremVerdict
 from .zeros import NoSignChangeError, Rect, _bisect, _sign_change_edges
 
@@ -36,6 +37,10 @@ SEARCH_SAMPLES = 1024
 # circles from Taylor coefficients; the table of cos kt and sin kt is then
 # at most (2 * 64 + 2) x SEARCH_SAMPLES doubles, about 1 MB
 TAYLOR_MAX_DEGREE = 64
+# the factors e^{L(c)} and e^{alpha r e^{it}} of an exp(alpha z + beta) scan
+# circle stay within e^{+-700}, normal floats (the float range ends near
+# e^{+-709})
+EXP_FACTOR_MAX = 700.0
 PRUNE_MARGIN = 1.05       # the sampled circle maximum is only nearly monotone
 # the certificates and the range check of a rescaled map use one mesh
 CHECK_GRID_N = 101
@@ -98,25 +103,52 @@ def _scan_sampler(u: HarmonicComponent, centers: list[complex]):
     """A function of (i, r): the SEARCH_SAMPLES values of u on the circle of
     radius r about centers[i], at the angles 2 pi n / SEARCH_SAMPLES.
 
-    For a polynomial F of degree d with Taylor coefficients b_k at z,
-    u(z + r e^{it}) is the real or imaginary part of sum_k b_k r^k e^{ikt}: a
-    trigonometric polynomial of degree d.  The b_k of all centers come from
-    one pass over the expression tree (coefficients), and a circle is the
-    product of its 2d+2 reals Re b_k r^k, Im b_k r^k with a fixed table of
-    cos kt and sin kt.  By Cauchy's estimate |b_k| r^k <= max |F| on the
-    circle, so a sum of the product overflows only where F comes within a
-    factor 2d+2 of the float range there, and _finite reports it.
+    Three samplers, chosen from the expression of u:
 
-    Degree 1 gains nothing from the table (and every disc of radius R/2 of
-    a linear map ties exactly, so rounding would pick another), so it is
-    evaluated directly, as are transcendental components and degrees above
-    TAYLOR_MAX_DEGREE.
+    Taylor table.  For a polynomial F of degree d with Taylor coefficients
+    b_k at z, u(z + r e^{it}) is the real or imaginary part of
+    sum_k b_k r^k e^{ikt}: a trigonometric polynomial of degree d.  The b_k
+    of all centers come from one pass over the expression tree
+    (coefficients), and a circle is the product of its 2d+2 reals
+    Re b_k r^k, Im b_k r^k with a fixed table of cos kt and sin kt.  By
+    Cauchy's estimate |b_k| r^k <= max |F| on the circle, so a sum of the
+    product overflows only where F comes within a factor 2d+2 of the float
+    range there, and _finite reports it.
+
+    Factored exponential.  For F = exp(L) with L(z) = alpha z + beta,
+    F(c + r e^{it}) = e^{L(c)} e^{alpha r e^{it}}: one scalar per center
+    times one array per radius.  Both factors are kept within
+    e^{+-EXP_FACTOR_MAX}, normal floats, so each is accurate to a few ulps
+    relative to its exponent and the product overflows only where F does;
+    a center or radius beyond that is evaluated directly.
+
+    Direct evaluation of the tree, for everything else: degree 1 (the
+    table gains nothing there), other transcendental components and
+    degrees above TAYLOR_MAX_DEGREE.
     """
     ring = _ring(SEARCH_SAMPLES)
 
     def direct(i: int, r: float) -> np.ndarray:
         return np.asarray(u.value(centers[i] + r * ring), dtype=float)
 
+    if isinstance(u.expr, Exp) and degree(u.expr.operand) == 1:
+        lead = coefficients(u.expr.operand, np.array(centers, dtype=complex))
+        scale = np.exp(lead[0])
+        normal = (np.abs(lead[0].real) <= EXP_FACTOR_MAX).tolist()
+        # alpha, the coefficient of h in L(c + h), is the same at every c
+        alpha = lead[1, :1]
+        waves: dict[float, np.ndarray | None] = {}  # e^{alpha r e^{it}}
+
+        def factored(i: int, r: float) -> np.ndarray:
+            if r not in waves:
+                waves[r] = (np.exp(alpha * r * ring)
+                            if abs(alpha[0]) * r <= EXP_FACTOR_MAX else None)
+            wave = waves[r]
+            if wave is None or not normal[i]:
+                return direct(i, r)
+            w = scale[i] * wave
+            return w.real if u.part == "real" else w.imag
+        return factored
     d = u.degree()
     if d is None or not 2 <= d <= TAYLOR_MAX_DEGREE:
         return direct
@@ -140,6 +172,16 @@ def _scan_sampler(u: HarmonicComponent, centers: list[complex]):
     return from_table
 
 
+def _pick_key(score: float, r: float, z: complex) -> tuple:
+    """The order in which the scan prefers a disc: by its score rounded to
+    12 significant digits, then by smaller radius, then by center.  Discs
+    that tie in exact arithmetic (the translates of a disc of im(exp z)
+    along its zero lines, every disc of radius R/2 of a linear map, the
+    mirror twins of re(z^2)) then tie in the key too, and the pick does
+    not depend on the last bits of a sampler's rounding."""
+    return (float(f"{score:.11e}"), r, (z.real, z.imag))
+
+
 # overflow is reported by NonFiniteError, not by numpy warnings
 @np.errstate(over="ignore", invalid="ignore")
 def lewis_disc_search(u: HarmonicComponent, R: float,
@@ -147,25 +189,31 @@ def lewis_disc_search(u: HarmonicComponent, R: float,
     """Search discs centered on the zero set with dyadic radii; return the
     one minimizing max(doubling_ratio, growth_ratio).
 
-    The scan samples each circle at SEARCH_SAMPLES points.  A polynomial
-    component of degree 2 up to TAYLOR_MAX_DEGREE is sampled there from its
-    Taylor coefficients at the center (see _scan_sampler); any other is
-    evaluated directly.  The winning disc is refined with circle_max, by
-    direct evaluation, and every reported value comes from that refinement.
+    The scan samples each circle at SEARCH_SAMPLES points, with the sampler
+    _scan_sampler picks for u: a polynomial component of degree 2 up to
+    TAYLOR_MAX_DEGREE from its Taylor coefficients at the center, the real
+    or imaginary part of exp(alpha z + beta) as e^{L(c)} times one array
+    per radius, and any other by direct evaluation.  Of the scanned discs
+    the least _pick_key wins: ties in the score to 12 significant digits
+    go to the smaller radius, then to the smaller center.  The winner is
+    refined with circle_max, by direct evaluation, and every reported
+    value comes from that refinement.
     """
     _require_positive(R, "R")
     _require_positive(C0_budget, "C0_budget")
     M_half = circle_max(u, 0.0, R / 2.0).value
-    osc = circle_max(u, 0.0, R / 2.0, absolute=True).value
+    osc = float(np.max(np.abs(circle_values(u, 0.0, R / 2.0))))
     if osc <= 1e-14:
         raise ConstantComponentError("u is constant at this scale")
 
     centers = _candidate_centers(u, R)
+    zvals = np.abs(_finite_values(u, np.array(centers, dtype=complex),
+                                  "values of u at the candidate centers"))
     sample = _scan_sampler(u, centers)
 
-    best = None  # ((score, r, center key), center, r)
+    best = None  # (_pick_key, center, r)
     for i, z in enumerate(centers):
-        zval = abs(float(u.value(z)))
+        zval = zvals[i]
         max_r = R - abs(z)
         for j in range(1, 21):
             r = R * 2.0 ** (-j)
@@ -187,8 +235,7 @@ def lewis_disc_search(u: HarmonicComponent, R: float,
                 continue
             doubling = M_abs / M_34
             growth = M_half / M_u
-            score = max(doubling, growth)
-            key = (score, r, (z.real, z.imag))
+            key = _pick_key(max(doubling, growth), r, z)
             if best is None or key < best[0]:
                 best = (key, z, r)
     if best is None:

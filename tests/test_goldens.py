@@ -4,8 +4,11 @@ structure, Lewis discs and the zeros CSV.
 The re(z^2) trace and the zeros CSV moved by <= 8.4e-15 when bisection
 switched to array evaluation, whose z^2 differs from Python's complex
 power in the last bits; the Lewis discs moved when candidate centers
-switched from traced zero curves to a batched sign-change pass.  Their
-scores are also pinned as numbers, from before that switch."""
+switched from traced zero curves to a batched sign-change pass, and again
+(by <= 1.5e-14 relative in empirical_C0, same radii) when the pick began
+to compare scores to 12 significant digits, so that discs tying in exact
+arithmetic no longer part by rounding.  Their scores are also pinned as
+numbers, from before the first switch."""
 
 import hashlib
 import json
@@ -46,9 +49,9 @@ LOCAL = {
 }
 
 DISCS = {
-    8.0: "51cae12d51cca7b9e770369659cc800c4414bcef8837a3d81090fd7cd9203428",
-    12.0: "aaf424a12f041839734391c05229bfd37c5b7e1eef7f39ba9e8377c38f35bc37",
-    20.0: "bb15bf88a5cde3c7540d5fb4bd86aba9769dd5e231483ed2e3a86b9851e94d14",
+    8.0: "9a7aaf3191e860c04d847e9afe6a86408b3ee14b1296f115d6823b8021e33a73",
+    12.0: "4587033a7d211b14a6380128c4588d975ca0986696682c870b7b97bfa40583ff",
+    20.0: "4f0cd827e0560b1e7b7af5e193ffa941c03754574f9365790bc795bff81f970f",
 }
 
 # empirical_C0 of the same searches with centers taken from traced curves

@@ -202,7 +202,7 @@ def _exhaustive_disc_search(u, R, C0_budget=100.0):
             if M_34 <= 0 or M_u <= 0:
                 continue
             score = max(M_abs / M_34, M_half / M_u)
-            key = (score, r, (z.real, z.imag))
+            key = lewis._pick_key(score, r, z)
             if best is None or key < best[0]:
                 best = (key, z, r)
     _, z, r = best
@@ -341,6 +341,105 @@ def test_taylor_table_keeps_the_accuracy_of_the_tree():
     assert np.max(np.abs(samples[list(ks)] - exact)) <= 1e-12 * np.max(np.abs(exact))
 
 
+def test_factored_exp_samples_match_direct_evaluation():
+    # F = exp(L) with L = alpha z + beta.  Both samplers form their
+    # exponents with an absolute error of a few eps times
+    # A = |alpha| (|z| + r) + |beta|, which exp turns into a relative error
+    # of that size; the ring, exp itself and the product add a few eps.  So
+    # each sample is within 16 eps (1 + A) |F(w)| of the exact value
+    rng = np.random.default_rng(5)
+    ring = np.exp(1j * np.arange(SEARCH_SAMPLES) * (2.0 * math.pi / SEARCH_SAMPLES))
+    ks = np.arange(0, SEARCH_SAMPLES, 16)
+    eps = np.finfo(float).eps
+    for k in range(40):
+        alpha, beta, z = (complex(*rng.uniform(-s, s, size=2)) for s in (2, 3, 4))
+        r = float(rng.uniform(0.01, 4.0))
+        part = ("real", "imag")[k % 2]
+        u = HarmonicComponent(Exp(Add(Mul(Const(alpha), Z), Const(beta))), part)
+        factored = _scan_sampler(u, [z])(0, r)[ks]
+        direct = np.asarray(u.value(z + r * ring), dtype=float)[ks]
+        with mpmath.workdps(30):
+            F = [mpmath.exp(alpha * (z + r * mpmath.expjpi(mpmath.mpf(2 * int(j)) / SEARCH_SAMPLES))
+                            + beta) for j in ks]
+            exact = np.array([float(w.real if part == "real" else w.imag) for w in F])
+            size = np.array([float(abs(w)) for w in F])
+        bound = 16 * eps * (1 + abs(alpha) * (abs(z) + r) + abs(beta)) * size
+        assert np.all(np.abs(factored - exact) <= bound), k
+        assert np.all(np.abs(direct - exact) <= bound), k
+        assert np.all(np.abs(factored - direct) <= 2 * bound), k
+
+
+@pytest.mark.parametrize("src,R", [
+    *(("u=im(exp(z)); v=re(exp(z))", R) for R in (8.0, 10.0, 12.0, 20.0)),
+    *((f"u=re(exp({a}*z)); v=im(exp({a}*z))", 12.0) for a in (0.8, 0.9, 1.05, 1.1)),
+])
+def test_the_factored_exp_scan_picks_the_disc_of_direct_evaluation(monkeypatch, src, R):
+    monkeypatch.setattr(lewis, "CENTER_GRID_N", 12)
+    u = parse_map(src).u
+    got = lewis_disc_search(u, R).to_dict()
+    monkeypatch.setattr(lewis, "EXP_FACTOR_MAX", -1.0)  # every circle direct
+    assert lewis_disc_search(u, R).to_dict() == got
+
+
+@pytest.mark.parametrize("src,R,where", [
+    ("u=im(exp(z)); v=re(exp(z))", 1000.0, "radius 500 about 321.412-263.894j"),
+    # e^{750} overflows as a factor of e^{z - 400} on |z - c| = 750, and
+    # e^{c - 400} underflows for c < -345, where the samples are finite
+    ("u=im(exp(z-400)); v=im(z)", 1500.0, "radius 750 about 482.118-515.221j"),
+])
+def test_the_factored_exp_scan_overflows_where_direct_evaluation_does(
+        monkeypatch, src, R, where):
+    monkeypatch.setattr(lewis, "CENTER_GRID_N", 12)
+    u = parse_map(src).u
+    for bound in (lewis.EXP_FACTOR_MAX, -1.0):
+        monkeypatch.setattr(lewis, "EXP_FACTOR_MAX", bound)
+        with pytest.raises(NonFiniteError, match=f"^u is not finite on the circle of "
+                           f"{re.escape(where)}: the map overflows$"):
+            lewis_disc_search(u, R)
+
+
+_SCAN_SAMPLER = lewis._scan_sampler
+
+
+@pytest.mark.parametrize("src,R", [
+    ("u=re(z); v=im(z)", 8.0),              # every disc of radius R/2
+    ("u=re(z^2); v=im(z^2)", 8.0),          # mirror twins
+    ("u=im(exp(z)); v=re(exp(z))", 12.0),   # translates along zero lines
+])
+def test_the_pick_does_not_hang_on_the_last_bits_of_the_samples(monkeypatch, src, R):
+    # these maps have discs whose scores tie in exact arithmetic
+    monkeypatch.setattr(lewis, "CENTER_GRID_N", 12)
+    u = parse_map(src).u
+    want = lewis_disc_search(u, R).to_dict()
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(0)
+    for factor in (lambda: 1 + 4 * eps, lambda: 1 - 4 * eps,
+                   # a new sign at every sample of every circle
+                   lambda: 1 + 4 * eps * rng.choice([-1.0, 1.0], SEARCH_SAMPLES)):
+        def perturbed(u, centers, factor=factor):
+            sample = _SCAN_SAMPLER(u, centers)
+            return lambda i, r: sample(i, r) * factor()
+        monkeypatch.setattr(lewis, "_scan_sampler", perturbed)
+        assert lewis_disc_search(u, R).to_dict() == want
+
+
+def test_a_center_where_u_is_not_finite_is_a_typed_error(monkeypatch):
+    # u is finite on |z| = 6.5 but NaN (inf - inf) at 7; NaN > 1e-9 M is
+    # false, so a NaN at a center once let its discs through
+    u = parse_map("u=re(exp(exp(z))-exp(exp(z))+z); v=im(z)").u
+    monkeypatch.setattr(lewis, "_candidate_centers", lambda u, R: [0j, 7 + 0j])
+    with pytest.raises(NonFiniteError, match="^1 of 2 values of u at the "
+                       "candidate centers are not finite: the map overflows$"):
+        lewis_disc_search(u, 13.0)
+
+
+@pytest.mark.parametrize("src", ["u=re(z-z); v=im(z)", "u=re(1e-15*z); v=im(z)"])
+def test_a_component_that_vanishes_on_the_half_circle_is_constant(src):
+    # max |u| on |z| = R/2 is at most 1e-14
+    with pytest.raises(lewis.ConstantComponentError, match="constant at this scale"):
+        lewis_disc_search(parse_map(src).u, 8.0)
+
+
 def _high_degree_searches(seed=11):
     """(component, R) pairs: re or im of a random tree of degree 5-8."""
     rng = np.random.default_rng(seed)
@@ -365,32 +464,20 @@ def test_pruned_search_matches_exhaustive_scan_on_high_degrees(monkeypatch, u, R
 
 
 _VALUE = HarmonicComponent.value
-_CANDIDATE_CENTERS = lewis._candidate_centers
 
 
 def _scan_evaluations(monkeypatch, u, R) -> int:
-    """Array evaluations of u in lewis_disc_search outside the center search
-    and the circle maxima: those of the radius scan."""
-    elsewhere = [0]
+    """Scan circles that lewis_disc_search evaluates directly: evaluations
+    of u at SEARCH_SAMPLES points.  The center mesh, the centers (at most
+    264 on a 12 x 12 mesh) and the circle maxima come at other counts."""
     count = [0]
 
     def value(self, z):
-        if isinstance(z, np.ndarray) and not elsewhere[0]:
+        if isinstance(z, np.ndarray) and z.shape == (SEARCH_SAMPLES,):
             count[0] += 1
         return _VALUE(self, z)
 
-    def off_scan(fn):
-        def wrapped(*args, **kwargs):
-            elsewhere[0] += 1
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                elsewhere[0] -= 1
-        return wrapped
-
     monkeypatch.setattr(HarmonicComponent, "value", value)
-    monkeypatch.setattr(lewis, "_candidate_centers", off_scan(_CANDIDATE_CENTERS))
-    monkeypatch.setattr(lewis, "circle_max", off_scan(circle_max))
     lewis_disc_search(u, R)
     return count[0]
 
@@ -400,7 +487,9 @@ def _scan_evaluations(monkeypatch, u, R) -> int:
     ("u=im((1+i)*z^3-2); v=im(z)", 8.0, True),
     ("u=re(z^64+z); v=im(z)", 2.0, True),          # the cap
     ("u=re(z); v=im(z)", 8.0, False),
-    ("u=im(exp(z)); v=re(exp(z))", 8.0, False),
+    ("u=im(exp(z)); v=re(exp(z))", 8.0, True),     # factored
+    ("u=re(exp(exp(z))); v=im(z)", 4.0, False),
+    ("u=re(exp(z^2)); v=im(z)", 4.0, False),
     ("u=re(z^65+z); v=im(z)", 2.0, False),         # above the cap
 ])
 def test_the_scan_evaluates_u_only_off_the_table(monkeypatch, src, R, table):
@@ -408,8 +497,10 @@ def test_the_scan_evaluates_u_only_off_the_table(monkeypatch, src, R, table):
     monkeypatch.setattr(lewis, "CENTER_GRID_N", 12)
     u = parse_map(src).u
     now = _scan_evaluations(monkeypatch, u, R)
-    # a cap of 1 turns the table off: every circle is evaluated directly
+    # a cap of 1 turns the table off, and a negative bound the factored
+    # exponential: every circle is evaluated directly
     monkeypatch.setattr(lewis, "TAYLOR_MAX_DEGREE", 1)
+    monkeypatch.setattr(lewis, "EXP_FACTOR_MAX", -1.0)
     direct = _scan_evaluations(monkeypatch, u, R)
     assert direct > 0
     assert now == (0 if table else direct)
