@@ -1,10 +1,10 @@
 """Circle-based functionals on harmonic functions.
 
 The central quantity is M(u, z, r): the maximum of u over the circle
-|w - z| = r.  Sampling is dense and deterministic, followed by
-golden-section refinement of the best brackets, so results are
-reproducible bit-for-bit.  Every sample and every maximum is finite, or
-the call raises NonFiniteError.
+|w - z| = r.  Sampling is dense and deterministic, and the brackets of
+the best grid peaks are then refined by a zoom of array evaluations, so
+results are reproducible bit-for-bit.  Every sample and every maximum is
+finite, or the call raises NonFiniteError.
 """
 
 from __future__ import annotations
@@ -33,14 +33,14 @@ __all__ = [
 ]
 
 DEFAULT_SAMPLES = 4096
-REFINE_PEAKS = 3          # grid peaks polished by golden section
+REFINE_PEAKS = 3          # grid peaks refined by the zoom, all in one array
 MULTIPLICITY_TOL = 1e-8   # relative size of a dominant Fourier harmonic
 MAX_SHRINK = 8            # radius halvings before multiplicity gives up
-GOLDEN_ITERS = 60         # golden-section steps per refined peak
+ZOOM_POINTS = 129         # samples across a bracket at each zoom level ...
+ZOOM_LEVELS = 3           # ... which then narrows 64-fold about its best one
 FOURIER_SAMPLES = 1024    # circle samples behind a Fourier profile
 POSITIVITY_CIRCLES = 24   # the positivity check scans radii r k / 24 ...
 POSITIVITY_ANGLES = 256   # ... at this many angles each
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class PositivityError(ValueError):
@@ -112,29 +112,11 @@ def circle_values(u: HarmonicComponent, center: complex, radius: float,
                           f"about {center:g}")
 
 
-def _golden_max(g, lo: float, hi: float) -> tuple[float, float]:
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = g(c), g(d)
-    for _ in range(GOLDEN_ITERS):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = g(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = g(d)
-    theta = 0.5 * (a + b)
-    return theta, g(theta)
-
-
 @np.errstate(over="ignore", invalid="ignore")  # overflow is a NonFiniteError
 def circle_max(u: HarmonicComponent, z: complex, r: float,
                absolute: bool = False, n: int = DEFAULT_SAMPLES) -> CircleMax:
     """M(u, z, r) (or M(|u|, z, r) with absolute=True), always finite: a
-    grid sample or a refinement point that is not raises NonFiniteError."""
+    grid sample or a zoom sample that is not raises NonFiniteError."""
     _require_positive(r, "radius")
     vals = circle_values(u, z, r, n)
     if absolute:
@@ -147,20 +129,28 @@ def circle_max(u: HarmonicComponent, z: complex, r: float,
     peaks = np.nonzero(is_peak)[0]
     order = np.lexsort((peaks, -vals[peaks]))  # by value desc, then smaller angle
     top = peaks[order][:REFINE_PEAKS]
+    # each peak's bracket [theta - h, theta + h] is sampled at ZOOM_POINTS
+    # angles, all brackets in one array, and then narrows to one spacing
+    # either side of its best sample: at n = 4096 the last spacing is
+    # about 5.9e-9
     step = 2.0 * math.pi / n
-
-    def g(theta: float) -> float:
-        w = _finite(float(u.value(z + r * complex(math.cos(theta),
-                                                  math.sin(theta)))), z, r)
-        return abs(w) if absolute else w
-
-    best_val = -math.inf
-    best_theta = 0.0
-    for k in top:
-        theta, val = _golden_max(g, (k - 1) * step, (k + 1) * step)
-        if val > best_val or (val == best_val and theta < best_theta):
-            best_val = val
-            best_theta = theta
+    h, theta = step, top * step
+    offsets = np.linspace(-1.0, 1.0, ZOOM_POINTS)
+    rows = np.arange(len(top))
+    for _ in range(ZOOM_LEVELS):
+        angles = theta[:, None] + h * offsets
+        g = np.asarray(u.value(z + r * (np.cos(angles) + 1j * np.sin(angles))),
+                       dtype=float)
+        mag = np.abs(g)
+        # the largest |g| is inf or NaN when any sample is
+        _finite(float(mag.max()), z, r)
+        if absolute:
+            g = mag
+        best = np.argmax(g, axis=1)  # the first, the smaller angle, on ties
+        theta, peak = angles[rows, best], g[rows, best]
+        h *= 2.0 / (ZOOM_POINTS - 1)
+    i = np.lexsort((theta, -peak))[0]  # by value desc, then smaller angle
+    best_val, best_theta = float(peak[i]), float(theta[i])
     # never do worse than the raw grid
     k0 = int(np.argmax(vals))
     if vals[k0] > best_val:

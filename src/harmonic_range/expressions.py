@@ -308,23 +308,12 @@ def _wrap(e: Expr, *parenthesized: type) -> str:
 # Evaluation and differentiation
 # --------------------------------------------------------------------------
 
-def _scalar_pow(w: complex, k: int) -> complex:
-    """w ** k, or numpy's inf or NaN where Python's raises OverflowError."""
-    try:
-        return w ** k
-    except OverflowError:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return complex(np.power(w, k))
-
-
 # One operation per node type.  Array operations are explicit ufunc calls:
 # with `a * b` numpy may reuse a large temporary b in place as `b * a`, and
 # complex multiplication is not bitwise commutative under SIMD.  Pow keeps
 # `**` because numpy sends `w ** 2` to np.square, whose bits np.power lacks.
-_ARRAY_OPS = {Add: np.add, Mul: np.multiply, Neg: np.negative,
-              Pow: operator.pow, Exp: np.exp}
-_SCALAR_OPS = {Add: operator.add, Mul: operator.mul, Neg: operator.neg,
-               Pow: _scalar_pow, Exp: lambda w: complex(np.exp(w))}
+_OPS = {Add: np.add, Mul: np.multiply, Neg: np.negative, Pow: operator.pow,
+        Exp: np.exp}
 
 
 def _node(op, a, *rest):
@@ -342,22 +331,24 @@ def _node(op, a, *rest):
     return op(a, b)
 
 
-def _build(e: Expr, ops: dict, const):
-    """A function of z computing e, or the value of e when it is free of z."""
+def _build(e: Expr):
+    """A function of z computing e, or the value of e when it is free of z:
+    a constant is folded on a 1-element complex array, so it carries the
+    bits of an elementwise evaluation."""
     match e:
         case Const(value):
-            return const(value)
+            return np.full(1, value, dtype=complex)
         case Var():
             return lambda z: z
         case Add(left, right) | Mul(left, right):
-            args = (_build(left, ops, const), _build(right, ops, const))
+            args = (_build(left), _build(right))
         case Pow(base, k):
-            args = (_build(base, ops, const), k)
+            args = (_build(base), k)
         case Neg(operand) | Exp(operand):
-            args = (_build(operand, ops, const),)
+            args = (_build(operand),)
         case _:
             raise TypeError(f"not an expression: {e!r}")
-    out = _node(ops[type(e)], *args)
+    out = _node(_OPS[type(e)], *args)
     # a z-free subtree that overflows does so at every z
     if not callable(out) and not np.isfinite(out).all():
         raise NonFiniteError(f"the constant {to_source(e)} is not finite: "
@@ -368,23 +359,22 @@ def _build(e: Expr, ops: dict, const):
 def _compile(e: Expr):
     """Compile e once into a function of a complex scalar or numpy array.
 
-    Subtrees free of z are folded at compile time: for arrays on a
-    1-element complex array, so the bits match an elementwise evaluation,
-    and for scalars with Python complex arithmetic.  A folded constant that
-    overflows is a NonFiniteError.
+    Subtrees free of z are folded at compile time, and a folded constant
+    that overflows is a NonFiniteError.  A scalar or 0-d input runs as a
+    1-element array, so it gets the bits of the same point inside any
+    array, and comes back as a Python complex; its overflow gives inf or
+    NaN without a warning, which the callers' finiteness checks report.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # refused in _build
-        array = _build(e, _ARRAY_OPS, lambda c: np.full(1, c, dtype=complex))
-        scalar = _build(e, _SCALAR_OPS, complex)
+        array = _build(e)
     if not callable(array):  # e is free of z
         array = lambda z, c=array[0]: np.full(z.shape, c)
-        scalar = lambda z, c=scalar: c
 
     def program(z):
-        if not isinstance(z, np.ndarray):
-            return scalar(complex(z))
-        z = z.astype(complex, copy=False)
-        return array(z) if z.ndim else array(z.reshape(1))[0]
+        if isinstance(z, np.ndarray) and z.ndim:
+            return array(z.astype(complex, copy=False))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return complex(array(np.full(1, z, dtype=complex))[0])
     return program
 
 
@@ -574,13 +564,9 @@ class HarmonicComponent:
         fp = self._deriv_program(z)
         if self.part == "real":
             # u = Re F: (Re F', -Im F') by Cauchy-Riemann
-            if isinstance(fp, np.ndarray):
-                return fp.real - 1j * fp.imag
-            return complex(fp.real, -fp.imag)
+            return fp.real - 1j * fp.imag
         # u = Im F: (Im F', Re F')
-        if isinstance(fp, np.ndarray):
-            return fp.imag + 1j * fp.real
-        return complex(fp.imag, fp.real)
+        return fp.imag + 1j * fp.real
 
     def degree(self) -> int | None:
         return degree(self.expr)

@@ -201,10 +201,12 @@ def lewis_disc_search(u: HarmonicComponent, R: float,
     """
     _require_positive(R, "R")
     _require_positive(C0_budget, "C0_budget")
-    M_half = circle_max(u, 0.0, R / 2.0).value
-    osc = float(np.max(np.abs(circle_values(u, 0.0, R / 2.0))))
-    if osc <= 1e-14:
+    half = circle_values(u, 0.0, R / 2.0)
+    # relative to the samples' size, so that the test does not change when
+    # u is scaled; u == 0 is constant too
+    if np.ptp(half) <= 1e-12 * np.max(np.abs(half)):
         raise ConstantComponentError("u is constant at this scale")
+    M_half = circle_max(u, 0.0, R / 2.0).value
 
     centers = _candidate_centers(u, R)
     zvals = np.abs(_finite_values(u, np.array(centers, dtype=complex),
@@ -271,7 +273,7 @@ class RescaledMap:
     def certify(self) -> dict:
         """Check the three rescaling certificates on a grid."""
         Uv = np.asarray(self.U(_check_points()), dtype=float)
-        u0 = abs(float(np.asarray(self.U(np.array(0.0j))).ravel()[0]))
+        u0 = abs(float(self.U(0j)))
         sup_abs = float(np.max(np.abs(Uv)))
         m34 = circle_max(self.source.u, self.disc.center,
                          0.75 * self.disc.radius).value / self.disc.M

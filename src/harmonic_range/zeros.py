@@ -263,8 +263,8 @@ def cleaning_check(U, V, r: float) -> TheoremVerdict:
     Vv = np.asarray(V(Z), dtype=float)
     sU = max(float(np.max(np.abs(Uv))), 1e-300)
     sV = max(float(np.max(np.abs(Vv))), 1e-300)
-    u0 = abs(float(np.asarray(U(np.array(0.0j))).ravel()[0]))
-    v0 = abs(float(np.asarray(V(np.array(0.0j))).ravel()[0]))
+    u0 = abs(float(U(0j)))
+    v0 = abs(float(V(0j)))
     if u0 > CLEANING_TOL * sU or v0 > CLEANING_TOL * sV:
         raise ValueError("U and V must both vanish at the origin")
 

@@ -144,10 +144,11 @@ def test_an_overflowing_circle_is_a_nonfinite_error(run):
 
 
 class _InfBetweenSamples:
-    """cos t on the sample grid of the unit circle, inf anywhere else."""
+    """cos t on the 4096-point sample grid of the unit circle, inf at every
+    other point."""
 
     def value(self, z):
-        return z.real.copy() if isinstance(z, np.ndarray) else math.inf
+        return np.where(np.isin(z, _ring(4096)), z.real, math.inf)
 
 
 def test_circle_max_refuses_a_refinement_point_that_overflows():
@@ -161,3 +162,63 @@ def test_rings_are_shared_and_read_only():
     assert not ring.flags.writeable
     theta = (np.arange(64) + 0.5) * (2.0 * math.pi / 64)
     assert np.array_equal(ring, np.exp(1j * theta))
+
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_max(g, lo, hi):
+    """The golden-section search that circle_max once ran per grid peak,
+    one scalar evaluation per step: the reference for the zoom."""
+    a, b = lo, hi
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = g(c), g(d)
+    for _ in range(60):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = g(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = g(d)
+    theta = 0.5 * (a + b)
+    return theta, g(theta)
+
+
+def _golden_circle_max(u, z, r, absolute, vals):
+    """The best golden-section maximum over the brackets of the 3 top peaks
+    of vals, 4096 grid samples, as circle_max computed it before the zoom."""
+    is_peak = (vals >= np.roll(vals, 1)) & (vals >= np.roll(vals, -1))
+    top = np.nonzero(is_peak)[0]
+    top = top[np.lexsort((top, -vals[top]))][:3]
+    step = 2.0 * math.pi / 4096
+
+    def g(theta):
+        w = float(u.value(z + r * complex(math.cos(theta), math.sin(theta))))
+        return abs(w) if absolute else w
+    return max(_golden_max(g, (k - 1) * step, (k + 1) * step)[1] for k in top)
+
+
+def _seeded_circles(seed=5):
+    rng = np.random.default_rng(seed)
+    maps = ["u=re(z^2); v=im(z)", "u=im(z^4-3*z^2+z); v=im(z)",
+            "u=re(exp(z)+z^2); v=im(z)", "u=im(exp(z)); v=im(z)",
+            "u=re((1+2*i)*z^3-exp(-z)); v=im(z)"]
+    for src in maps:
+        for _ in range(6):
+            z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+            yield _comp(src), z, float(rng.uniform(0.1, 3.0))
+
+
+@pytest.mark.parametrize("absolute", [False, True])
+def test_the_zoom_agrees_with_golden_section(absolute):
+    for u, z, r in _seeded_circles():
+        vals = circle_values(u, z, r)
+        if absolute:
+            vals = np.abs(vals)
+        got = circle_max(u, z, r, absolute=absolute).value
+        want = _golden_circle_max(u, z, r, absolute, vals)
+        assert got >= vals.max()
+        assert abs(got - want) <= 1e-13 * np.abs(vals).max(), (u, z, r)

@@ -299,20 +299,25 @@ def test_compiled_program_matches_tree_walk_bit_for_bit_on_arrays(n):
 
 
 def test_compiled_program_matches_tree_walk_bit_for_bit_on_scalars():
+    # a Python scalar or a 0-d array runs as a 1-element array, so it gets
+    # the bits of the same point inside an n-element array; Python complex
+    # arithmetic differs from numpy's in the last bit of some products
     zs = [complex(w) for w in _points(8, 3)] + [0.5, 2, np.complex128(0.3 - 1j)]
+    grid = np.array(zs, dtype=complex)
     for e in _random_trees(7, 300) + [Const(1 + 2j), Z]:
-        program = _compile(e)
-        for z in zs:
-            got, want = program(z), _tree_walk(e, z)
-            assert type(got) is complex
-            assert _bits(got) == _bits(want), to_source(e)
+        program, want = _compile(e), _tree_walk(e, grid)
+        for k, z in enumerate(zs):
+            for got in (program(z), program(np.array(z))):
+                assert type(got) is complex
+                assert _bits(got) == _bits(want[k]), to_source(e)
 
 
 @pytest.mark.parametrize("src,z", [("z^400", 8.0), ("z^100000", 1.5 + 1j),
                                    ("(z^200)^2", 40j)])
 def test_a_scalar_power_that_overflows_is_not_finite(src, z):
-    # Python's complex power raised OverflowError here, where the array path
-    # gives inf or NaN; the callers' finiteness checks report either
+    # Python's complex power once raised OverflowError here; the array
+    # program gives inf or NaN, with no numpy warning, and the callers'
+    # finiteness checks report either
     got = _compile(parse_expr(src))(complex(z))
     assert type(got) is complex and not cmath.isfinite(got)
 

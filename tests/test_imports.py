@@ -4,8 +4,8 @@ zero finding keeps its single bisection loop; every public function and
 class is listed in its module's ``__all__``, the names that the
 benchmark's layer tracer wraps; the finite-and-positive input test is
 written once, in its guard; no module imports a name it never uses,
-which a deletion can leave behind; and one function builds the rings of
-circle samples."""
+which a deletion can leave behind; one function builds the rings of
+circle samples; and each expression compiles into one program."""
 
 import ast
 import importlib
@@ -205,3 +205,44 @@ def test_the_check_sees_a_hand_built_ring():
                      "def h(t, k):\n"
                      "    return np.exp(1j * k * t)\n")
     assert _ring_builders(tree) == ["f", "P.g"]
+
+
+def _outside_calls(tree: ast.AST, name: str) -> list[int]:
+    """Lines that call name, other than its own recursive calls."""
+    own = {id(node) for fn in ast.walk(tree)
+           if isinstance(fn, ast.FunctionDef) and fn.name == name
+           for node in ast.walk(fn)}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == name and id(node) not in own]
+
+
+def _defined_names(tree: ast.AST) -> set[str]:
+    names = {node.name for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    names |= {t.id for node in ast.walk(tree)
+              if isinstance(node, (ast.Assign, ast.AnnAssign))
+              for t in getattr(node, "targets", [getattr(node, "target", None)])
+              if isinstance(t, ast.Name)}
+    return names
+
+
+def test_one_compiled_program():
+    # the builder of compiled programs has one caller, and no second op
+    # table (once Python complex arithmetic for scalars) comes back
+    callers = [p.name for p in SOURCES
+               for _ in _outside_calls(ast.parse(p.read_text()), "_build")]
+    assert callers == ["expressions.py"]
+    assert [(p.name, n) for p in SOURCES
+            for n in _defined_names(ast.parse(p.read_text()))
+            if "SCALAR_OPS" in n] == []
+
+
+def test_the_check_sees_a_second_program():
+    tree = ast.parse("def _build(e, ops):\n"
+                     "    return _build(e.left, ops)\n"
+                     "_SCALAR_OPS: dict = {}\n"
+                     "array = _build(e, _OPS)\n"
+                     "scalar = _build(e, _SCALAR_OPS)\n")
+    assert _outside_calls(tree, "_build") == [4, 5]
+    assert "_SCALAR_OPS" in _defined_names(tree)

@@ -433,11 +433,28 @@ def test_a_center_where_u_is_not_finite_is_a_typed_error(monkeypatch):
         lewis_disc_search(u, 13.0)
 
 
-@pytest.mark.parametrize("src", ["u=re(z-z); v=im(z)", "u=re(1e-15*z); v=im(z)"])
+@pytest.mark.parametrize("src", ["u=re(z-z); v=im(z)"])
 def test_a_component_that_vanishes_on_the_half_circle_is_constant(src):
-    # max |u| on |z| = R/2 is at most 1e-14
     with pytest.raises(lewis.ConstantComponentError, match="constant at this scale"):
         lewis_disc_search(parse_map(src).u, 8.0)
+
+
+def test_the_constancy_test_is_relative_to_the_size_of_u():
+    # constant means that the samples on |z| = R/2 spread by at most 1e-12
+    # of their size; under the old absolute bound (max |u| <= 1e-14) a
+    # nonzero constant was searched and a tiny exponential was constant
+    with pytest.raises(lewis.ConstantComponentError, match="constant at this scale"):
+        lewis_disc_search(parse_map("u=re(5+0*z); v=im(z)").u, 8.0)
+    disc = lewis_disc_search(parse_map("u=re(exp(2*z-800)); v=im(z)").u, 700.0)
+    assert 0.0 < disc.M < 1e-30 and disc.budget_met
+
+
+def test_a_scaled_component_gives_the_scaled_disc():
+    unit = lewis_disc_search(parse_map("u=re(z); v=im(z)").u, 8.0)
+    tiny = lewis_disc_search(parse_map("u=re(1e-15*z); v=im(z)").u, 8.0)
+    assert (tiny.center, tiny.radius) == (unit.center, unit.radius)
+    assert tiny.M == pytest.approx(1e-15 * unit.M, rel=1e-12)
+    assert tiny.empirical_C0 == pytest.approx(unit.empirical_C0, rel=1e-12)
 
 
 def _high_degree_searches(seed=11):
