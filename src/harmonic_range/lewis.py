@@ -41,7 +41,16 @@ TAYLOR_MAX_DEGREE = 64
 # circle stay within e^{+-700}, normal floats (the float range ends near
 # e^{+-709})
 EXP_FACTOR_MAX = 700.0
-PRUNE_MARGIN = 1.05       # the sampled circle maximum is only nearly monotone
+# the sampled circle maximum is only nearly monotone in r: a disc whose
+# growth ratio alone exceeds PRUNE_MARGIN times the best score is pruned
+# with every smaller radius about its center.  Under that near-monotonicity
+# each pruned disc scores above the best disc found so far, so the winner
+# is the least _pick_key over all admissible discs, in whatever order the
+# discs are scanned
+PRUNE_MARGIN = 1.05
+# centers sampled as one block of the radius scan, one (k, SEARCH_SAMPLES)
+# array
+SCAN_BLOCK = 64
 # the certificates and the range check of a rescaled map use one mesh
 CHECK_GRID_N = 101
 CHECK_EPS = 1e-3
@@ -100,8 +109,10 @@ def _candidate_centers(u: HarmonicComponent, R: float) -> list[complex]:
 
 
 def _scan_sampler(u: HarmonicComponent, centers: list[complex]):
-    """A function of (i, r): the SEARCH_SAMPLES values of u on the circle of
-    radius r about centers[i], at the angles 2 pi n / SEARCH_SAMPLES.
+    """A function of (idx, r): the values of u on the circles of radius r
+    about centers[idx], one row of SEARCH_SAMPLES values per index of the
+    index array idx (one index gives one row), at the angles
+    2 pi n / SEARCH_SAMPLES.  A block of circles is one array operation.
 
     Three samplers, chosen from the expression of u:
 
@@ -109,67 +120,80 @@ def _scan_sampler(u: HarmonicComponent, centers: list[complex]):
     b_k at z, u(z + r e^{it}) is the real or imaginary part of
     sum_k b_k r^k e^{ikt}: a trigonometric polynomial of degree d.  The b_k
     of all centers come from one pass over the expression tree
-    (coefficients), and a circle is the product of its 2d+2 reals
-    Re b_k r^k, Im b_k r^k with a fixed table of cos kt and sin kt.  By
-    Cauchy's estimate |b_k| r^k <= max |F| on the circle, so a sum of the
-    product overflows only where F comes within a factor 2d+2 of the float
-    range there, and _finite reports it.
+    (coefficients), and a block of circles is one matrix product of their
+    2d+2 reals Re b_k r^k, Im b_k r^k with a fixed table of cos kt and
+    sin kt.  By Cauchy's estimate |b_k| r^k <= max |F| on the circle, so a
+    sum of the product overflows only where F comes within a factor 2d+2
+    of the float range there, and the scan reports it.
 
     Factored exponential.  For F = exp(L) with L(z) = alpha z + beta,
     F(c + r e^{it}) = e^{L(c)} e^{alpha r e^{it}}: one scalar per center
     times one array per radius.  Both factors are kept within
     e^{+-EXP_FACTOR_MAX}, normal floats, so each is accurate to a few ulps
     relative to its exponent and the product overflows only where F does;
-    a center or radius beyond that is evaluated directly.
+    a radius beyond that is evaluated directly, and so are the rows of a
+    block whose center is beyond it.
 
-    Direct evaluation of the tree, for everything else: degree 1 (the
-    table gains nothing there), other transcendental components and
-    degrees above TAYLOR_MAX_DEGREE.
+    Direct evaluation of the tree, for everything else: other
+    transcendental components and degrees above TAYLOR_MAX_DEGREE.
     """
+    C = np.array(centers, dtype=complex)
     ring = _ring(SEARCH_SAMPLES)
 
-    def direct(i: int, r: float) -> np.ndarray:
-        return np.asarray(u.value(centers[i] + r * ring), dtype=float)
+    def direct(idx, r: float) -> np.ndarray:
+        return np.asarray(u.value(C[idx, None] + r * ring), dtype=float)
+
+    def part_rows(b: np.ndarray) -> np.ndarray:
+        """Per center, the reals that multiply a table [Re e; Im e] into the
+        part of u of sum_k b_k e_k: Re(b e) = Re b Re e - Im b Im e and
+        Im(b e) = Im b Re e + Re b Im e."""
+        parts = (b.real, -b.imag) if u.part == "real" else (b.imag, b.real)
+        return np.ascontiguousarray(np.concatenate(parts).T)
 
     if isinstance(u.expr, Exp) and degree(u.expr.operand) == 1:
-        lead = coefficients(u.expr.operand, np.array(centers, dtype=complex))
-        scale = np.exp(lead[0])
-        normal = (np.abs(lead[0].real) <= EXP_FACTOR_MAX).tolist()
+        lead = coefficients(u.expr.operand, C)
+        rows = part_rows(np.exp(lead[:1]))
+        normal = np.abs(lead[0].real) <= EXP_FACTOR_MAX
         # alpha, the coefficient of h in L(c + h), is the same at every c
-        alpha = lead[1, :1]
+        alpha = lead[1, 0]
         waves: dict[float, np.ndarray | None] = {}  # e^{alpha r e^{it}}
 
-        def factored(i: int, r: float) -> np.ndarray:
+        def factored(idx, r: float) -> np.ndarray:
             if r not in waves:
-                waves[r] = (np.exp(alpha * r * ring)
-                            if abs(alpha[0]) * r <= EXP_FACTOR_MAX else None)
-            wave = waves[r]
-            if wave is None or not normal[i]:
-                return direct(i, r)
-            w = scale[i] * wave
-            return w.real if u.part == "real" else w.imag
+                wave = np.exp(alpha * r * ring)
+                waves[r] = (np.stack([wave.real, wave.imag])
+                            if abs(alpha) * r <= EXP_FACTOR_MAX else None)
+            if waves[r] is None:
+                return direct(idx, r)
+            vals = rows[idx] @ waves[r]
+            off = ~normal[idx]
+            if off.any():
+                vals[off] = direct(np.asarray(idx)[off], r)
+            return vals
         return factored
     d = u.degree()
-    if d is None or not 2 <= d <= TAYLOR_MAX_DEGREE:
+    if d is None or not 1 <= d <= TAYLOR_MAX_DEGREE:
         return direct
-    b = coefficients(u.expr, np.array(centers, dtype=complex))
-    # Re(b e^{ikt}) = Re b cos kt - Im b sin kt, Im(b e^{ikt}) = Im b cos kt
-    # + Re b sin kt
-    parts = (b.real, -b.imag) if u.part == "real" else (b.imag, b.real)
-    rows = np.ascontiguousarray(np.concatenate(parts).T)
+    rows = part_rows(coefficients(u.expr, C))
     k = np.arange(d + 1)
     kk = np.concatenate([k, k])
     # k n reduced mod SEARCH_SAMPLES: each k t is one of the ring's angles
     angle = (np.outer(k, np.arange(SEARCH_SAMPLES)) % SEARCH_SAMPLES) \
         * (2.0 * math.pi / SEARCH_SAMPLES)
     table = np.concatenate([np.cos(angle), np.sin(angle)])
-    powers: dict[float, np.ndarray] = {}  # r^k of the 40 scanned radii
 
-    def from_table(i: int, r: float) -> np.ndarray:
-        if r not in powers:
-            powers[r] = r ** kk
-        return (rows[i] * powers[r]) @ table
+    def from_table(idx, r: float) -> np.ndarray:
+        return (rows[idx] * r ** kk) @ table
     return from_table
+
+
+def _finite_rows(centers: np.ndarray, r: float, *extremes: np.ndarray) -> None:
+    """_finite for a block of circles of radius r about centers, given the
+    extremes of their samples: the first circle with an extreme that is inf
+    or NaN raises NonFiniteError."""
+    ok = np.isfinite(extremes).all(axis=0)
+    if not ok.all():
+        _finite(math.nan, complex(centers[np.argmin(ok)]), r)  # raises
 
 
 def _pick_key(score: float, r: float, z: complex) -> tuple:
@@ -182,22 +206,28 @@ def _pick_key(score: float, r: float, z: complex) -> tuple:
     return (float(f"{score:.11e}"), r, (z.real, z.imag))
 
 
-# overflow is reported by NonFiniteError, not by numpy warnings
-@np.errstate(over="ignore", invalid="ignore")
+# overflow is reported by NonFiniteError, not by numpy warnings, and a
+# ratio over a maximum <= 0 is masked out where it is formed
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def lewis_disc_search(u: HarmonicComponent, R: float,
                       C0_budget: float = 100.0) -> LewisDisc:
     """Search discs centered on the zero set with dyadic radii; return the
     one minimizing max(doubling_ratio, growth_ratio).
 
     The scan samples each circle at SEARCH_SAMPLES points, with the sampler
-    _scan_sampler picks for u: a polynomial component of degree 2 up to
+    _scan_sampler picks for u: a polynomial component of degree 1 up to
     TAYLOR_MAX_DEGREE from its Taylor coefficients at the center, the real
     or imaginary part of exp(alpha z + beta) as e^{L(c)} times one array
-    per radius, and any other by direct evaluation.  Of the scanned discs
-    the least _pick_key wins: ties in the score to 12 significant digits
-    go to the smaller radius, then to the smaller center.  The winner is
-    refined with circle_max, by direct evaluation, and every reported
-    value comes from that refinement.
+    per radius, and any other by direct evaluation.  It walks the 20
+    dyadic radii from large to small; at each radius the centers where the
+    disc fits and that are not yet pruned are sampled in blocks of at most
+    SCAN_BLOCK, and each block is pruned against the best disc of the
+    blocks before it.  A circle that is not finite raises NonFiniteError,
+    the first one in (radius, block) order.  Of the scanned discs the
+    least _pick_key wins: ties in the score to 12 significant digits go to
+    the smaller radius, then to the smaller center.  The winner is refined
+    with circle_max, by direct evaluation, and every reported value comes
+    from that refinement.
     """
     _require_positive(R, "R")
     _require_positive(C0_budget, "C0_budget")
@@ -209,40 +239,50 @@ def lewis_disc_search(u: HarmonicComponent, R: float,
     M_half = circle_max(u, 0.0, R / 2.0).value
 
     centers = _candidate_centers(u, R)
-    zvals = np.abs(_finite_values(u, np.array(centers, dtype=complex),
-                                  "values of u at the candidate centers"))
+    C = np.array(centers, dtype=complex)
+    zvals = np.abs(_finite_values(u, C, "values of u at the candidate centers"))
     sample = _scan_sampler(u, centers)
+    room = R - np.abs(C)                  # the largest radius that fits
+    alive = np.ones(len(centers), dtype=bool)   # not pruned
 
-    best = None  # (_pick_key, center, r)
-    for i, z in enumerate(centers):
-        zval = zvals[i]
-        max_r = R - abs(z)
-        for j in range(1, 21):
-            r = R * 2.0 ** (-j)
-            if r > max_r:
-                continue
-            vals = sample(i, r)
-            M_u = _finite(float(vals.max()), z, r)
+    best = None  # the least _pick_key so far
+    for j in range(1, 21):
+        r = R * 2.0 ** (-j)
+        level = np.flatnonzero(alive & (r <= room))
+        for start in range(0, len(level), SCAN_BLOCK):
+            idx = level[start:start + SCAN_BLOCK]
+            vals = sample(idx, r)
+            M_u, M_lo = vals.max(axis=1), vals.min(axis=1)
+            _finite_rows(C[idx], r, M_u, M_lo)
             # maximum principle: M(u, z, r) does not grow as r shrinks, so
             # once the growth ratio alone loses, no smaller radius can win
-            if (best is not None and M_u > 0
-                    and M_half / M_u > PRUNE_MARGIN * best[0][0]):
-                break
-            M_abs = max(M_u, -_finite(float(vals.min()), z, r))
-            if M_abs <= 0 or zval > 1e-9 * M_abs:
+            keep = np.ones(len(idx), dtype=bool)
+            if best is not None:
+                keep = ~((M_u > 0) & (M_half / M_u > PRUNE_MARGIN * best[0]))
+                alive[idx[~keep]] = False
+            M_abs = np.maximum(M_u, -M_lo)
+            ok = keep & (M_abs > 0) & (zvals[idx] <= 1e-9 * M_abs)
+            if not ok.any():
                 continue
-            vals34 = sample(i, 0.75 * r)
-            M_34 = _finite(float(vals34.max()), z, 0.75 * r)
-            if M_34 <= 0 or M_u <= 0:
+            idx, M_u, M_abs = idx[ok], M_u[ok], M_abs[ok]
+            M_34 = sample(idx, 0.75 * r).max(axis=1)
+            _finite_rows(C[idx], 0.75 * r, M_34)
+            ok = (M_34 > 0) & (M_u > 0)
+            if not ok.any():
                 continue
-            doubling = M_abs / M_34
-            growth = M_half / M_u
-            key = _pick_key(max(doubling, growth), r, z)
-            if best is None or key < best[0]:
-                best = (key, z, r)
+            idx = idx[ok]
+            score = np.maximum(M_abs[ok] / M_34[ok], M_half / M_u[ok])
+            # a score above the least by this much rounds to a larger key,
+            # so the pick among the rest is exact
+            near = score <= score.min() * (1.0 + 1e-10)
+            key = min(_pick_key(float(s), r, centers[i])
+                      for s, i in zip(score[near], idx[near]))
+            if best is None or key < best:
+                best = key
     if best is None:
         raise NoSignChangeError("no admissible disc found on the zero set")
-    _, z, r = best
+    _, r, (x, y) = best
+    z = complex(x, y)
     # refine the winner with the precise circle maximum
     M_abs = circle_max(u, z, r, absolute=True).value
     M_34 = circle_max(u, z, 0.75 * r).value

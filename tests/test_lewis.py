@@ -10,7 +10,7 @@ import pytest
 from harmonic_range import lewis
 from harmonic_range.expressions import (Add, Const, Exp, HarmonicComponent,
                                         Mul, Neg, Pow, Var, Z, degree,
-                                        parse_map)
+                                        evaluate, parse_map)
 from harmonic_range.circles import NonFiniteError, circle_max
 from harmonic_range.arcs import ArcSet
 from harmonic_range.lewis import (SEARCH_SAMPLES, LewisDisc,
@@ -398,6 +398,102 @@ def test_the_factored_exp_scan_overflows_where_direct_evaluation_does(
             lewis_disc_search(u, R)
 
 
+def _exp_affine(alpha, beta, part):
+    return HarmonicComponent(Exp(Add(Mul(Const(alpha), Z), Const(beta))), part)
+
+
+def _block_searches():
+    """(component, R) pairs: a few seeded polynomials and exp(alpha z + beta)
+    maps.  exp(z + 695) has centers c with Re c > 5 where the factor
+    e^{L(c)} is beyond EXP_FACTOR_MAX, so its blocks mix factored rows with
+    directly evaluated ones."""
+    rng = np.random.default_rng(23)
+    out = _random_polynomial_searches(n=4, seed=29)
+    for k in range(3):
+        alpha = complex(*rng.uniform(-1.5, 1.5, size=2))
+        beta = complex(*rng.uniform(-2.0, 2.0, size=2))
+        out.append((_exp_affine(alpha, beta, ("real", "imag")[k % 2]),
+                    round(float(rng.uniform(4.0, 12.0)), 3)))
+    out.append((_exp_affine(1.0, 695.0, "imag"), 12.0))
+    return out
+
+
+@pytest.mark.parametrize("u,R", [
+    *(pytest.param(parse_map(src).u, R, id=f"{src}-{R:g}")
+      for src, R in ACCEPTANCE_SEARCHES),
+    *(pytest.param(u, R, id=f"seeded-{k}")
+      for k, (u, R) in enumerate(_block_searches()))])
+def test_the_pick_does_not_depend_on_the_block_size(monkeypatch, u, R):
+    # blocks of one center scan in the order of centers at each radius, and
+    # one block holds every center of a radius level: pruning against the
+    # best disc of the blocks before must give the unpruned pick either way.
+    # A 24 x 24 center mesh gives 24-216 centers here, more than one block
+    # of 64 on most maps, at a fraction of the oracle's cost on the full mesh
+    monkeypatch.setattr(lewis, "CENTER_GRID_N", 24)
+    want = _exhaustive_disc_search(u, R).to_dict()
+    for block in (1, 3, 10**6):
+        monkeypatch.setattr(lewis, "SCAN_BLOCK", block)
+        assert lewis_disc_search(u, R).to_dict() == want, block
+
+
+def _block_sampler_cases():
+    """(component, centers, r) for each sampler: the Taylor table (degrees 1
+    and 3), the factored exponential with a block of normal centers and one
+    that mixes in centers where |Re L(c)| > EXP_FACTOR_MAX, and direct
+    evaluation.  For L = z - 745, e^{L(c)} is the least subnormal or 0 at
+    Re c = 0, so a factored row there would be no circle of u at all."""
+    rng = np.random.default_rng(31)
+    spread = [complex(*rng.uniform(-2.0, 2.0, size=2)) for _ in range(5)]
+    return [
+        (parse_map("u=re((0.3-0.7*i)*z+1); v=im(z)").u, spread, 1.5),
+        (parse_map("u=im((1+i)*z^3-2*z+0.5*i); v=im(z)").u, spread, 0.7),
+        (_exp_affine(0.8 - 0.3j, 0.2j, "real"), spread, 1.2),
+        (_exp_affine(1.0, -745.0, "imag"), [0j, 50 - 1j, 40 + 1j, 60 + 2j, 3j], 50.0),
+        (parse_map("u=re(exp(z^2)); v=im(z)").u, spread, 0.9),
+    ]
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_a_block_of_circles_is_the_rows_of_one_center_calls(case):
+    u, centers, r = _block_sampler_cases()[case]
+    sample = _scan_sampler(u, centers)
+    ring = np.exp(1j * np.arange(SEARCH_SAMPLES) * (2.0 * math.pi / SEARCH_SAMPLES))
+    block = sample(np.arange(5), r)
+    assert block.shape == (5, SEARCH_SAMPLES)
+    eps = np.finfo(float).eps
+    for i, z in enumerate(centers):
+        one = sample(i, r)
+        single = sample(np.array([i]), r)
+        assert single.shape == (1, SEARCH_SAMPLES)
+        # the same terms (at most 2d + 2) summed in another order, by a
+        # matrix product of another shape; by Cauchy's estimate each term is
+        # at most max |F| on the circle, so the sums differ by a few eps
+        # times that
+        size = float(np.max(np.abs(evaluate(u.expr, z + r * ring))))
+        bound = 2 * (2 * (u.degree() or 1) + 2) ** 2 * eps * size
+        assert np.max(np.abs(block[i] - one)) <= bound, i
+        assert np.max(np.abs(single[0] - one)) <= bound, i
+        # and each row is the circle about its own center, to the accuracy
+        # of forming exponents near 800 (the factored exp test has the bound)
+        direct = np.asarray(u.value(z + r * ring), dtype=float)
+        assert np.max(np.abs(block[i] - direct)) <= 1e-9 * size, i
+
+
+def test_the_first_overflowing_circle_in_radius_order_is_reported(monkeypatch):
+    # exp(exp(z)) overflows on circles that reach Re w > 6.56.  Of these
+    # centers, 5 fits only radii up to 3 and overflows at radius 2; 3
+    # overflows at radius 4, a level before, after 0, which does not
+    # overflow there.  Scanned one center at a time, 5 came first
+    u = parse_map("u=re(exp(exp(z))); v=im(z)").u
+    monkeypatch.setattr(lewis, "_candidate_centers",
+                        lambda u, R: [5 + 0j, 0j, 3 + 0j])
+    for block in (1, 2, lewis.SCAN_BLOCK):
+        monkeypatch.setattr(lewis, "SCAN_BLOCK", block)
+        with pytest.raises(NonFiniteError, match="^u is not finite on the circle "
+                           r"of radius 4 about 3\+0j: the map overflows$"):
+            lewis_disc_search(u, 8.0)
+
+
 _SCAN_SAMPLER = lewis._scan_sampler
 
 
@@ -484,14 +580,15 @@ _VALUE = HarmonicComponent.value
 
 
 def _scan_evaluations(monkeypatch, u, R) -> int:
-    """Scan circles that lewis_disc_search evaluates directly: evaluations
-    of u at SEARCH_SAMPLES points.  The center mesh, the centers (at most
-    264 on a 12 x 12 mesh) and the circle maxima come at other counts."""
+    """Scan circles that lewis_disc_search evaluates directly: the rows of
+    the evaluations of u whose last axis has SEARCH_SAMPLES points.  The
+    center mesh, the centers (at most 264 on a 12 x 12 mesh) and the circle
+    maxima come at other counts."""
     count = [0]
 
     def value(self, z):
-        if isinstance(z, np.ndarray) and z.shape == (SEARCH_SAMPLES,):
-            count[0] += 1
+        if isinstance(z, np.ndarray) and z.shape[-1:] == (SEARCH_SAMPLES,):
+            count[0] += z.size // SEARCH_SAMPLES
         return _VALUE(self, z)
 
     monkeypatch.setattr(HarmonicComponent, "value", value)
@@ -503,7 +600,7 @@ def _scan_evaluations(monkeypatch, u, R) -> int:
     ("u=re(z^2+z); v=im(z)", 8.0, True),
     ("u=im((1+i)*z^3-2); v=im(z)", 8.0, True),
     ("u=re(z^64+z); v=im(z)", 2.0, True),          # the cap
-    ("u=re(z); v=im(z)", 8.0, False),
+    ("u=re(z); v=im(z)", 8.0, True),
     ("u=im(exp(z)); v=re(exp(z))", 8.0, True),     # factored
     ("u=re(exp(exp(z))); v=im(z)", 4.0, False),
     ("u=re(exp(z^2)); v=im(z)", 4.0, False),
@@ -514,9 +611,9 @@ def test_the_scan_evaluates_u_only_off_the_table(monkeypatch, src, R, table):
     monkeypatch.setattr(lewis, "CENTER_GRID_N", 12)
     u = parse_map(src).u
     now = _scan_evaluations(monkeypatch, u, R)
-    # a cap of 1 turns the table off, and a negative bound the factored
+    # a cap of 0 turns the table off, and a negative bound the factored
     # exponential: every circle is evaluated directly
-    monkeypatch.setattr(lewis, "TAYLOR_MAX_DEGREE", 1)
+    monkeypatch.setattr(lewis, "TAYLOR_MAX_DEGREE", 0)
     monkeypatch.setattr(lewis, "EXP_FACTOR_MAX", -1.0)
     direct = _scan_evaluations(monkeypatch, u, R)
     assert direct > 0
