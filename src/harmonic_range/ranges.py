@@ -36,6 +36,19 @@ __all__ = [
 ]
 
 
+# passes over a whole point set go through it in blocks of this many
+# points, so that their temporaries do not grow with the set; only
+# elementwise work is blocked, so no result depends on the block size
+POINT_BLOCK = 1 << 16
+
+
+def _blocks(n: int, size: int | None = None):
+    """Slices that cut indices 0 .. n-1 into runs of ``size`` indices,
+    POINT_BLOCK by default."""
+    size = size or POINT_BLOCK
+    return (slice(s, s + size) for s in range(0, n, size))
+
+
 @dataclass
 class RangeSample:
     """Desk-scale sample of the range: pairs (z, w = f(z))."""
@@ -62,12 +75,19 @@ class RangeSample:
 
     def to_csv(self, path: str):
         """Same bytes as csv.writer with repr of each float: the reprs hold
-        no comma, quote or newline, so no field needs quoting."""
-        cols = (self.z.real.tolist(), self.z.imag.tolist(),
-                self.w.real.tolist(), self.w.imag.tolist())
+        no comma, quote or newline, so no field needs quoting.
+
+        A row holds about 350 bytes of Python floats and strings while it
+        is formatted, some 20 times what a point takes in array work, so
+        rows are written in eighths of a block."""
         with open(path, "w", newline="") as fh:
             fh.write("z_re,z_im,w_re,w_im\r\n")
-            fh.write("".join(f"{a!r},{b!r},{c!r},{d!r}\r\n" for a, b, c, d in zip(*cols)))
+            for blk in _blocks(self.count, max(POINT_BLOCK // 8, 1)):
+                z, w = self.z[blk], self.w[blk]
+                cols = (z.real.tolist(), z.imag.tolist(),
+                        w.real.tolist(), w.imag.tolist())
+                fh.write("".join(f"{a!r},{b!r},{c!r},{d!r}\r\n"
+                                 for a, b, c, d in zip(*cols)))
 
 
 _SOBOL_BITS = 30
@@ -96,10 +116,9 @@ def _sobol_directions(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]
     return sv, shift
 
 
-def sobol_points(n: int, seed: int) -> np.ndarray:
-    """First ``n`` points, shape (n, 2), of the LMS+shift scrambled 2-D
-    Sobol' sequence; bit-identical to
-    ``scipy.stats.qmc.Sobol(d=2, scramble=True, seed=seed).random(n)``."""
+def _sobol_ints(n: int, seed: int) -> np.ndarray:
+    """Numerators, shape (2, n) and dtype uint32, over 2^_SOBOL_BITS of
+    the first ``n`` points of sobol_points."""
     if not 0 <= n <= 1 << _SOBOL_BITS:
         raise ValueError(f"can draw 0 to 2**{_SOBOL_BITS} Sobol' points, not {n}")
     sv, shift = _sobol_directions(np.random.default_rng(seed))
@@ -115,8 +134,19 @@ def sobol_points(n: int, seed: int) -> np.ndarray:
             np.bitwise_xor(q[d, size - count:size][::-1], sv[d, k],
                            out=q[d, size:size + count])
         size, k = size * 2, k + 1
+    return q
+
+
+_SOBOL_UNIT = 1.0 / (1 << _SOBOL_BITS)
+
+
+def sobol_points(n: int, seed: int) -> np.ndarray:
+    """First ``n`` points, shape (n, 2), of the LMS+shift scrambled 2-D
+    Sobol' sequence; bit-identical to
+    ``scipy.stats.qmc.Sobol(d=2, scramble=True, seed=seed).random(n)``."""
+    q = _sobol_ints(n, seed)
     pts = np.empty((n, 2))
-    np.multiply(q.T, 1.0 / (1 << _SOBOL_BITS), out=pts)
+    np.multiply(q.T, _SOBOL_UNIT, out=pts)
     return pts
 
 
@@ -128,6 +158,16 @@ def _polar_fill(out: np.ndarray, r, t) -> None:
     temporaries."""
     np.multiply(r, np.cos(t), out=out.real)
     np.multiply(r, np.sin(t), out=out.imag)
+
+
+def _sobol_disc_fill(out: np.ndarray, R: float, seed: int) -> None:
+    """Write the first out.size Sobol' points (p0, p1), carried onto
+    D(0, R) as R sqrt(p0) e^{2 pi i p1}, into the complex array ``out``,
+    one block at a time."""
+    q = _sobol_ints(out.size, seed)
+    for blk in _blocks(out.size):
+        p = q[:, blk] * _SOBOL_UNIT
+        _polar_fill(out[blk], R * np.sqrt(p[0]), TWO_PI * p[1])
 
 
 def sample_range(f: HarmonicMap, R: float, n_grid: int = 256,
@@ -145,12 +185,12 @@ def sample_range(f: HarmonicMap, R: float, n_grid: int = 256,
     radii = R * (np.arange(1, n_grid + 1) / n_grid)
     theta = TWO_PI * np.arange(n_grid) / n_grid
     _polar_fill(z[:m].reshape(n_grid, n_grid), radii[:, None], theta)
-    pts = sobol_points(m, seed)
-    _polar_fill(z[m:], R * np.sqrt(pts[:, 0]), TWO_PI * pts[:, 1])
+    _sobol_disc_fill(z[m:], R, seed)
+    w = np.empty_like(z)
     with np.errstate(over="ignore", invalid="ignore"):
-        w = f.value(z)
-    return RangeSample(z=z, w=np.asarray(w, dtype=complex), radius=R,
-                       n_grid=n_grid, seed=seed)
+        for blk in _blocks(z.size):
+            w[blk] = f.value(z[blk])
+    return RangeSample(z=z, w=w, radius=R, n_grid=n_grid, seed=seed)
 
 
 @dataclass

@@ -12,11 +12,11 @@ import math
 
 import numpy as np
 
-from .arcs import TWO_PI, ArcSet
+from .arcs import ArcSet
 from .circles import _require_positive
 from .expressions import HarmonicMap
-from .ranges import (DirectionEstimate, RangeSample, _polar_fill,
-                     antipodal_pairs, sobol_points)
+from .ranges import (DirectionEstimate, RangeSample, _blocks,
+                     _sobol_disc_fill, antipodal_pairs)
 from .reports import TheoremVerdict
 from .zeros import detect_dependence
 
@@ -215,10 +215,12 @@ def log2_sample_points(n: int, seed: int, radius: float = 100.0) -> np.ndarray:
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     _require_positive(radius, "radius")
-    pts = sobol_points(n, seed)
     z = np.empty(n, dtype=complex)
-    _polar_fill(z, radius * np.sqrt(pts[:, 0]), TWO_PI * pts[:, 1])
-    keep = (np.abs(z) > 1e-9) & (np.abs(z - 1.0) > 1e-9)
+    _sobol_disc_fill(z, radius, seed)
+    keep = np.empty(n, dtype=bool)
+    for blk in _blocks(n):
+        zb = z[blk]
+        np.logical_and(np.abs(zb) > 1e-9, np.abs(zb - 1.0) > 1e-9, out=keep[blk])
     return z if keep.all() else z[keep]
 
 
@@ -226,24 +228,38 @@ def check_log2_inequalities(z_samples: np.ndarray) -> TheoremVerdict:
     """|log+|z| - log+|z-1|| <= log 2 and max(log|z|, log|z-1|) >= -log 2
     away from the two punctures."""
     z = np.asarray(z_samples, dtype=complex)
-    az = np.abs(z)
-    az1 = np.abs(z - 1.0)
-    if np.any(az < 1e-12) or np.any(az1 < 1e-12):
-        k = int(np.argmin(np.minimum(az, az1)))
-        raise ExcludedPointError(f"sample too close to a puncture: {z[k]}")
     log2 = math.log(2.0)
-    # in place: az and az1 are not read again, and each extra array over
-    # the 10^6 samples of the CLI check would add 8 MB to the peak
-    log_az, log_az1 = np.log(az, out=az), np.log(az1, out=az1)
-    lp = np.maximum(log_az, 0.0)
-    lp1 = np.maximum(log_az1, 0.0)
-    bad1 = np.abs(lp - lp1) > log2 + LOG2_SLACK
-    bad2 = np.maximum(log_az, log_az1) < -log2 - LOG2_SLACK
-    witnesses = []
-    for bad, note in ((bad1, "log+ difference exceeds log 2"),
-                      (bad2, "max log below -log 2")):
-        for k in np.nonzero(bad)[0][:4]:
-            witnesses.append({"z": [z[k].real, z[k].imag], "note": note})
+    notes = ("log+ difference exceeds log 2", "max log below -log 2")
+    found = ([], [])  # the first 4 indices of each kind of witness
+    excluded = False
+    # each block's first closest point to a puncture, and where it lies
+    nearest, at = [], []
+    # block by block: each temporary holds one block of POINT_BLOCK points
+    # (512 KB of doubles at 2^16), whatever the size of the sample.  A
+    # sample at a puncture has log -inf; it raises below
+    with np.errstate(divide="ignore"):
+        for blk in _blocks(z.size):
+            zb = z[blk]
+            az, az1 = np.abs(zb), np.abs(zb - 1.0)
+            near = np.minimum(az, az1)
+            excluded |= bool(np.any(near < 1e-12))
+            k = int(np.argmin(near))
+            nearest.append(near[k])
+            at.append(blk.start + k)
+            log_az, log_az1 = np.log(az, out=az), np.log(az1, out=az1)
+            lp = np.maximum(log_az, 0.0)
+            lp1 = np.maximum(log_az1, 0.0)
+            bad1 = np.abs(lp - lp1) > log2 + LOG2_SLACK
+            bad2 = np.maximum(log_az, log_az1) < -log2 - LOG2_SLACK
+            for bad, idx in zip((bad1, bad2), found):
+                idx.extend((blk.start + np.nonzero(bad)[0][:4 - len(idx)]).tolist())
+    if excluded:
+        # np.argmin over the block minima picks the first minimum overall,
+        # NaN included, as it would over the whole sample
+        k = at[int(np.argmin(nearest))]
+        raise ExcludedPointError(f"sample too close to a puncture: {z[k]}")
+    witnesses = [{"z": [z[k].real, z[k].imag], "note": note}
+                 for idx, note in zip(found, notes) for k in idx]
     holds = not witnesses
     return TheoremVerdict(
         theorem="ineq_log2", hypothesis_holds=True,

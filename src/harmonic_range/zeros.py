@@ -89,15 +89,19 @@ def _bisect(g, a, b) -> np.ndarray:
     brackets at once: a and b are arrays of real or complex ends with g(a),
     g(b) of opposite signs, and g maps an array of points to real values.
     A bracket whose midpoint is an exact zero freezes there."""
-    fa = g(a)
+    # an end moves only to a midpoint of its own sign, so the sign of g at
+    # the a ends is read once
+    pos = g(a) > 0
+    dtype = np.result_type(a, b)
+    a, b = np.array(a, dtype=dtype), np.array(b, dtype=dtype)
     for _ in range(BISECT_HALVINGS):
-        m = 0.5 * (a + b)
+        m = a + b
+        m *= 0.5
         fm = g(m)
         hit = fm == 0.0
-        same = (fa > 0) == (fm > 0)
-        a = np.where(hit | same, m, a)
-        fa = np.where(same, fm, fa)
-        b = np.where(hit | ~same, m, b)
+        same = (fm > 0) == pos
+        np.copyto(a, m, where=hit | same)
+        np.copyto(b, m, where=hit | ~same)
     return 0.5 * (a + b)
 
 
