@@ -202,7 +202,10 @@ def _pick_key(score: float, r: float, z: complex) -> tuple:
     that tie in exact arithmetic (the translates of a disc of im(exp z)
     along its zero lines, every disc of radius R/2 of a linear map, the
     mirror twins of re(z^2)) then tie in the key too, and the pick does
-    not depend on the last bits of a sampler's rounding."""
+    not depend on the last bits of a sampler's rounding.  Those include the
+    BLAS matrix products of the table and factored samplers, whose sums
+    may run in another order at another BLAS thread count; the reported
+    values come from direct evaluation, in a fixed order."""
     return (float(f"{score:.11e}"), r, (z.real, z.imag))
 
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arcs import ArcSet, TWO_PI
-from .circles import _require_finite, _require_positive
-from .expressions import HarmonicMap
+from .circles import _require_positive
+from .expressions import HarmonicMap, NonFiniteError
 
 __all__ = [
     "RangeSample",
@@ -116,13 +116,10 @@ def _sobol_directions(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]
     return sv, shift
 
 
-def _sobol_ints(n: int, seed: int) -> np.ndarray:
-    """Numerators, shape (2, n) and dtype uint32, over 2^_SOBOL_BITS of
-    the first ``n`` points of sobol_points."""
-    if not 0 <= n <= 1 << _SOBOL_BITS:
-        raise ValueError(f"can draw 0 to 2**{_SOBOL_BITS} Sobol' points, not {n}")
-    sv, shift = _sobol_directions(np.random.default_rng(seed))
-    q = np.empty((2, n), dtype=np.uint32)
+def _gray_fill(q: np.ndarray, sv: np.ndarray, shift: np.ndarray) -> None:
+    """Fill the (2, n) array q with the numerators of the first n Sobol'
+    points of direction numbers sv and digital shift ``shift``."""
+    n = q.shape[1]
     if n > 0:
         q[:, 0] = shift
     # Gray-code order by reflection: points 2^k .. 2^(k+1)-1 are points
@@ -134,7 +131,47 @@ def _sobol_ints(n: int, seed: int) -> np.ndarray:
             np.bitwise_xor(q[d, size - count:size][::-1], sv[d, k],
                            out=q[d, size:size + count])
         size, k = size * 2, k + 1
+
+
+def _check_sobol_count(n: int) -> None:
+    if not 0 <= n <= 1 << _SOBOL_BITS:
+        raise ValueError(f"can draw 0 to 2**{_SOBOL_BITS} Sobol' points, not {n}")
+
+
+def _sobol_ints(n: int, seed: int) -> np.ndarray:
+    """Numerators, shape (2, n) and dtype uint32, over 2^_SOBOL_BITS of
+    the first ``n`` points of sobol_points."""
+    _check_sobol_count(n)
+    q = np.empty((2, n), dtype=np.uint32)
+    _gray_fill(q, *_sobol_directions(np.random.default_rng(seed)))
     return q
+
+
+def _sobol_blocks(n: int, seed: int):
+    """The columns of _sobol_ints(n, seed), as (start, block) pairs of at
+    most B columns each, B the largest power of two <= POINT_BLOCK.
+
+    With i = hB + l and l < B = 2^b, gray(i) = (gray(h) << b) ^ gray(l),
+    with bit b-1 flipped when h is odd.  So block h is block 0 XORed with
+    the direction numbers of the set bits of gray(h), shifted up by b,
+    and with direction number b-1 when h is odd (b > 0); only block 0 is
+    built by reflection."""
+    _check_sobol_count(n)
+    sv, shift = _sobol_directions(np.random.default_rng(seed))
+    b = POINT_BLOCK.bit_length() - 1
+    size = 1 << b
+    first = np.empty((2, min(n, size)), dtype=np.uint32)
+    _gray_fill(first, sv, shift)
+    for h, start in enumerate(range(0, n, size)):
+        flip = np.zeros(2, dtype=np.uint32)
+        gray = h ^ (h >> 1)
+        for j in range(gray.bit_length()):
+            if gray >> j & 1:
+                flip ^= sv[:, j + b]
+        if h & 1 and b:
+            flip ^= sv[:, b - 1]
+        count = min(size, n - start)
+        yield start, first[:, :count] ^ flip[:, None] if h else first[:, :count]
 
 
 _SOBOL_UNIT = 1.0 / (1 << _SOBOL_BITS)
@@ -164,10 +201,10 @@ def _sobol_disc_fill(out: np.ndarray, R: float, seed: int) -> None:
     """Write the first out.size Sobol' points (p0, p1), carried onto
     D(0, R) as R sqrt(p0) e^{2 pi i p1}, into the complex array ``out``,
     one block at a time."""
-    q = _sobol_ints(out.size, seed)
-    for blk in _blocks(out.size):
-        p = q[:, blk] * _SOBOL_UNIT
-        _polar_fill(out[blk], R * np.sqrt(p[0]), TWO_PI * p[1])
+    for start, q in _sobol_blocks(out.size, seed):
+        p = q * _SOBOL_UNIT
+        _polar_fill(out[start:start + p.shape[1]], R * np.sqrt(p[0]),
+                    TWO_PI * p[1])
 
 
 def sample_range(f: HarmonicMap, R: float, n_grid: int = 256,
@@ -242,9 +279,13 @@ def _quantiles(x: np.ndarray, qs) -> np.ndarray:
     return out
 
 
-def _default_cutoffs(mods: np.ndarray) -> tuple[float, ...]:
-    """Quantile cutoffs plus a geometric ladder of absolute floors."""
-    positive = mods[mods > 0]
+def _default_cutoffs(positive: np.ndarray) -> tuple[float, ...]:
+    """Quantile cutoffs plus a geometric ladder of absolute floors, from
+    the positive moduli (partitioned in place).
+
+    A cutoff equal to the largest modulus leaves no sample beyond it, so it
+    is dropped, unless every cutoff is: the moduli are then all equal, and
+    that one cutoff leaves an empty estimate."""
     if positive.size == 0:
         return (1.0,)
     m0, *qs = _quantiles(positive, (0.5, 0.90, 0.99, 0.999)).tolist()
@@ -254,8 +295,7 @@ def _default_cutoffs(mods: np.ndarray) -> tuple[float, ...]:
     while m < top:
         ladder.append(m)
         m *= 4.0
-    cuts = sorted(set(qs + ladder))
-    return tuple(cuts)  # never empty: it holds the quantiles
+    return tuple(sorted(c for c in set(qs + ladder) if c < top)) or (top,)
 
 
 def _bin_index(w: np.ndarray, bins: int) -> np.ndarray:
@@ -277,22 +317,48 @@ FATTEN_BINS = 1
 MIN_LARGE = 8
 
 
+def _require_finite_sample(w: np.ndarray) -> None:
+    """NonFiniteError naming how many of the samples w are inf or NaN,
+    counted block by block."""
+    bad = sum(int(np.count_nonzero(~np.isfinite(w[blk]))) for blk in _blocks(w.size))
+    if bad:
+        raise NonFiniteError(f"{bad} of {w.size} samples of the range are not "
+                             "finite: the map overflows")
+
+
 def estimate_directions(samples: RangeSample, bins: int = 720,
                         cutoffs=None) -> DirectionEstimate:
     """Bin sample directions and keep bins that survive every cutoff from
-    the stabilization index on; merge surviving bins into closed arcs."""
+    the stabilization index on; merge surviving bins into closed arcs.
+
+    One pass in blocks builds the per-bin maximum modulus G, which
+    np.maximum.at gives exactly in any order.  Only the default cutoffs
+    hold the positive moduli of the whole sample, for their quantiles."""
     if bins < 90:
         raise ValueError("need at least 90 bins")
     # the largest moduli decide, so overflowed samples cannot be dropped
-    _require_finite(samples.w, "samples of the range")
     w = samples.w
-    mods = np.abs(w)
-    if cutoffs is None:
-        cutoffs = _default_cutoffs(mods)
-    cutoffs = tuple(sorted(float(c) for c in cutoffs))
-    # per-bin maximum modulus
+    _require_finite_sample(w)
+    if cutoffs is not None:
+        cutoffs = tuple(sorted(float(c) for c in cutoffs))
+    positive = np.empty(w.size) if cutoffs is None else None
+    n_pos = n_large = 0  # n_large: the samples beyond the top cutoff
     G = np.zeros(bins)
-    np.maximum.at(G, _bin_index(w, bins), mods)
+    for blk in _blocks(w.size):
+        wb = w[blk]
+        mods = np.abs(wb)
+        np.maximum.at(G, _bin_index(wb, bins), mods)
+        if cutoffs is None:
+            mods = mods[mods > 0]
+            positive[n_pos:n_pos + mods.size] = mods
+            n_pos += mods.size
+        else:
+            n_large += int(np.count_nonzero(mods > cutoffs[-1]))
+    if cutoffs is None:
+        positive = positive[:n_pos]
+        cutoffs = _default_cutoffs(positive)
+        # every default cutoff is positive
+        n_large = int(np.count_nonzero(positive > cutoffs[-1]))
 
     occupied = [G > c for c in cutoffs]
     stab = len(cutoffs) - 1
@@ -304,8 +370,6 @@ def estimate_directions(samples: RangeSample, bins: int = 720,
     # stabilization index is the one every later cutoff agrees on up to
     # further shrinking; it is the estimate
     keep = occupied[stab]
-
-    n_large = int(np.count_nonzero(mods > cutoffs[-1]))
     low_conf = n_large < MIN_LARGE
 
     if n_large == 0:
@@ -426,16 +490,17 @@ class PhiProfile:
 
 
 def phi_profile(samples: RangeSample, bins: int = 200) -> PhiProfile:
-    _require_finite(samples.w, "samples of the range")
+    _require_finite_sample(samples.w)
     u = samples.w.real
     v = samples.w.imag
     lo, hi = float(u.min()), float(u.max())
     if hi <= lo:
         hi = lo + 1.0
     edges = np.linspace(lo, hi, bins + 1)
-    idx = np.minimum(((u - lo) / (hi - lo) * bins).astype(int), bins - 1)
     values = np.full(bins, -np.inf)
-    np.maximum.at(values, idx, v)
+    for blk in _blocks(u.size):
+        idx = np.minimum(((u[blk] - lo) / (hi - lo) * bins).astype(int), bins - 1)
+        np.maximum.at(values, idx, v[blk])
     occupied = np.isfinite(values)
     values = np.where(occupied, np.maximum(values, 0.0), 0.0)
     return PhiProfile(edges=edges, values=values, occupied=occupied,

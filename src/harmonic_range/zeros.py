@@ -395,12 +395,14 @@ def detect_dependence(samples: RangeSample, a: float,
         zf = samples.z[far][k]
         witness = {"z": [zf.real, zf.imag], "u": float(u[k]), "v": float(v[k])}
 
-    vv = float(np.dot(v, v))
+    # numpy's pairwise sum, in a fixed order: np.dot's BLAS sums, and so b
+    # and the residual, change with its thread count
+    vv = float(np.add.reduce(v * v))
     if vv <= (1e-12 * scale) ** 2 * v.size:
         return DependenceReport(b=0.0, residual=math.inf, dependent=False,
                                 bound_a=a, hypothesis_holds=hyp,
                                 hypothesis_witness=witness, degenerate=True)
-    b = float(np.dot(u, v) / vv)
+    b = float(np.add.reduce(u * v) / vv)
     residual = float(np.max(np.abs(u - b * v))) / scale
     return DependenceReport(b=b, residual=residual,
                             dependent=hyp and residual <= RESIDUAL_TOL,

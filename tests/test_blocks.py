@@ -2,6 +2,7 @@
 block size moves no output bit, and the traced peak of each pass stays
 near its result instead of growing with the temporaries of the sample."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 import harmonic_range.ranges as ranges
 import harmonic_range.theorems as theorems
-from harmonic_range.expressions import parse_map
+from harmonic_range.expressions import NonFiniteError, parse_map
 from harmonic_range.ranges import sample_range
 from harmonic_range.theorems import (ExcludedPointError, check_log2_inequalities,
                                      log2_sample_points)
@@ -136,3 +137,155 @@ def test_to_csv_peaks_in_blocks(tmp_path):
     assert s.count == 131_072
     _, peak = _traced_peak(lambda: s.to_csv(tmp_path / "s.csv"))
     assert peak < 8 * MB, peak
+
+
+def _exp_sample(n_grid: int = 256):
+    # 2 * n_grid^2 points: two blocks at the default size for n_grid 256
+    return sample_range(parse_map(MAPS[1]), 4.0, n_grid=n_grid, seed=3)
+
+
+def _odd(s):
+    """The sample without its last point, so that it has an odd count."""
+    return ranges.RangeSample(z=s.z[:-1], w=s.w[:-1], radius=s.radius,
+                              n_grid=s.n_grid, seed=s.seed)
+
+
+PASSES = {
+    "directions-default": lambda s: ranges.estimate_directions(s),
+    "directions-explicit": lambda s: ranges.estimate_directions(
+        s, cutoffs=(2.0, 10.0, 40.0)),
+    "phi": lambda s: ranges.phi_profile(s),
+    "halfplane-even": lambda s: theorems.check_halfplane_theorem(
+        None, 0.3, ranges.estimate_directions(s), s),
+    "halfplane-odd": lambda s: theorems.check_halfplane_theorem(
+        None, 0.3, ranges.estimate_directions(s), _odd(s)),
+    "antipodal": lambda s: theorems.check_antipodal_theorem(
+        None, ranges.estimate_directions(s), s),
+}
+
+
+@pytest.mark.parametrize("name", PASSES)
+def test_sample_passes_do_not_depend_on_the_block_size(name, monkeypatch):
+    s = _exp_sample()
+    run = PASSES[name]
+    want = json.dumps(run(s).to_dict())
+    if name.startswith("halfplane"):
+        # not constant, so max_dev is reported too
+        assert '"max_dev"' in want
+    for block in BLOCKS:
+        monkeypatch.setattr(ranges, "POINT_BLOCK", block)
+        assert json.dumps(run(s).to_dict()) == want, block
+
+
+@pytest.mark.parametrize("run", [ranges.estimate_directions, ranges.phi_profile])
+def test_the_nonfinite_count_does_not_depend_on_the_block_size(run, monkeypatch):
+    s = sample_range(parse_map("u=re(exp(exp(z))); v=im(exp(exp(z))-exp(exp(z)))"),
+                     8.0, n_grid=256, seed=3)
+    bad = int(np.count_nonzero(~np.isfinite(s.w)))
+    assert np.isinf(s.w).any() and np.isnan(s.w).any()
+    message = (f"{bad} of {s.count} samples of the range are not finite: "
+               "the map overflows")
+    for block in [ranges.POINT_BLOCK] + BLOCKS:
+        monkeypatch.setattr(ranges, "POINT_BLOCK", block)
+        with pytest.raises(NonFiniteError) as err:
+            run(s)
+        assert str(err.value) == message, block
+
+
+@pytest.mark.parametrize("block", [1, 1000, 4096, 4097, 10**7])
+def test_sobol_blocks_are_the_columns_of_sobol_ints(block, monkeypatch):
+    monkeypatch.setattr(ranges, "POINT_BLOCK", block)
+    # block 1 takes a Python step per point: keep its counts small
+    counts = [0, 1, 2, 3, 4096, 4097, 5000] + ([3 * 4096 + 5, 70_001]
+                                                if block > 1 else [])
+    for n in counts:
+        want = ranges._sobol_ints(n, 11)
+        got = np.empty_like(want)
+        starts = []
+        for start, q in ranges._sobol_blocks(n, 11):
+            starts.append(start)
+            got[:, start:start + q.shape[1]] = q
+        assert np.array_equal(got, want), (block, n)
+        assert starts == list(range(0, n, 1 << (block.bit_length() - 1)))
+
+
+def _median_of(x: np.ndarray, block: int) -> tuple[float, float, float]:
+    return theorems._blocked_median(
+        lambda: (x[s:s + block] for s in range(0, x.size, block)), x.size)
+
+
+def _same_float(a, b) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+@pytest.fixture
+def median_calls(monkeypatch):
+    """How often np.median runs: only the fallback of _blocked_median
+    calls it."""
+    calls = []
+    median = np.median
+    monkeypatch.setattr(np, "median", lambda x: calls.append(x.size) or median(x))
+    return calls
+
+
+def test_the_blocked_median_falls_back_when_the_window_misses(median_calls):
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=theorems.MEDIAN_STRIDE * 1000)
+    # every value the subsample takes lies far above the rest
+    x[::theorems.MEDIAN_STRIDE] += 100.0
+    want = np.median(x)
+    median_calls.clear()
+    got, lo, hi = _median_of(x, 10 * theorems.MEDIAN_STRIDE)
+    assert median_calls == [x.size]
+    assert _same_float(got, want)
+    assert (lo, hi) == (x.min(), x.max())
+
+
+@pytest.mark.parametrize("n", [1000, 1001, 100_000, 100_001])
+def test_the_blocked_median_with_ties_on_the_window_edges(n, median_calls):
+    rng = np.random.default_rng(n)
+    for x in (rng.integers(0, 5, size=n) * 0.5,  # five values, all tied
+              np.full(n, 0.1),
+              # 40 % tied at 0.25, the middle ranks among them
+              np.where(rng.random(n) < 0.4, 0.25, rng.normal(size=n))):
+        want = np.median(x)
+        for block in (1000, 4097):
+            median_calls.clear()
+            got, lo, hi = _median_of(x, block)
+            assert median_calls == []  # the window held the middle ranks
+            assert _same_float(got, want)
+            assert (lo, hi) == (x.min(), x.max())
+
+
+@pytest.mark.parametrize("x", [[2.5], [3.0, -1.0], [np.inf, 1.0], [7.0, np.nan, 1.0]])
+def test_the_blocked_median_of_tiny_samples(x):
+    x = np.array(x)
+    got, _, _ = _median_of(x, 1)
+    want = np.median(x)
+    assert _same_float(got, want) or (np.isnan(got) and np.isnan(want))
+
+
+@pytest.fixture(scope="module")
+def big_sample():
+    # 2 * 512^2 = 2^19 points, 8 MB each of z and w, as the exp-wedge tasks
+    s = _exp_sample(512)
+    assert s.count == 1 << 19
+    return s
+
+
+@pytest.mark.parametrize("name", ["directions-explicit", "phi", "halfplane"])
+def test_sample_passes_peak_in_blocks(name, big_sample):
+    run = PASSES.get(name)
+    if name == "halfplane":
+        # the estimate is made outside the traced call
+        est = ranges.estimate_directions(big_sample, cutoffs=(2.0, 10.0, 40.0))
+        run = lambda s: theorems.check_halfplane_theorem(None, 0.3, est, s)  # noqa: E731
+    _, peak = _traced_peak(lambda: run(big_sample))
+    assert peak < 4 * MB, peak
+
+
+def test_log2_sample_points_peak_in_blocks():
+    n = 1 << 20
+    z, peak = _traced_peak(lambda: log2_sample_points(n, seed=7))
+    assert z.size == n
+    assert peak < z.nbytes + 5 * MB, peak

@@ -396,6 +396,22 @@ def test_overflow_stderr_is_one_error_line(argv):
     assert "overflows" in lines[0]
 
 
+def test_dependence_does_not_depend_on_the_blas_threads():
+    """b and the residual are sums over the samples beyond R; BLAS would
+    sum them in an order that changes with its thread count."""
+    flags = ["--map", "u=re(z); v=im(0.37*i*z)", "--R", "100", "--n-grid", "128"]
+    code = ("from harmonic_range.cli import main\n"
+            f"main({['dependence', *flags]!r})\n"
+            f"main({['check', '--theorem', 'murdoch-kuran', *flags]!r})\n")
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(_subprocess_env(), OPENBLAS_NUM_THREADS=threads)
+        outs.append(subprocess.run([sys.executable, "-c", code], env=env,
+                                   check=True, capture_output=True).stdout)
+    assert outs[0].count(b'"b"') == 2
+    assert outs[0] == outs[1]
+
+
 def test_cli_import_does_not_load_scipy():
     """Nor jsonschema, which only the tests use."""
     code = ("import harmonic_range.cli, sys; "

@@ -167,6 +167,31 @@ def test_directions_line_map():
     assert math.degrees(est.arcs.hausdorff(want)) < 2.0
 
 
+# a degree-1 map whose 0.999 quantile of |w| ties with the largest
+# modulus: the outer grid ring holds 256 samples of the same modulus
+TIED_TOP = "u=re((0.8906+0.7202*i)*z); v=im((0.8906+0.7202*i)*z)"
+
+
+@pytest.mark.parametrize("seed", [1120272002, 1120272003])
+def test_a_cutoff_tied_with_the_largest_modulus_is_dropped(seed):
+    s = sample_range(parse_map(TIED_TOP), 30.0, n_grid=256, seed=seed)
+    top = float(np.abs(s.w).max())
+    assert np.quantile(np.abs(s.w), 0.999) == top
+    est = estimate_directions(s)
+    assert len(est.cutoffs) == 3 and max(est.cutoffs) < top
+    assert est.arcs.is_full
+    assert not est.low_confidence
+
+
+def test_moduli_that_are_all_equal_keep_one_cutoff():
+    # |w| = 2 at every sample: no cutoff lies below the largest modulus
+    w = np.tile([2.0, -2.0, 2j, -2j], 250)
+    est = estimate_directions(RangeSample(z=w.copy(), w=w, radius=1.0,
+                                          n_grid=64, seed=0))
+    assert est.cutoffs == (2.0,)
+    assert est.arcs.is_empty
+
+
 def _bin_index_by_mod(w, bins):
     """The binning _bin_index replaced."""
     return np.minimum((np.mod(np.angle(w), TWO_PI) / TWO_PI * bins).astype(int),
