@@ -473,44 +473,78 @@ def coefficients(e: Expr, z=0j) -> np.ndarray | None:
     formed, not from the power basis, whose terms cancel near 10.
     Structural like degree: no leading zero is trimmed, so
     len(coefficients(e)) - 1 == degree(e) always (z - z gives [0, 0]).  The
-    cost grows with the square of the degree, so check degree(e) first.
+    cost grows with the square of the degree.  The one term of _terms.
     """
+    d = degree(e)
+    return None if d is None else _terms(e, z, d)[0j][0]
+
+
+def _terms(e: Expr, z, cap: int) -> dict | None:
+    """e(z + h) split into terms P_j(h) e^{alpha_j h}, in one pass over the
+    tree: {alpha_j: (c_j, m_j)}, c_j the coefficients of P_j in h about each
+    z with e^{L(z)} of its factors exp(L) folded in, and m_j a bound on
+    their |Re L(z)|.  None for exp of a non-affine argument or for more
+    than cap + 1 coefficients, a power refused before it is expanded.  A
+    polynomial is the term alpha = 0, with the bits of coefficients."""
     z = np.asarray(z, dtype=complex)
     match e:
         case Const(value):
-            return np.full((1,) + z.shape, value, dtype=complex)
+            return {0j: (np.full((1,) + z.shape, value, dtype=complex), 0.0)}
         case Var():
-            return np.stack([z, np.ones_like(z)])
+            return {0j: (np.stack([z, np.ones_like(z)]), 0.0)} if cap else None
         case Add(left, right) | Mul(left, right):
-            a, b = coefficients(left, z), coefficients(right, z)
+            a, b = _terms(left, z, cap), _terms(right, z, cap)
             if a is None or b is None:
                 return None
-            if len(a) > len(b):
-                a, b = b, a
             if isinstance(e, Mul):
-                return _series_product(a, b)
-            out = b.copy()
-            out[:len(a)] += a
-            return out
+                return _term_product(a, b, cap)
+            return _gather(((alpha, c, m) for t in (a, b)
+                            for alpha, (c, m) in t.items()), cap)
         case Neg(operand):
-            a = coefficients(operand, z)
-            return None if a is None else -a
+            a = _terms(operand, z, cap)
+            return a and {alpha: (-c, m) for alpha, (c, m) in a.items()}
         case Pow(base, k):
-            a = coefficients(base, z)
-            if a is None:
+            # x^0 is 1 for every x, as evaluate has it
+            out = {0j: (np.ones((1,) + z.shape, dtype=complex), 0.0)}
+            a = _terms(base, z, cap) if k else out
+            if a is None or max(len(c) - 1 for c, _ in a.values()) * k > cap:
                 return None
-            out = np.ones((1,) + z.shape, dtype=complex)
-            while k:  # by squaring
+            while k and out is not None and a is not None:  # by squaring
                 if k & 1:
-                    out = _series_product(out, a)
+                    out = _term_product(out, a, cap)
                 k >>= 1
                 if k:
-                    a = _series_product(a, a)
-            return out
+                    a = _term_product(a, a, cap)
+            return None if k else out
         case Exp(operand):
-            a = coefficients(operand, z)
-            return None if a is None or len(a) > 1 else np.exp(a)
+            a = _terms(operand, z, 1)  # affine: L(z + h) = L(z) + alpha h
+            if a is None or set(a) != {0}:
+                return None
+            c = a[0j][0]
+            alphas = set(np.ravel(c[1:]).tolist()) or {0j}
+            if len(alphas) > 1:  # alpha must be the same at every z
+                return None
+            return {alphas.pop(): (np.exp(c[:1]), np.abs(c[0].real))}
     raise TypeError(f"not an expression: {e!r}")
+
+
+def _gather(triples, cap: int) -> dict | None:
+    """{alpha: (c, m)} of (alpha, c, m) triples, equal alphas summed as two
+    polynomials are; None for more than cap + 1 coefficients."""
+    out: dict = {}
+    for alpha, c, m in triples:
+        if alpha in out:
+            c0, c = sorted((out[alpha][0], c), key=len)
+            c = np.concatenate([c[:len(c0)] + c0, c[len(c0):]])
+            m = np.maximum(out[alpha][1], m)
+        out[alpha] = (c, m)
+    return out if sum(len(c) for c, _ in out.values()) <= cap + 1 else None
+
+
+def _term_product(a: dict, b: dict, cap: int) -> dict | None:
+    # each pair multiplies the shorter coefficients into the longer
+    return _gather(((alpha + beta, _series_product(*sorted((c, d), key=len)), m + n)
+                    for alpha, (c, m) in a.items() for beta, (d, n) in b.items()), cap)
 
 
 def _series_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ functions on the unit disc with normalized oscillation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -17,8 +18,7 @@ import numpy as np
 
 from .circles import (_finite, _finite_values, _require_positive, _ring,
                       circle_max, circle_values)
-from .expressions import (Exp, HarmonicComponent, HarmonicMap, coefficients,
-                          degree)
+from .expressions import HarmonicComponent, HarmonicMap, _terms
 from .reports import TheoremVerdict
 from .zeros import NoSignChangeError, Rect, _bisect, _sign_change_edges
 
@@ -33,13 +33,12 @@ __all__ = [
 
 CENTER_GRID_N = 96
 SEARCH_SAMPLES = 1024
-# polynomial components of degree 2 up to this one are sampled on the scan
-# circles from Taylor coefficients; the table of cos kt and sin kt is then
-# at most (2 * 64 + 2) x SEARCH_SAMPLES doubles, about 1 MB
+# exponential polynomials of at most this many plus one Taylor coefficients
+# in all (polynomials up to this degree) are sampled on the scan circles from
+# a term table of at most (2 * 64 + 2) x SEARCH_SAMPLES doubles, about 1 MB
 TAYLOR_MAX_DEGREE = 64
-# the factors e^{L(c)} and e^{alpha r e^{it}} of an exp(alpha z + beta) scan
-# circle stay within e^{+-700}, normal floats (the float range ends near
-# e^{+-709})
+# per term, the factors e^{L(c)} and e^{alpha r e^{it}} of a scan circle stay
+# within e^{+-700}, normal floats (the float range ends near e^{+-709})
 EXP_FACTOR_MAX = 700.0
 # the sampled circle maximum is only nearly monotone in r: a disc whose
 # growth ratio alone exceeds PRUNE_MARGIN times the best score is pruned
@@ -114,28 +113,21 @@ def _scan_sampler(u: HarmonicComponent, centers: list[complex]):
     index array idx (one index gives one row), at the angles
     2 pi n / SEARCH_SAMPLES.  A block of circles is one array operation.
 
-    Three samplers, chosen from the expression of u:
+    Two samplers.  Term table, when _terms splits F into terms
+    P_j(z) e^{alpha_j z}, polynomials (alpha = 0) and exp(alpha z + beta)
+    among them: F(c + r e^{it}) sums b_jk r^k e^{ikt} e^{alpha_j r e^{it}},
+    with b_jk the Taylor coefficients of P_j at c and e^{L(c)} of its exp
+    factors folded in.  A block is one matrix product of the reals
+    Re b_jk r^k, Im b_jk r^k of its centers with [Re; Im] of
+    e^{ikt} e^{alpha_j r e^{it}}: e^{ikt} fixed, times one wave per radius.
+    The rounding is relative to the sum of the terms' sizes; for a
+    polynomial |b_k| r^k <= max |F| on the circle (Cauchy), so a sum
+    overflows only where F comes within a factor 2d+2 of the float range.
+    A radius where a wave, and a row where a folded e^{L(c)}, leaves
+    e^{+-EXP_FACTOR_MAX} (normal floats) is evaluated directly.
 
-    Taylor table.  For a polynomial F of degree d with Taylor coefficients
-    b_k at z, u(z + r e^{it}) is the real or imaginary part of
-    sum_k b_k r^k e^{ikt}: a trigonometric polynomial of degree d.  The b_k
-    of all centers come from one pass over the expression tree
-    (coefficients), and a block of circles is one matrix product of their
-    2d+2 reals Re b_k r^k, Im b_k r^k with a fixed table of cos kt and
-    sin kt.  By Cauchy's estimate |b_k| r^k <= max |F| on the circle, so a
-    sum of the product overflows only where F comes within a factor 2d+2
-    of the float range there, and the scan reports it.
-
-    Factored exponential.  For F = exp(L) with L(z) = alpha z + beta,
-    F(c + r e^{it}) = e^{L(c)} e^{alpha r e^{it}}: one scalar per center
-    times one array per radius.  Both factors are kept within
-    e^{+-EXP_FACTOR_MAX}, normal floats, so each is accurate to a few ulps
-    relative to its exponent and the product overflows only where F does;
-    a radius beyond that is evaluated directly, and so are the rows of a
-    block whose center is beyond it.
-
-    Direct evaluation of the tree, for everything else: other
-    transcendental components and degrees above TAYLOR_MAX_DEGREE.
+    Direct evaluation of the tree, for everything else: exp of other
+    arguments, and more than TAYLOR_MAX_DEGREE + 1 coefficients.
     """
     C = np.array(centers, dtype=complex)
     ring = _ring(SEARCH_SAMPLES)
@@ -143,47 +135,38 @@ def _scan_sampler(u: HarmonicComponent, centers: list[complex]):
     def direct(idx, r: float) -> np.ndarray:
         return np.asarray(u.value(C[idx, None] + r * ring), dtype=float)
 
-    def part_rows(b: np.ndarray) -> np.ndarray:
-        """Per center, the reals that multiply a table [Re e; Im e] into the
-        part of u of sum_k b_k e_k: Re(b e) = Re b Re e - Im b Im e and
-        Im(b e) = Im b Re e + Re b Im e."""
-        parts = (b.real, -b.imag) if u.part == "real" else (b.imag, b.real)
-        return np.ascontiguousarray(np.concatenate(parts).T)
-
-    if isinstance(u.expr, Exp) and degree(u.expr.operand) == 1:
-        lead = coefficients(u.expr.operand, C)
-        rows = part_rows(np.exp(lead[:1]))
-        normal = np.abs(lead[0].real) <= EXP_FACTOR_MAX
-        # alpha, the coefficient of h in L(c + h), is the same at every c
-        alpha = lead[1, 0]
-        waves: dict[float, np.ndarray | None] = {}  # e^{alpha r e^{it}}
-
-        def factored(idx, r: float) -> np.ndarray:
-            if r not in waves:
-                wave = np.exp(alpha * r * ring)
-                waves[r] = (np.stack([wave.real, wave.imag])
-                            if abs(alpha) * r <= EXP_FACTOR_MAX else None)
-            if waves[r] is None:
-                return direct(idx, r)
-            vals = rows[idx] @ waves[r]
-            off = ~normal[idx]
-            if off.any():
-                vals[off] = direct(np.asarray(idx)[off], r)
-            return vals
-        return factored
-    d = u.degree()
-    if d is None or not 1 <= d <= TAYLOR_MAX_DEGREE:
+    terms = _terms(u.expr, C, TAYLOR_MAX_DEGREE)
+    if terms is None:
         return direct
-    rows = part_rows(coefficients(u.expr, C))
-    k = np.arange(d + 1)
-    kk = np.concatenate([k, k])
-    # k n reduced mod SEARCH_SAMPLES: each k t is one of the ring's angles
-    angle = (np.outer(k, np.arange(SEARCH_SAMPLES)) % SEARCH_SAMPLES) \
-        * (2.0 * math.pi / SEARCH_SAMPLES)
-    table = np.concatenate([np.cos(angle), np.sin(angle)])
+    # per center, the reals that multiply a table [Re e; Im e] into the part
+    # of u of sum_k b_k e_k: Re(b e) = Re b Re e - Im b Im e and
+    # Im(b e) = Im b Re e + Re b Im e
+    b = np.concatenate([c for c, _ in terms.values()])
+    parts = (b.real, -b.imag) if u.part == "real" else (b.imag, b.real)
+    rows = np.ascontiguousarray(np.concatenate(parts).T)
+    kk = np.tile(np.concatenate([np.arange(len(c)) for c, _ in terms.values()]), 2)
+    normal = np.max([np.broadcast_to(m, C.shape) for _, m in terms.values()],
+                    axis=0) <= EXP_FACTOR_MAX
+    top = max(abs(alpha) for alpha in terms)
+    # e^{ikt} from the ring's own entries: k n reduced mod SEARCH_SAMPLES
+    powers = {alpha: ring[np.outer(np.arange(len(c)), np.arange(SEARCH_SAMPLES))
+                          % SEARCH_SAMPLES] for alpha, (c, _) in terms.items()}
+
+    @functools.lru_cache(maxsize=2)
+    def table(r: float) -> np.ndarray:
+        # the terms' e^{ikt} e^{alpha r e^{it}}; the same at every r if alpha = 0
+        e = np.concatenate([p * np.exp(alpha * r * ring) if alpha else p
+                            for alpha, p in powers.items()])
+        return np.concatenate([e.real, e.imag])
 
     def from_table(idx, r: float) -> np.ndarray:
-        return (rows[idx] * r ** kk) @ table
+        if top * r > EXP_FACTOR_MAX:
+            return direct(idx, r)
+        vals = (rows[idx] * r ** kk) @ table(r if top else 0.0)
+        off = ~normal[idx]
+        if off.any():
+            vals[off] = direct(np.asarray(idx)[off], r)
+        return vals
     return from_table
 
 
@@ -202,10 +185,10 @@ def _pick_key(score: float, r: float, z: complex) -> tuple:
     that tie in exact arithmetic (the translates of a disc of im(exp z)
     along its zero lines, every disc of radius R/2 of a linear map, the
     mirror twins of re(z^2)) then tie in the key too, and the pick does
-    not depend on the last bits of a sampler's rounding.  Those include the
-    BLAS matrix products of the table and factored samplers, whose sums
-    may run in another order at another BLAS thread count; the reported
-    values come from direct evaluation, in a fixed order."""
+    not depend on the last bits of a sampler's rounding: the products of
+    the term table may sum in another order than direct evaluation, or at
+    another BLAS thread count; the reported values come from direct
+    evaluation, in a fixed order."""
     return (float(f"{score:.11e}"), r, (z.real, z.imag))
 
 
@@ -218,15 +201,15 @@ def lewis_disc_search(u: HarmonicComponent, R: float,
     one minimizing max(doubling_ratio, growth_ratio).
 
     The scan samples each circle at SEARCH_SAMPLES points, with the sampler
-    _scan_sampler picks for u: a polynomial component of degree 1 up to
-    TAYLOR_MAX_DEGREE from its Taylor coefficients at the center, the real
-    or imaginary part of exp(alpha z + beta) as e^{L(c)} times one array
-    per radius, and any other by direct evaluation.  It walks the 20
-    dyadic radii from large to small; at each radius the centers where the
-    disc fits and that are not yet pruned are sampled in blocks of at most
-    SCAN_BLOCK, and each block is pruned against the best disc of the
-    blocks before it.  A circle that is not finite raises NonFiniteError,
-    the first one in (radius, block) order.  Of the scanned discs the
+    _scan_sampler picks for u: an exponential polynomial (a polynomial or
+    exp(alpha z + beta) among them) from the Taylor coefficients of its
+    terms at the center times a table per radius, any other component by
+    direct evaluation.  It walks the 20 dyadic radii from large to small;
+    at each radius the centers where the disc fits and that are not yet
+    pruned are sampled in blocks of at most SCAN_BLOCK, and each block is
+    pruned against the best disc of the blocks before it.  A circle that is
+    not finite raises NonFiniteError, the first one in (radius, block)
+    order.  Of the scanned discs the
     least _pick_key wins: ties in the score to 12 significant digits go to
     the smaller radius, then to the smaller center.  The winner is refined
     with circle_max, by direct evaluation, and every reported value comes

@@ -121,20 +121,25 @@ def _witness(z: complex, w: complex, note: str) -> dict:
     return {"z": [z.real, z.imag], "w": [w.real, w.imag], "note": note}
 
 
+def _witnesses(samples: RangeSample, notes: tuple, bads) -> list[dict]:
+    """The first 4 witnesses of each kind, in index order: bads(blk) marks them."""
+    found = tuple([] for _ in notes)
+    for blk in _blocks(samples.count):
+        for bad, idx in zip(bads(blk), found):
+            idx.extend((blk.start + np.nonzero(bad)[0][:4 - len(idx)]).tolist())
+    return [_witness(samples.z[k], samples.w[k], note)
+            for idx, note in zip(found, notes) for k in idx]
+
+
 def check_lewis_region(f: HarmonicMap, C: float,
                        samples: RangeSample) -> TheoremVerdict:
     """|u+ - v+| <= C and max(u, v) >= -C force constancy."""
     u = samples.w.real
     v = samples.w.imag
     slack = 1e-12 * (1.0 + C)
-    up = np.maximum(u, 0.0)
-    vp = np.maximum(v, 0.0)
-    bad1 = np.abs(up - vp) > C + slack
-    bad2 = np.maximum(u, v) < -C - slack
-    witnesses = []
-    for bad, note in ((bad1, "|u+ - v+| > C"), (bad2, "max(u,v) < -C")):
-        for k in np.nonzero(bad)[0][:4]:
-            witnesses.append(_witness(samples.z[k], samples.w[k], note))
+    witnesses = _witnesses(samples, ("|u+ - v+| > C", "max(u,v) < -C"), lambda blk: (
+        np.abs(np.maximum(u[blk], 0.0) - np.maximum(v[blk], 0.0)) > C + slack,
+        np.maximum(u[blk], v[blk]) < -C - slack))
     hyp = not witnesses
     concl = is_constant_proxy(u) and is_constant_proxy(v)
     cw = []
@@ -225,11 +230,14 @@ def check_cor_alpha(f: HarmonicMap, a: float, alpha: float, b: float,
         raise ValueError("alpha must lie in [0, 1)")
     u = samples.w.real
     v = samples.w.imag
-    bound = a * np.abs(u) ** alpha + b
-    slack = 1e-12 * (1.0 + float(np.max(np.abs(bound))))
-    bad = v > bound + slack
-    witnesses = [_witness(samples.z[k], samples.w[k], "v > a|u|^alpha + b")
-                 for k in np.nonzero(bad)[0][:4]]
+
+    def bound(blk: slice) -> np.ndarray:
+        return a * np.abs(u[blk]) ** alpha + b
+    # np.max keeps a NaN of a block maximum
+    slack = 1e-12 * (1.0 + float(np.max([np.max(np.abs(bound(blk)))
+                                         for blk in _blocks(u.size)])))
+    witnesses = _witnesses(samples, ("v > a|u|^alpha + b",),
+                           lambda blk: (v[blk] > bound(blk) + slack,))
     hyp = not witnesses
     concl = is_constant_proxy(v)
     cw = [] if concl else [{"oscillation_v": oscillation(v)}]

@@ -161,6 +161,10 @@ PASSES = {
         None, 0.3, ranges.estimate_directions(s), _odd(s)),
     "antipodal": lambda s: theorems.check_antipodal_theorem(
         None, ranges.estimate_directions(s), s),
+    # four witnesses of each kind, the lewis region's second kind across
+    # two blocks of 1000 points
+    "lewis-region": lambda s: theorems.check_lewis_region(None, 1.0, s),
+    "cor-alpha": lambda s: theorems.check_cor_alpha(None, 1.0, 0.5, 30.0, s),
 }
 
 
@@ -172,6 +176,9 @@ def test_sample_passes_do_not_depend_on_the_block_size(name, monkeypatch):
     if name.startswith("halfplane"):
         # not constant, so max_dev is reported too
         assert '"max_dev"' in want
+    if name in ("lewis-region", "cor-alpha"):
+        witnesses = json.loads(want)["hypothesis"]["witnesses"]
+        assert len(witnesses) == (8 if name == "lewis-region" else 4)
     for block in BLOCKS:
         monkeypatch.setattr(ranges, "POINT_BLOCK", block)
         assert json.dumps(run(s).to_dict()) == want, block
@@ -273,7 +280,8 @@ def big_sample():
     return s
 
 
-@pytest.mark.parametrize("name", ["directions-explicit", "phi", "halfplane"])
+@pytest.mark.parametrize("name", ["directions-explicit", "phi", "halfplane",
+                                  "lewis-region", "cor-alpha"])
 def test_sample_passes_peak_in_blocks(name, big_sample):
     run = PASSES.get(name)
     if name == "halfplane":

@@ -5,7 +5,9 @@ class is listed in its module's ``__all__``, the names that the
 benchmark's layer tracer wraps; the finite-and-positive input test is
 written once, in its guard; no module imports a name it never uses,
 which a deletion can leave behind; one function builds the rings of
-circle samples; and each expression compiles into one program."""
+circle samples; each expression compiles into one program; and the Lewis
+scan leaves the choice of its sampler to the term splitter of the
+expressions."""
 
 import ast
 import importlib
@@ -246,3 +248,33 @@ def test_the_check_sees_a_second_program():
                      "scalar = _build(e, _SCALAR_OPS)\n")
     assert _outside_calls(tree, "_build") == [4, 5]
     assert "_SCALAR_OPS" in _defined_names(tree)
+
+
+# the expression node classes, and the tree walks that once chose the scan
+# sampler beside the splitter
+_SAMPLER_CHOICE = {"Const", "Var", "Add", "Mul", "Neg", "Pow", "Exp",
+                   "degree", "coefficients"}
+
+
+def _sampler_choices(tree: ast.AST) -> list[str]:
+    """The node classes, degree and coefficients that tree imports, and the
+    .degree() methods it calls."""
+    found = [a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             for a in node.names if a.name in _SAMPLER_CHOICE]
+    found += [f".{node.func.attr}()" for node in ast.walk(tree)
+              if isinstance(node, ast.Call)
+              and getattr(node.func, "attr", None) == "degree"]
+    return found
+
+
+def test_the_splitter_alone_chooses_the_lewis_sampler():
+    lewis = next(p for p in SOURCES if p.name == "lewis.py")
+    assert _sampler_choices(ast.parse(lewis.read_text())) == []
+
+
+def test_the_check_sees_a_second_sampler_choice():
+    tree = ast.parse("from .expressions import (Exp, HarmonicComponent, _terms,\n"
+                     "                          coefficients)\n"
+                     "if isinstance(u.expr, Exp) and u.degree() == 1:\n"
+                     "    rows = coefficients(u.expr, C)\n")
+    assert _sampler_choices(tree) == ["Exp", "coefficients", ".degree()"]

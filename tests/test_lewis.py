@@ -7,10 +7,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from harmonic_range import lewis
+from harmonic_range import expressions, lewis
 from harmonic_range.expressions import (Add, Const, Exp, HarmonicComponent,
-                                        Mul, Neg, Pow, Var, Z, degree,
-                                        evaluate, parse_map)
+                                        Mul, Neg, Pow, Var, Z, coefficients,
+                                        degree, evaluate, parse_map)
 from harmonic_range.circles import NonFiniteError, circle_max
 from harmonic_range.arcs import ArcSet
 from harmonic_range.lewis import (SEARCH_SAMPLES, LewisDisc,
@@ -63,6 +63,14 @@ def test_disc_search_exponential():
     disc = lewis_disc_search(u, 20.0)
     assert abs(u.value(disc.center)) < 1e-8
     assert disc.empirical_C0 <= 100.0
+
+
+@pytest.mark.parametrize("src", ["u=re(z^2+100); v=im(z)", "u=re(exp(0.01*z)); v=im(z)"])
+def test_a_component_with_no_zero_on_the_mesh_has_no_disc(src):
+    # re(exp(0.01 z)) has no zero in |z| < 157; the scan once read the
+    # exponent of a first center that did not exist, an IndexError
+    with pytest.raises(NoSignChangeError, match="^no admissible disc found"):
+        lewis_disc_search(parse_map(src).u, 4.0)
 
 
 def test_rescaled_sequence_certificates():
@@ -308,12 +316,28 @@ def _majorant(e, x):
     raise TypeError(e)
 
 
+def _random_exp_polynomial(rng, terms):
+    """Seeded sum of terms P(z) exp(alpha z + beta): random trees P of
+    degree 0-3, and alpha and beta in the unit square."""
+    out = None
+    for _ in range(terms):
+        alpha, beta = (complex(*rng.uniform(-1.0, 1.0, size=2)) for _ in "ab")
+        term = Mul(_random_polynomial(rng, int(rng.integers(0, 4))),
+                   Exp(Add(Mul(Const(alpha), Z), Const(beta))))
+        out = term if out is None else Add(out, term)
+    return out
+
+
 def test_taylor_table_samples_match_direct_evaluation():
+    # exponential polynomials too: the majorant bounds the sum of the sizes
+    # of their terms, to which the rounding of the term table is relative
     rng = np.random.default_rng(3)
     ring = np.exp(1j * np.arange(SEARCH_SAMPLES) * (2.0 * math.pi / SEARCH_SAMPLES))
     cases = [(_random_polynomial(rng, int(rng.integers(2, 9))), k % 2)
              for k in range(60)]
     cases.append((Pow(Add(Mul(Const(0.5 + 0.1j), Z), Const(0.3)), 64), 0))
+    cases += [(_random_exp_polynomial(rng, int(rng.integers(1, 4))), k % 2)
+              for k in range(30)]
     for k, (expr, part) in enumerate(cases):
         u = HarmonicComponent(expr, ("real", "imag")[part])
         z = complex(*rng.uniform(-3.0, 3.0, size=2))
@@ -322,6 +346,40 @@ def test_taylor_table_samples_match_direct_evaluation():
         want = np.asarray(u.value(z + r * ring), dtype=float)
         bound = 64 * np.finfo(float).eps * _majorant(expr, abs(z) + r)
         assert np.max(np.abs(samples - want)) <= bound, k
+
+
+@pytest.mark.parametrize("src", [
+    "u=re(z^3-2*z+1); v=im(z)", "u=im((1+i)*z^3-2*z+0.5*i); v=im(z)",
+    "u=re((z-10)^8); v=im(z)", "u=re(exp(2)*z^5+(z+1)^7); v=im(z)",
+    "u=im(exp(z)); v=re(z)", "u=re(exp((0.3-1.2*i)*z+0.5)); v=im(z)"])
+def test_the_term_table_has_the_bits_of_the_polynomial_and_exp_tables(src):
+    # a polynomial is sampled as the Taylor coefficients times a table of
+    # cos kt and sin kt, and exp(alpha z + beta) as e^{L(c)} times
+    # e^{alpha r e^{it}}, bit for bit, as the two samplers did before the
+    # term table replaced them
+    u = parse_map(src).u
+    rng = np.random.default_rng(41)
+    C = np.array([complex(*rng.uniform(-3.0, 3.0, size=2)) for _ in range(12)])
+    ring = np.exp(1j * np.arange(SEARCH_SAMPLES) * (2.0 * math.pi / SEARCH_SAMPLES))
+    if isinstance(u.expr, Exp):
+        lead = coefficients(u.expr.operand, C)
+        b, alpha = np.exp(lead[:1]), lead[1, 0]
+    else:
+        b, alpha = coefficients(u.expr, C), 0
+    k = np.arange(len(b))
+    parts = (b.real, -b.imag) if u.part == "real" else (b.imag, b.real)
+    rows = np.ascontiguousarray(np.concatenate(parts).T)
+    sample = _scan_sampler(u, list(C))
+    for r in (0.37, 1.5, 4.0):
+        if alpha:
+            wave = np.exp(alpha * r * ring)
+            table = np.stack([wave.real, wave.imag])
+        else:
+            angle = (np.outer(k, np.arange(SEARCH_SAMPLES)) % SEARCH_SAMPLES) \
+                * (2.0 * math.pi / SEARCH_SAMPLES)
+            table = np.concatenate([np.cos(angle), np.sin(angle)])
+        want = (rows * r ** np.concatenate([k, k])) @ table
+        assert sample(np.arange(len(C)), r).tobytes() == want.tobytes(), r
 
 
 def test_taylor_table_keeps_the_accuracy_of_the_tree():
@@ -381,6 +439,36 @@ def test_the_factored_exp_scan_picks_the_disc_of_direct_evaluation(monkeypatch, 
     assert lewis_disc_search(u, R).to_dict() == got
 
 
+# exponential polynomials that fell to direct evaluation before the term table
+EXP_POLYNOMIAL_MAPS = ["u=re(exp(z)+z^2); v=im(z)", "u=re(z*exp(z)); v=im(z)",
+                       "u=re(exp(i*z)+exp(-i*z)+z); v=im(z)"]
+
+
+def _exp_polynomial_searches(n=12, seed=17):
+    """(component, R) pairs: re or im of seeded exponential polynomials of
+    1-3 terms."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for k in range(n):
+        expr = _random_exp_polynomial(rng, int(rng.integers(1, 4)))
+        out.append((HarmonicComponent(expr, ("real", "imag")[k % 2]),
+                    round(float(rng.uniform(3.0, 10.0)), 3)))
+    return out
+
+
+@pytest.mark.parametrize("u,R", [
+    *(pytest.param(parse_map(src).u, 8.0, id=src) for src in EXP_POLYNOMIAL_MAPS),
+    *(pytest.param(u, R, id=f"seeded-{k}")
+      for k, (u, R) in enumerate(_exp_polynomial_searches()))])
+def test_the_term_table_scan_picks_the_disc_of_direct_evaluation(monkeypatch, u, R):
+    monkeypatch.setattr(lewis, "CENTER_GRID_N", 12)
+    got = lewis_disc_search(u, R).to_dict()
+    # a cap of 0 and a negative bound: every circle is evaluated directly
+    monkeypatch.setattr(lewis, "TAYLOR_MAX_DEGREE", 0)
+    monkeypatch.setattr(lewis, "EXP_FACTOR_MAX", -1.0)
+    assert lewis_disc_search(u, R).to_dict() == got
+
+
 @pytest.mark.parametrize("src,R,where", [
     ("u=im(exp(z)); v=re(exp(z))", 1000.0, "radius 500 about 321.412-263.894j"),
     # e^{750} overflows as a factor of e^{z - 400} on |z - c| = 750, and
@@ -403,10 +491,10 @@ def _exp_affine(alpha, beta, part):
 
 
 def _block_searches():
-    """(component, R) pairs: a few seeded polynomials and exp(alpha z + beta)
-    maps.  exp(z + 695) has centers c with Re c > 5 where the factor
-    e^{L(c)} is beyond EXP_FACTOR_MAX, so its blocks mix factored rows with
-    directly evaluated ones."""
+    """(component, R) pairs: a few seeded polynomials, exp(alpha z + beta)
+    maps and exponential polynomials.  exp(z + 695) has centers c with
+    Re c > 5 where the factor e^{L(c)} is beyond EXP_FACTOR_MAX, so its
+    blocks mix factored rows with directly evaluated ones."""
     rng = np.random.default_rng(23)
     out = _random_polynomial_searches(n=4, seed=29)
     for k in range(3):
@@ -415,6 +503,7 @@ def _block_searches():
         out.append((_exp_affine(alpha, beta, ("real", "imag")[k % 2]),
                     round(float(rng.uniform(4.0, 12.0)), 3)))
     out.append((_exp_affine(1.0, 695.0, "imag"), 12.0))
+    out += [(parse_map(src).u, 8.0) for src in EXP_POLYNOMIAL_MAPS[:2]]
     return out
 
 
@@ -439,9 +528,10 @@ def test_the_pick_does_not_depend_on_the_block_size(monkeypatch, u, R):
 def _block_sampler_cases():
     """(component, centers, r) for each sampler: the Taylor table (degrees 1
     and 3), the factored exponential with a block of normal centers and one
-    that mixes in centers where |Re L(c)| > EXP_FACTOR_MAX, and direct
-    evaluation.  For L = z - 745, e^{L(c)} is the least subnormal or 0 at
-    Re c = 0, so a factored row there would be no circle of u at all."""
+    that mixes in centers where |Re L(c)| > EXP_FACTOR_MAX, direct
+    evaluation, and an exponential polynomial, whose tables are stacked.
+    For L = z - 745, e^{L(c)} is the least subnormal or 0 at Re c = 0, so a
+    factored row there would be no circle of u at all."""
     rng = np.random.default_rng(31)
     spread = [complex(*rng.uniform(-2.0, 2.0, size=2)) for _ in range(5)]
     return [
@@ -450,10 +540,11 @@ def _block_sampler_cases():
         (_exp_affine(0.8 - 0.3j, 0.2j, "real"), spread, 1.2),
         (_exp_affine(1.0, -745.0, "imag"), [0j, 50 - 1j, 40 + 1j, 60 + 2j, 3j], 50.0),
         (parse_map("u=re(exp(z^2)); v=im(z)").u, spread, 0.9),
+        (parse_map("u=im(z*exp((0.6+0.4*i)*z)+z^2-1); v=im(z)").u, spread, 1.1),
     ]
 
 
-@pytest.mark.parametrize("case", range(5))
+@pytest.mark.parametrize("case", range(6))
 def test_a_block_of_circles_is_the_rows_of_one_center_calls(case):
     u, centers, r = _block_sampler_cases()[case]
     sample = _scan_sampler(u, centers)
@@ -602,6 +693,8 @@ def _scan_evaluations(monkeypatch, u, R) -> int:
     ("u=re(z^64+z); v=im(z)", 2.0, True),          # the cap
     ("u=re(z); v=im(z)", 8.0, True),
     ("u=im(exp(z)); v=re(exp(z))", 8.0, True),     # factored
+    ("u=re(exp(z)+z^2); v=im(z)", 8.0, True),      # exponential polynomials
+    ("u=im(z*exp(i*z)-exp(-2*z)); v=im(z)", 4.0, True),
     ("u=re(exp(exp(z))); v=im(z)", 4.0, False),
     ("u=re(exp(z^2)); v=im(z)", 4.0, False),
     ("u=re(z^65+z); v=im(z)", 2.0, False),         # above the cap
@@ -621,18 +714,27 @@ def test_the_scan_evaluates_u_only_off_the_table(monkeypatch, src, R, table):
 
 
 def test_a_degree_above_the_cap_builds_no_coefficient_array(monkeypatch):
-    u = parse_map("u=re(z^100000); v=im(z)").u
+    ring = np.exp(1j * np.arange(SEARCH_SAMPLES) * (2.0 * math.pi / SEARCH_SAMPLES))
+    for src in ("z^100000", "(z+exp(z))^100000", "exp(z)*z^100000"):
+        u = parse_map(f"u=re({src}); v=im(z)").u
 
-    def refuse(expr):
-        raise AssertionError("the coefficients of z^100000 were expanded")
-    monkeypatch.setattr(lewis, "coefficients", refuse)
-    with pytest.raises(Exception) as got:
-        lewis_disc_search(u, 2.0)
-    assert not isinstance(got.value, AssertionError)
-    # the error of the scan without the table
-    monkeypatch.setattr(lewis, "TAYLOR_MAX_DEGREE", 1)
-    with pytest.raises(type(got.value), match=f"^{re.escape(str(got.value))}$"):
-        lewis_disc_search(u, 2.0)
+        def refuse(a, b):
+            raise AssertionError(f"the coefficients of {src} were expanded")
+        monkeypatch.setattr(expressions, "_series_product", refuse)
+        # the scan evaluates these circles directly, overflow and all
+        centers, r = [0.1j, 0.5], 0.25
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.array_equal(_scan_sampler(u, centers)(np.arange(2), r),
+                                  u.value(np.array(centers)[:, None] + r * ring),
+                                  equal_nan=True)
+        with pytest.raises(Exception) as got:
+            lewis_disc_search(u, 2.0)
+        assert not isinstance(got.value, AssertionError)
+        # the error of the scan without the table
+        monkeypatch.setattr(lewis, "TAYLOR_MAX_DEGREE", 1)
+        with pytest.raises(type(got.value), match=f"^{re.escape(str(got.value))}$"):
+            lewis_disc_search(u, 2.0)
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("R", [math.nan, math.inf, -math.inf, 0.0, -1.0])
