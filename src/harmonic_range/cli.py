@@ -8,6 +8,7 @@ comes from the command line, else from a ``--config`` file, else from the
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import catalog as catalog_mod
-from .expressions import HarmonicMap, ParseError, parse_map
+from .expressions import HarmonicMap, NonFiniteError, ParseError, parse_map
 from .lewis import lewis_disc_search, rescaled_sequence
 from .ranges import (antipodal_gap_alpha, antipodal_pairs,
                      cone_avoidance_normalize, estimate_directions,
@@ -194,6 +195,9 @@ def _cmd_eval(args) -> tuple[dict, int]:
     f = _resolve_map(args)
     z = args.z
     w = f.value(z)
+    if not cmath.isfinite(w):
+        raise NonFiniteError(f"the value at z = {_format_complex(z)} is not "
+                             "finite: the map overflows")
     return {"z": [z.real, z.imag], "w": [w.real, w.imag],
             "formatted": _format_complex(w)}, 0
 

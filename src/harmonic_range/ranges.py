@@ -51,7 +51,8 @@ def _blocks(n: int, size: int | None = None):
 
 @dataclass
 class RangeSample:
-    """Desk-scale sample of the range: pairs (z, w = f(z))."""
+    """Desk-scale sample of the range: pairs (z, w = f(z)), every w finite;
+    a NonFiniteError, counted block by block, refuses one that overflows."""
 
     z: np.ndarray
     w: np.ndarray
@@ -59,6 +60,13 @@ class RangeSample:
     n_grid: int
     seed: int
     grid_type: str = "polar+sobol"
+
+    def __post_init__(self):
+        bad = sum(int(np.count_nonzero(~np.isfinite(self.w[blk])))
+                  for blk in _blocks(self.w.size))
+        if bad:
+            raise NonFiniteError(f"{bad} of {self.w.size} samples of the range "
+                                 "are not finite: the map overflows")
 
     @property
     def count(self) -> int:
@@ -211,9 +219,8 @@ def sample_range(f: HarmonicMap, R: float, n_grid: int = 256,
                  seed: int = 0) -> RangeSample:
     """Deterministic polar grid on D(0,R) plus seeded quasi-random points.
 
-    Samples where the map overflows are kept as inf or NaN, without numpy's
-    warning: estimate_directions and phi_profile refuse them with a
-    NonFiniteError."""
+    The sample is finite: where the map overflows, RangeSample raises a
+    NonFiniteError, and numpy's warning stays silent."""
     if n_grid < 64:
         raise ValueError("n_grid must be at least 64")
     _require_positive(R, "radius R")
@@ -317,28 +324,18 @@ FATTEN_BINS = 1
 MIN_LARGE = 8
 
 
-def _require_finite_sample(w: np.ndarray) -> None:
-    """NonFiniteError naming how many of the samples w are inf or NaN,
-    counted block by block."""
-    bad = sum(int(np.count_nonzero(~np.isfinite(w[blk]))) for blk in _blocks(w.size))
-    if bad:
-        raise NonFiniteError(f"{bad} of {w.size} samples of the range are not "
-                             "finite: the map overflows")
-
-
 def estimate_directions(samples: RangeSample, bins: int = 720,
                         cutoffs=None) -> DirectionEstimate:
     """Bin sample directions and keep bins that survive every cutoff from
     the stabilization index on; merge surviving bins into closed arcs.
 
-    One pass in blocks builds the per-bin maximum modulus G, which
-    np.maximum.at gives exactly in any order.  Only the default cutoffs
-    hold the positive moduli of the whole sample, for their quantiles."""
+    The sample is finite, as every RangeSample is.  One pass in blocks
+    builds the per-bin maximum modulus G, which np.maximum.at gives
+    exactly in any order.  Only the default cutoffs hold the positive
+    moduli of the whole sample, for their quantiles."""
     if bins < 90:
         raise ValueError("need at least 90 bins")
-    # the largest moduli decide, so overflowed samples cannot be dropped
     w = samples.w
-    _require_finite_sample(w)
     if cutoffs is not None:
         cutoffs = tuple(sorted(float(c) for c in cutoffs))
     positive = np.empty(w.size) if cutoffs is None else None
@@ -490,7 +487,7 @@ class PhiProfile:
 
 
 def phi_profile(samples: RangeSample, bins: int = 200) -> PhiProfile:
-    _require_finite_sample(samples.w)
+    """The envelope of v over equal u-slabs of a (finite) range sample."""
     u = samples.w.real
     v = samples.w.imag
     lo, hi = float(u.min()), float(u.max())

@@ -209,11 +209,9 @@ def check_halfplane_theorem(f: HarmonicMap, alpha: float,
 
     med, lo, hi = _blocked_median(combination, w.size)
     concl = _constant_between(lo, hi)
-    # |g - med| grows with g on each side of med, so its maximum is at an
-    # extreme; np.maximum keeps a NaN as np.max would
+    # |g - med| grows with g on each side of med: its maximum is at an extreme
     cw = [] if concl else [{"note": "combination not constant",
-                            "max_dev": float(np.maximum(abs(hi - med),
-                                                        abs(lo - med)))}]
+                            "max_dev": max(hi - med, med - lo)}]
     return TheoremVerdict(
         theorem="thm_halfplane", hypothesis_holds=hyp,
         hypothesis_witnesses=witnesses,
@@ -233,9 +231,8 @@ def check_cor_alpha(f: HarmonicMap, a: float, alpha: float, b: float,
 
     def bound(blk: slice) -> np.ndarray:
         return a * np.abs(u[blk]) ** alpha + b
-    # np.max keeps a NaN of a block maximum
-    slack = 1e-12 * (1.0 + float(np.max([np.max(np.abs(bound(blk)))
-                                         for blk in _blocks(u.size)])))
+    slack = 1e-12 * (1.0 + max(float(np.max(np.abs(bound(blk))))
+                               for blk in _blocks(u.size)))
     witnesses = _witnesses(samples, ("v > a|u|^alpha + b",),
                            lambda blk: (v[blk] > bound(blk) + slack,))
     hyp = not witnesses

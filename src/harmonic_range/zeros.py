@@ -11,8 +11,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .circles import (_finite_values, _require_finite, _require_positive,
-                      _ring, circle_max, multiplicity)
+from .circles import (_finite_values, _require_positive, _ring, circle_max,
+                      multiplicity)
 from .expressions import HarmonicComponent
 from .ranges import RangeSample
 from .reports import TheoremVerdict
@@ -375,16 +375,14 @@ class DependenceReport:
 def detect_dependence(samples: RangeSample, a: float,
                       R: float) -> DependenceReport:
     """Check the cone hypothesis |u| <= a|v| beyond radius R and fit the
-    least-squares coefficient b in u = b v."""
+    least-squares coefficient b in u = b v, on a sample that is finite,
+    as every RangeSample is."""
     far = np.abs(samples.z) > R
     if not np.any(far):
         raise ValueError("samples do not cover |z| > R")
     u = samples.w.real[far]
     v = samples.w.imag[far]
-    # finite exactly where both u and v are, and it cannot overflow
-    larger = np.maximum(np.abs(u), np.abs(v))
-    _require_finite(larger, f"samples beyond R = {R:g}")
-    scale = max(float(larger.max()), 1e-300)
+    scale = max(float(np.maximum(np.abs(u), np.abs(v)).max()), 1e-300)
     slack = 1e-9 * scale
 
     bad = np.abs(u) > a * np.abs(v) + slack

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from harmonic_range.arcs import ArcSet, TWO_PI
-from harmonic_range.expressions import parse_map
+from harmonic_range.expressions import NonFiniteError, parse_map
 from harmonic_range.ranges import (FATTEN_BINS, GAP_TOL_RAD, RangeSample,
                                    _bin_index, _polar_fill, _quantiles,
                                    antipodal_gap_alpha, antipodal_pairs,
@@ -95,6 +95,14 @@ def test_polar_fill_is_the_complex_exponential_bit_for_bit():
     r = np.array([[1e-300], [0.5], [1.0], [3.0], [1e300]])
     t = np.arange(-8, 9) * (PI / 2)
     assert _bits(_polar(r, t)) == _bits(r * np.exp(1j * t))
+
+
+def test_a_range_sample_refuses_inf_and_nan():
+    z = np.array([0j, 1, 2, 3j])
+    w = np.array([0j, complex(math.nan, 0.0), complex(0.0, math.inf), 1])
+    with pytest.raises(NonFiniteError, match="^2 of 4 samples of the range are "
+                       "not finite: the map overflows$"):
+        RangeSample(z=z, w=w, radius=3.0, n_grid=64, seed=0)
 
 
 def test_to_csv_bytes_match_csv_writer(tmp_path):
