@@ -68,6 +68,13 @@ def _require_finite(values: np.ndarray, what: str) -> None:
                              "the map overflows")
 
 
+def _require_finite_number(value: float, name: str) -> None:
+    """ValueError unless the input called name is finite: a NaN or inf
+    parameter would decide every comparison of a check by itself."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
 def _require_positive(value: float, name: str) -> None:
     """ValueError unless the input called name is finite and positive."""
     if not (math.isfinite(value) and value > 0):

@@ -207,7 +207,7 @@ def _cmd_sample(args) -> tuple[dict, int]:
     s = _sample(args, f)
     if args.out:
         s.to_csv(args.out)
-    return {"metadata": s.metadata(), "count": int(s.z.size),
+    return {"metadata": s.metadata(), "count": s.count,
             "out": args.out}, 0
 
 
@@ -335,7 +335,7 @@ def _cmd_plot(args) -> tuple[dict, int]:
     est = _estimate(args, s)
     svg = render_range_svg(s, arcs=est.arcs)
     Path(args.out).write_text(svg)
-    return {"out": args.out, "points": int(s.z.size),
+    return {"out": args.out, "points": s.count,
             "arcs": est.arcs.to_dict()["arcs"]}, 0
 
 

@@ -49,28 +49,73 @@ def _blocks(n: int, size: int | None = None):
     return (slice(s, s + size) for s in range(0, n, size))
 
 
-@dataclass
 class RangeSample:
     """Desk-scale sample of the range: pairs (z, w = f(z)), every w finite;
-    a NonFiniteError, counted block by block, refuses one that overflows."""
+    a NonFiniteError, counted block by block, refuses one that overflows.
 
-    z: np.ndarray
-    w: np.ndarray
-    radius: float
-    n_grid: int
-    seed: int
-    grid_type: str = "polar+sobol"
+    With z None the points are those of sample_range at (radius, n_grid,
+    seed), a function of the three: the sample holds w alone, 16 bytes a
+    point, and points(blk) computes a block of points each time they are
+    read.  A sample built by hand keeps its explicit points z.  Either
+    way ``z`` is the whole array of points, computed on demand and never
+    cached for a generated sample."""
 
-    def __post_init__(self):
-        bad = sum(int(np.count_nonzero(~np.isfinite(self.w[blk])))
-                  for blk in _blocks(self.w.size))
+    def __init__(self, z: np.ndarray | None, w: np.ndarray, radius: float,
+                 n_grid: int, seed: int, grid_type: str = "polar+sobol"):
+        self._z = z
+        self.w = w
+        self.radius = radius
+        self.n_grid = n_grid
+        self.seed = seed
+        self.grid_type = grid_type
+        bad = sum(int(np.count_nonzero(~np.isfinite(w[blk])))
+                  for blk in _blocks(w.size))
         if bad:
-            raise NonFiniteError(f"{bad} of {self.w.size} samples of the range "
+            raise NonFiniteError(f"{bad} of {w.size} samples of the range "
                                  "are not finite: the map overflows")
+        points = 2 * n_grid * n_grid if z is None else z.size
+        if points != w.size:
+            raise ValueError(f"{w.size} values for {points} points")
 
     @property
     def count(self) -> int:
-        return int(self.z.size)
+        return int(self.w.size)
+
+    @property
+    def z(self) -> np.ndarray:
+        return self.points(slice(None)) if self._z is None else self._z
+
+    def _span(self, blk: slice) -> tuple[int, int]:
+        start, stop, step = blk.indices(self.count)
+        if step != 1:
+            raise ValueError("a block of points is a run of consecutive indices")
+        return start, max(start, stop)
+
+    def points(self, blk: slice) -> np.ndarray:
+        """The points of the run of indices blk."""
+        if self._z is not None:
+            return self._z[blk]
+        return _sample_points(self.radius, self.n_grid, self.seed, *self._span(blk))
+
+    def beyond(self, R: float, blk: slice) -> np.ndarray:
+        """np.abs(self.points(blk)) > R, bit for bit.
+
+        A generated point r e^{it} has |z| within a few ulps of r, the
+        radius it is generated at (cos t and sin t are within a few ulps,
+        and the products and np.abs round once each), and surely within
+        the relative RADIUS_TOL of it while its coordinates are normal
+        floats.  So the radii decide every point of a block, and its
+        points, with their cos and sin, are computed only when one radius
+        lies within d = RADIUS_TOL |R| (plus RADIUS_FLOOR, for subnormal
+        coordinates) of R."""
+        if self._z is None:
+            r = _sample_radii(self.radius, self.n_grid, self.seed, *self._span(blk))
+            d = RADIUS_TOL * abs(R) + RADIUS_FLOOR
+            far = r > R - d
+            # no radius in (R - d, R + d]: r > R - d exactly where r > R
+            if np.count_nonzero(far) == np.count_nonzero(r > R + d):
+                return far
+        return np.abs(self.points(blk)) > R
 
     def metadata(self) -> dict:
         return {
@@ -87,15 +132,23 @@ class RangeSample:
 
         A row holds about 350 bytes of Python floats and strings while it
         is formatted, some 20 times what a point takes in array work, so
-        rows are written in eighths of a block."""
+        rows are written in eighths of a block, and the points of each are
+        computed then."""
         with open(path, "w", newline="") as fh:
             fh.write("z_re,z_im,w_re,w_im\r\n")
             for blk in _blocks(self.count, max(POINT_BLOCK // 8, 1)):
-                z, w = self.z[blk], self.w[blk]
+                z, w = self.points(blk), self.w[blk]
                 cols = (z.real.tolist(), z.imag.tolist(),
                         w.real.tolist(), w.imag.tolist())
                 fh.write("".join(f"{a!r},{b!r},{c!r},{d!r}\r\n"
                                  for a, b, c, d in zip(*cols)))
+
+
+# a generated point's |z| lies within this relative distance of the radius
+# it is generated at (RangeSample.beyond; 1.7 ulps at most were seen), and
+# within RADIUS_FLOOR where its coordinates are subnormal
+RADIUS_TOL = 1e-12
+RADIUS_FLOOR = 1e-300
 
 
 _SOBOL_BITS = 30
@@ -155,22 +208,24 @@ def _sobol_ints(n: int, seed: int) -> np.ndarray:
     return q
 
 
-def _sobol_blocks(n: int, seed: int):
-    """The columns of _sobol_ints(n, seed), as (start, block) pairs of at
-    most B columns each, B the largest power of two <= POINT_BLOCK.
+def _sobol_blocks(n: int, seed: int, start: int = 0):
+    """The columns start .. n-1 of _sobol_ints(n, seed), as (index, block)
+    pairs cut at the multiples of B, B the largest power of two <=
+    POINT_BLOCK.
 
     With i = hB + l and l < B = 2^b, gray(i) = (gray(h) << b) ^ gray(l),
     with bit b-1 flipped when h is odd.  So block h is block 0 XORed with
     the direction numbers of the set bits of gray(h), shifted up by b,
     and with direction number b-1 when h is odd (b > 0); only block 0 is
-    built by reflection."""
+    built by reflection, as far as the blocks need it."""
     _check_sobol_count(n)
     sv, shift = _sobol_directions(np.random.default_rng(seed))
     b = POINT_BLOCK.bit_length() - 1
     size = 1 << b
-    first = np.empty((2, min(n, size)), dtype=np.uint32)
+    h0 = start // size
+    first = np.empty((2, min(size, n - h0 * size)), dtype=np.uint32)
     _gray_fill(first, sv, shift)
-    for h, start in enumerate(range(0, n, size)):
+    for h in range(h0, -(-n // size)):
         flip = np.zeros(2, dtype=np.uint32)
         gray = h ^ (h >> 1)
         for j in range(gray.bit_length()):
@@ -178,8 +233,9 @@ def _sobol_blocks(n: int, seed: int):
                 flip ^= sv[:, j + b]
         if h & 1 and b:
             flip ^= sv[:, b - 1]
-        count = min(size, n - start)
-        yield start, first[:, :count] ^ flip[:, None] if h else first[:, :count]
+        lo = max(start - h * size, 0)
+        cols = first[:, lo:min(size, n - h * size)]
+        yield h * size + lo, cols ^ flip[:, None] if h else cols
 
 
 _SOBOL_UNIT = 1.0 / (1 << _SOBOL_BITS)
@@ -205,36 +261,77 @@ def _polar_fill(out: np.ndarray, r, t) -> None:
     np.multiply(r, np.sin(t), out=out.imag)
 
 
-def _sobol_disc_fill(out: np.ndarray, R: float, seed: int) -> None:
-    """Write the first out.size Sobol' points (p0, p1), carried onto
-    D(0, R) as R sqrt(p0) e^{2 pi i p1}, into the complex array ``out``,
-    one block at a time."""
-    for start, q in _sobol_blocks(out.size, seed):
+def _sobol_disc_fill(out: np.ndarray, R: float, seed: int, start: int = 0) -> None:
+    """Write Sobol' points start .. start + out.size - 1 (p0, p1), carried
+    onto D(0, R) as R sqrt(p0) e^{2 pi i p1}, into the complex array
+    ``out``, one block at a time."""
+    for i, q in _sobol_blocks(start + out.size, seed, start):
         p = q * _SOBOL_UNIT
-        _polar_fill(out[start:start + p.shape[1]], R * np.sqrt(p[0]),
+        _polar_fill(out[i - start:i - start + p.shape[1]], R * np.sqrt(p[0]),
                     TWO_PI * p[1])
+
+
+def _grid_radii(R: float, n_grid: int) -> np.ndarray:
+    return R * (np.arange(1, n_grid + 1) / n_grid)
+
+
+def _sample_points(R: float, n_grid: int, seed: int, start: int,
+                   stop: int) -> np.ndarray:
+    """Points start .. stop-1 of sample_range at (R, n_grid, seed): the
+    n_grid x n_grid polar grid row by row (radius R k / n_grid for
+    k = 1 .. n_grid, angle 2 pi j / n_grid), then as many Sobol' points
+    on D(0, R)."""
+    z = np.empty(stop - start, dtype=complex)
+    m = n_grid * n_grid
+    if start < m:
+        # whole rows, so that cos and sin are taken of the n_grid angles
+        r0, r1 = start // n_grid, -(-min(stop, m) // n_grid)
+        rows = np.empty((r1 - r0, n_grid), dtype=complex)
+        _polar_fill(rows, _grid_radii(R, n_grid)[r0:r1, None],
+                    TWO_PI * np.arange(n_grid) / n_grid)
+        z[:m - start] = rows.ravel()[start - r0 * n_grid:min(stop, m) - r0 * n_grid]
+    if stop > m:
+        first = max(start, m)
+        _sobol_disc_fill(z[first - start:], R, seed, first - m)
+    return z
+
+
+def _sample_radii(R: float, n_grid: int, seed: int, start: int,
+                  stop: int) -> np.ndarray:
+    """The radii that points start .. stop-1 of sample_range at (R,
+    n_grid, seed) are generated at, without their angles."""
+    r = np.empty(stop - start)
+    m = n_grid * n_grid
+    if start < m:
+        r0, r1 = start // n_grid, -(-min(stop, m) // n_grid)
+        r[:m - start] = np.repeat(_grid_radii(R, n_grid)[r0:r1], n_grid)[
+            start - r0 * n_grid:min(stop, m) - r0 * n_grid]
+    if stop > m:
+        for i, q in _sobol_blocks(stop - m, seed, max(start - m, 0)):
+            rq = r[i + m - start:i + m - start + q.shape[1]]
+            np.sqrt(np.multiply(q[0], _SOBOL_UNIT, out=rq), out=rq)
+            rq *= R
+    return r
 
 
 def sample_range(f: HarmonicMap, R: float, n_grid: int = 256,
                  seed: int = 0) -> RangeSample:
     """Deterministic polar grid on D(0,R) plus seeded quasi-random points.
 
-    The sample is finite: where the map overflows, RangeSample raises a
+    The sample keeps the values alone: each block of POINT_BLOCK points
+    is computed from (R, n_grid, seed), evaluated and dropped, and
+    RangeSample computes the points again when they are read.  The
+    sample is finite: where the map overflows, RangeSample raises a
     NonFiniteError, and numpy's warning stays silent."""
     if n_grid < 64:
         raise ValueError("n_grid must be at least 64")
     _require_positive(R, "radius R")
-    m = n_grid * n_grid
-    z = np.empty(2 * m, dtype=complex)  # the grid, then the Sobol' points
-    radii = R * (np.arange(1, n_grid + 1) / n_grid)
-    theta = TWO_PI * np.arange(n_grid) / n_grid
-    _polar_fill(z[:m].reshape(n_grid, n_grid), radii[:, None], theta)
-    _sobol_disc_fill(z[m:], R, seed)
-    w = np.empty_like(z)
+    w = np.empty(2 * n_grid * n_grid, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        for blk in _blocks(z.size):
-            w[blk] = f.value(z[blk])
-    return RangeSample(z=z, w=w, radius=R, n_grid=n_grid, seed=seed)
+        for blk in _blocks(w.size):
+            start, stop, _ = blk.indices(w.size)
+            w[blk] = f.value(_sample_points(R, n_grid, seed, start, stop))
+    return RangeSample(z=None, w=w, radius=R, n_grid=n_grid, seed=seed)
 
 
 @dataclass

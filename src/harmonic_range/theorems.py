@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .arcs import ArcSet
-from .circles import _require_positive
+from .circles import _require_finite_number, _require_positive
 from .expressions import HarmonicMap
 from .ranges import (DirectionEstimate, RangeSample, _blocks,
                      _sobol_disc_fill, antipodal_pairs)
@@ -127,13 +127,14 @@ def _witnesses(samples: RangeSample, notes: tuple, bads) -> list[dict]:
     for blk in _blocks(samples.count):
         for bad, idx in zip(bads(blk), found):
             idx.extend((blk.start + np.nonzero(bad)[0][:4 - len(idx)]).tolist())
-    return [_witness(samples.z[k], samples.w[k], note)
+    return [_witness(samples.points(slice(k, k + 1))[0], samples.w[k], note)
             for idx, note in zip(found, notes) for k in idx]
 
 
 def check_lewis_region(f: HarmonicMap, C: float,
                        samples: RangeSample) -> TheoremVerdict:
     """|u+ - v+| <= C and max(u, v) >= -C force constancy."""
+    _require_finite_number(C, "C")
     u = samples.w.real
     v = samples.w.imag
     slack = 1e-12 * (1.0 + C)
@@ -226,6 +227,8 @@ def check_cor_alpha(f: HarmonicMap, a: float, alpha: float, b: float,
     """v <= a|u|^alpha + b with alpha < 1 forces v constant."""
     if not (0.0 <= alpha < 1.0):
         raise ValueError("alpha must lie in [0, 1)")
+    _require_finite_number(a, "a")
+    _require_finite_number(b, "b")
     u = samples.w.real
     v = samples.w.imag
 
@@ -249,6 +252,7 @@ def check_murdoch_kuran(f: HarmonicMap, a: float, R: float,
                         samples: RangeSample) -> TheoremVerdict:
     """Polynomial u with |u| <= a|v| beyond radius R forces u = b v and a
     line-shaped range."""
+    _require_finite_number(a, "a")
     deg = f.u.degree()
     if deg is None or deg == 0:
         return TheoremVerdict(
@@ -265,9 +269,11 @@ def check_murdoch_kuran(f: HarmonicMap, a: float, R: float,
     cw = []
     if concl:
         # the sampled range must hug the line u = b v through the origin
-        scale = max(float(np.max(np.abs(samples.w.real))),
-                    float(np.max(np.abs(samples.w.imag))), 1e-300)
-        dev = float(np.max(np.abs(samples.w.real - rep.b * samples.w.imag))) / scale
+        w, blocks = samples.w, list(_blocks(samples.count))
+        scale = max(max(float(np.max(np.abs(w[blk].real))),
+                        float(np.max(np.abs(w[blk].imag)))) for blk in blocks)
+        dev = max(float(np.max(np.abs(w[blk].real - rep.b * w[blk].imag)))
+                  for blk in blocks) / max(scale, 1e-300)
         concl = dev <= LINE_TOL
         if not concl:
             cw.append({"note": "range not within tolerance of the line",

@@ -11,10 +11,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .circles import (_finite_values, _require_positive, _ring, circle_max,
-                      multiplicity)
+from .circles import (_finite_values, _require_finite_number, _require_positive,
+                      _ring, circle_max, multiplicity)
 from .expressions import HarmonicComponent
-from .ranges import RangeSample
+from .ranges import RangeSample, _blocks
 from .reports import TheoremVerdict
 
 __all__ = [
@@ -376,32 +376,64 @@ def detect_dependence(samples: RangeSample, a: float,
                       R: float) -> DependenceReport:
     """Check the cone hypothesis |u| <= a|v| beyond radius R and fit the
     least-squares coefficient b in u = b v, on a sample that is finite,
-    as every RangeSample is."""
-    far = np.abs(samples.z) > R
-    if not np.any(far):
+    as every RangeSample is.
+
+    The points beyond R are those with np.abs(z) > R, bit for bit:
+    RangeSample.beyond takes them from the radius each point is generated
+    at, which |z| equals to a few ulps, and computes a block's points,
+    cos and sin included, only where one of those radii lies within a
+    relative 1e-12 of R.  The elementwise passes run in blocks.  The
+    values u and v beyond R are held whole (16 bytes a far point), and so
+    is each of the products v*v and u*v in turn (8 more): numpy's
+    pairwise sum over a whole product has a fixed order, while np.dot's
+    BLAS sums, and so b and the residual, change with its thread count."""
+    _require_finite_number(a, "a")
+    blocks = list(_blocks(samples.count))
+    masks = [samples.beyond(R, blk) for blk in blocks]
+    counts = [int(np.count_nonzero(mask)) for mask in masks]
+    n_far = sum(counts)
+    if not n_far:
         raise ValueError("samples do not cover |z| > R")
-    u = samples.w.real[far]
-    v = samples.w.imag[far]
-    scale = max(float(np.maximum(np.abs(u), np.abs(v)).max()), 1e-300)
+    u, v = np.empty(n_far), np.empty(n_far)  # the values beyond R
+    scale, k = 1e-300, 0
+    for blk, mask, count in zip(blocks, masks, counts):
+        if count:
+            fu, fv = u[k:k + count], v[k:k + count]
+            fu[:], fv[:] = samples.w.real[blk][mask], samples.w.imag[blk][mask]
+            scale = max(scale, float(np.maximum(np.abs(fu), np.abs(fv)).max()))
+            k += count
     slack = 1e-9 * scale
 
-    bad = np.abs(u) > a * np.abs(v) + slack
-    hyp = not bool(np.any(bad))
+    vv = float(np.add.reduce(v * v))
+    degenerate = vv <= (1e-12 * scale) ** 2 * n_far
+    b = 0.0 if degenerate else float(np.add.reduce(u * v) / vv)
+    hyp, residual = True, 0.0
+    for fb in _blocks(n_far):
+        hyp = hyp and not bool(np.any(np.abs(u[fb]) > a * np.abs(v[fb]) + slack))
+        if not degenerate:
+            residual = max(residual, float(np.max(np.abs(u[fb] - b * v[fb]))))
     witness = None
     if not hyp:
-        k = int(np.argmax(np.abs(u) - a * np.abs(v)))
-        zf = samples.z[far][k]
+        # the first far point where |u| - a|v| is largest, over all blocks
+        worst = None
+        for fb in _blocks(n_far):
+            excess = np.abs(u[fb]) - a * np.abs(v[fb])
+            j = int(np.argmax(excess))
+            if worst is None or excess[j] > worst[0]:
+                worst = (excess[j], fb.start + j)
+        k = j = worst[1]
+        for blk, mask, count in zip(blocks, masks, counts):
+            if j < count:
+                break
+            j -= count
+        at = blk.start + int(np.flatnonzero(mask)[j])
+        zf = samples.points(slice(at, at + 1))[0]
         witness = {"z": [zf.real, zf.imag], "u": float(u[k]), "v": float(v[k])}
-
-    # numpy's pairwise sum, in a fixed order: np.dot's BLAS sums, and so b
-    # and the residual, change with its thread count
-    vv = float(np.add.reduce(v * v))
-    if vv <= (1e-12 * scale) ** 2 * v.size:
+    if degenerate:
         return DependenceReport(b=0.0, residual=math.inf, dependent=False,
                                 bound_a=a, hypothesis_holds=hyp,
                                 hypothesis_witness=witness, degenerate=True)
-    b = float(np.add.reduce(u * v) / vv)
-    residual = float(np.max(np.abs(u - b * v))) / scale
+    residual /= scale
     return DependenceReport(b=b, residual=residual,
                             dependent=hyp and residual <= RESIDUAL_TOL,
                             bound_a=a, hypothesis_holds=hyp,

@@ -10,6 +10,7 @@ import pytest
 
 import harmonic_range.ranges as ranges
 import harmonic_range.theorems as theorems
+import harmonic_range.zeros as zeros
 from harmonic_range.expressions import NonFiniteError, parse_map
 from harmonic_range.ranges import sample_range
 from harmonic_range.theorems import (ExcludedPointError, check_log2_inequalities,
@@ -307,3 +308,110 @@ def test_log2_sample_points_peak_in_blocks():
     z, peak = _traced_peak(lambda: log2_sample_points(n, seed=7))
     assert z.size == n
     assert peak < z.nbytes + 5 * MB, peak
+
+
+# three maps of the range-survey kinds: a polynomial, exp and a line
+PEAK_MAPS = [MAPS[0], MAPS[1], "u=re(z); v=im(0.5*i*z)"]
+
+
+@pytest.mark.parametrize("src", PEAK_MAPS)
+def test_sample_range_peaks_at_its_values(src):
+    f = parse_map(src)
+    s, peak = _traced_peak(lambda: sample_range(f, 4.0, n_grid=512, seed=3))
+    assert s.count == 1 << 19
+    # the points of a block are made, evaluated and dropped
+    assert peak < s.w.nbytes + 6 * MB, peak
+
+
+def test_a_generated_sample_holds_its_values_alone():
+    s = _exp_sample()
+    held = [v for v in vars(s).values() if isinstance(v, np.ndarray)]
+    assert len(held) == 1 and held[0] is s.w
+    # its points are computed each time they are read
+    assert s.z is not s.z
+    assert s.z.tobytes() == s.z.tobytes()
+
+
+def _sample_radius_fractions():
+    s = sample_range(parse_map("u=re(z); v=im(z)"), 8.0, n_grid=100, seed=5)
+    m = s.n_grid ** 2
+    return s, {
+        "grid-radius": 8.0 * (3 / s.n_grid),
+        # |z| of a Sobol' point, a few ulps from the radius it is made at
+        "sobol-modulus": float(np.abs(s.z[m + 4321])),
+        "half-radius": 4.0,
+        "radius": 8.0,
+    }
+
+
+@pytest.mark.parametrize("which", ["grid-radius", "sobol-modulus",
+                                   "half-radius", "radius"])
+def test_the_far_mask_is_the_modulus_test(which, monkeypatch):
+    s, radii = _sample_radius_fractions()
+    R = radii[which]
+    want = np.abs(s.z) > R
+    assert 0 < np.count_nonzero(want) < s.count or which == "radius"
+    by_hand = ranges.RangeSample(z=s.z, w=s.w, radius=s.radius,
+                                 n_grid=s.n_grid, seed=s.seed)
+    for block in [ranges.POINT_BLOCK] + BLOCKS:
+        monkeypatch.setattr(ranges, "POINT_BLOCK", block)
+        for sample in (s, by_hand):
+            got = np.concatenate([sample.beyond(R, blk)
+                                  for blk in ranges._blocks(sample.count)])
+            assert np.array_equal(got, want), (which, block)
+
+
+def _counting_polar_fill(monkeypatch) -> list:
+    calls = []
+    fill = ranges._polar_fill
+    monkeypatch.setattr(ranges, "_polar_fill",
+                        lambda out, r, t: calls.append(out.size) or fill(out, r, t))
+    return calls
+
+
+def test_the_far_mask_takes_cos_and_sin_only_near_a_generating_radius(monkeypatch):
+    s = sample_range(parse_map("u=re(z); v=im(0.5*i*z)"), 100.0, n_grid=256, seed=3)
+    calls = _counting_polar_fill(monkeypatch)
+    rep = zeros.detect_dependence(s, a=2.5, R=1.0)
+    assert rep.dependent and calls == []
+    # R on the 3rd grid circle: the block that holds it is computed
+    zeros.detect_dependence(s, a=2.5, R=100.0 * (3 / 256))
+    assert calls and sum(calls) <= ranges.POINT_BLOCK + 2 * 256
+
+
+def _line_sample(n_grid: int = 256):
+    return sample_range(parse_map("u=re(z); v=im(0.5*i*z)"), 100.0,
+                        n_grid=n_grid, seed=3)
+
+
+DEPENDENCE = {
+    "holds": lambda s: zeros.detect_dependence(s, a=2.5, R=1.0),
+    # the hypothesis fails: a witness, the first point of largest excess
+    "witness": lambda s: zeros.detect_dependence(s, a=1.0, R=30.0),
+    "degenerate": lambda s: zeros.detect_dependence(
+        ranges.RangeSample(z=s.z, w=s.w.real + 0j, radius=s.radius,
+                           n_grid=s.n_grid, seed=s.seed), a=1.0, R=1.0),
+    "murdoch-kuran": lambda s: theorems.check_murdoch_kuran(
+        parse_map("u=re(z); v=im(0.5*i*z)"), 2.5, 1.0, s),
+}
+
+
+@pytest.mark.parametrize("name", DEPENDENCE)
+def test_dependence_does_not_depend_on_the_block_size(name, monkeypatch):
+    s = _line_sample()
+    run = DEPENDENCE[name]
+    want = json.dumps(run(s).to_dict())
+    if name == "witness":
+        assert json.loads(want)["hypothesis_witness"] is not None
+    for block in BLOCKS:
+        monkeypatch.setattr(ranges, "POINT_BLOCK", block)
+        assert json.dumps(run(s).to_dict()) == want, block
+
+
+def test_dependence_peaks_at_its_far_products():
+    # 2^19 points, as the exp-wedge tasks: all but 0.01 % lie beyond R = 1
+    s = _line_sample(512)
+    rep, peak = _traced_peak(lambda: zeros.detect_dependence(s, a=2.5, R=1.0))
+    assert rep.dependent
+    n_far = int(np.count_nonzero(np.abs(s.z) > 1.0))
+    assert peak < 24 * n_far + 4 * MB, peak

@@ -314,6 +314,22 @@ def test_a_non_finite_or_empty_input_exits_two_saying_so(capsys, argv):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["check", "--theorem", "cor-alpha", "--map", "u=re(z); v=im(z)", "--a", "nan",
+      "--alpha", "0.5", "--b", "0.1"], "a"),
+    (["check", "--theorem", "lewis", "--map", "u=re(z); v=im(z)", "--C", "inf"], "C"),
+    (["dependence", "--map", "u=re(z); v=im(0.5*i*z)", "--a", "nan"], "a"),
+])
+def test_a_non_finite_parameter_exits_two_naming_it(capsys, argv, name):
+    # these once exited 2 only through the JSON encoder's complaint about
+    # the echoed parameter, or decided a verdict on it
+    assert main(argv + ["--n-grid", "64"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {name} must be finite, got ")
+    assert "Traceback" not in captured.err
+
+
 EXP_EXP = "u=re(exp(exp(z))); v=im(exp(exp(z)))"
 # 1368 of its 131,072 samples at R 8, n_grid 256, seed 3 are not finite
 EXP_EXP_U = ["--map", "u=re(exp(exp(z))); v=im(z)", "--R", "8", "--seed", "3"]

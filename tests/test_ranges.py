@@ -105,6 +105,36 @@ def test_a_range_sample_refuses_inf_and_nan():
         RangeSample(z=z, w=w, radius=3.0, n_grid=64, seed=0)
 
 
+@pytest.mark.parametrize("start, stop", [(0, 1), (0, 20_000), (9_999, 10_001),
+                                         (10_000, 10_001), (123, 4_567),
+                                         (19_999, 20_000), (15_000, None)])
+def test_points_of_a_run_are_those_of_the_whole_sample(start, stop):
+    # 2 * 100^2 points: the grid ends at 10,000, inside a block
+    s = sample_range(parse_map("u=re(z); v=im(z)"), 6.0, n_grid=100, seed=4)
+    assert _bits(s.points(slice(start, stop))) == _bits(s.z[start:stop])
+
+
+def test_a_sample_built_by_hand_keeps_its_points():
+    z = np.array([0j, 1, 2, 3j])
+    s = RangeSample(z=z, w=z * 2, radius=3.0, n_grid=64, seed=0)
+    assert s.z is z
+    assert np.shares_memory(s.points(slice(1, 3)), z)
+    assert s.count == 4
+
+
+@pytest.mark.parametrize("z, n_grid", [(np.zeros(3, dtype=complex), 64), (None, 2)])
+def test_a_range_sample_needs_a_value_for_each_point(z, n_grid):
+    with pytest.raises(ValueError, match="^4 values for (3|8) points$"):
+        RangeSample(z=z, w=np.zeros(4, dtype=complex), radius=1.0,
+                    n_grid=n_grid, seed=0)
+
+
+def test_points_are_read_in_runs():
+    s = sample_range(parse_map("u=re(z); v=im(z)"), 6.0, n_grid=64, seed=4)
+    with pytest.raises(ValueError, match="consecutive"):
+        s.points(slice(0, 10, 2))
+
+
 def test_to_csv_bytes_match_csv_writer(tmp_path):
     f = parse_map("u=re(exp(z)); v=im(z^3)")
     s = sample_range(f, 3.0, n_grid=64, seed=2)

@@ -158,6 +158,20 @@ def test_cor_alpha_rejects_alpha_one():
         check_cor_alpha(f, 1.0, 1.0, 0.0, s)
 
 
+@pytest.mark.parametrize("check, name", [
+    (lambda f, s, x: check_lewis_region(f, x, s), "C"),
+    (lambda f, s, x: check_cor_alpha(f, x, 0.5, 0.1, s), "a"),
+    (lambda f, s, x: check_cor_alpha(f, 1.0, 0.5, x, s), "b"),
+    (lambda f, s, x: check_murdoch_kuran(f, x, 1.0, s), "a"),
+], ids=["lewis-C", "cor-alpha-a", "cor-alpha-b", "murdoch-kuran-a"])
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_parameter_is_named(check, name, x):
+    # a NaN once decided the verdict: every witness test x > nan is false
+    f, s = _sampled("u=re(z); v=im(z)", R=8.0)
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {x}$"):
+        check(f, s, x)
+
+
 def test_murdoch_kuran_exact_multiple():
     f, s = _sampled("u=re(z); v=im(3*i*z)", R=50.0, n_grid=128)
     v = check_murdoch_kuran(f, 1.0, 1.0, s)

@@ -226,3 +226,11 @@ def test_cleaning_check_flags_mismatched_zero_sets():
     f = parse_map("u=re(z); v=im(z)")
     verdict = cleaning_check(f.u.value, f.v.value, 1.0)
     assert not (verdict.hypothesis_holds and verdict.conclusion_holds)
+
+
+@pytest.mark.parametrize("a", [math.nan, math.inf])
+def test_dependence_refuses_a_non_finite_cone_bound(a):
+    # with a = nan it once reported the cone hypothesis holding
+    s = sample_range(parse_map("u=re(z); v=im(0.5*i*z)"), 8.0, n_grid=64, seed=0)
+    with pytest.raises(ValueError, match=f"^a must be finite, got {a}$"):
+        detect_dependence(s, a=a, R=1.0)
