@@ -23,10 +23,9 @@ from .ranges import (antipodal_gap_alpha, antipodal_pairs,
                      cone_avoidance_normalize, estimate_directions,
                      phi_profile, phi_sublinearity_check, sample_range)
 from .svg import render_range_svg
-from .theorems import (check_antipodal_theorem, check_cor_alpha,
+from .theorems import (_Log2Points, check_antipodal_theorem, check_cor_alpha,
                        check_halfplane_theorem, check_lewis_region,
-                       check_log2_inequalities, check_murdoch_kuran,
-                       log2_sample_points)
+                       check_log2_inequalities, check_murdoch_kuran)
 from .zeros import (Rect, detect_dependence, local_structure, trace_zero_set,
                     tract_report)
 
@@ -47,12 +46,23 @@ def _emit(payload: dict) -> None:
                                 allow_nan=False) + "\n")
 
 
-def _complex(text: str) -> complex:
+def _finite(text: str, parse=float, what: str = "a number"):
+    """The argparse type of every float flag, also read for each number
+    of a list or a complex flag: parse(text), refused unless it is
+    finite, since a NaN or an infinity would decide each comparison it
+    enters.  main puts the flag's name before the message."""
     try:
-        return complex(text.replace("i", "j").replace(" ", ""))
+        value = parse(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"cannot parse complex number {text!r}") from None
+        raise argparse.ArgumentTypeError(f"is not {what}: {text!r}") from None
+    if not cmath.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
+def _complex(text: str) -> complex:
+    return _finite(text, lambda t: complex(t.replace("i", "j").replace(" ", "")),
+                   "a complex number")
 
 
 def _format_complex(w: complex) -> str:
@@ -60,11 +70,7 @@ def _format_complex(w: complex) -> str:
 
 
 def _numbers(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(t) for t in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"cannot parse number list {text!r}") from None
+    return tuple(_finite(t) for t in text.split(","))
 
 
 def _box(text: str) -> Rect:
@@ -302,8 +308,8 @@ def _cmd_phi(args) -> tuple[dict, int]:
 
 def _cmd_check(args) -> tuple[dict, int]:
     if args.theorem == "log2":
-        z = log2_sample_points(args.n, seed=args.seed)
-        verdict = check_log2_inequalities(z)
+        # the points are made and checked block by block, never held whole
+        verdict = check_log2_inequalities(_Log2Points(args.n, args.seed))
     else:
         f = _resolve_map(args)
         s = _sample(args, f)
@@ -352,15 +358,15 @@ class _PrintSchema(argparse.Action):
 _MAP = {"--map": dict(help="inline map text, e.g. 'u=re(z); v=im(exp(z))'"),
         "--catalog": dict(help="built-in catalog entry; its params are flag defaults"),
         "--map-file": dict(help="file containing the map text")}
-_RADIUS = {"--R": dict(type=float, default=30.0, help="sampling radius")}
+_RADIUS = {"--R": dict(type=_finite, default=30.0, help="sampling radius")}
 _SAMPLING = {**_RADIUS, "--n-grid": dict(type=int, default=256),
              "--seed": dict(type=int, default=0)}
 _DIRECTIONS = {"--bins": dict(type=int, default=720),
                "--cutoffs": dict(type=_numbers, help="comma-separated modulus cutoffs")}
 _COMPONENT = {"--component": dict(choices=("u", "v"), default="u")}
-_BUDGET = {"--budget": dict(type=float, default=100.0)}
-_CONE = {"--a": dict(type=float, default=1.0),
-         "--inner-R": dict(type=float, default=1.0,
+_BUDGET = {"--budget": dict(type=_finite, default=100.0)}
+_CONE = {"--a": dict(type=_finite, default=1.0),
+         "--inner-R": dict(type=_finite, default=1.0,
                            help="hypothesis radius: only |z| > inner-R is constrained")}
 _CSV_OUT = {"--out": dict(help="CSV output path")}
 
@@ -375,7 +381,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         "sample": (_cmd_sample, _MAP, _SAMPLING, _CSV_OUT),
         "directions": (_cmd_directions, _MAP, _SAMPLING, _DIRECTIONS),
         "antipodal": (_cmd_antipodal, _MAP, _SAMPLING, _DIRECTIONS,
-                      {"--tol": dict(type=float, default=math.radians(1.0))}),
+                      {"--tol": dict(type=_finite, default=math.radians(1.0))}),
         "normalize": (_cmd_normalize, _MAP, _SAMPLING, _DIRECTIONS),
         "lewis-discs": (_cmd_lewis_discs, _MAP, _COMPONENT, _RADIUS, _BUDGET),
         "rescale": (_cmd_rescale, _MAP, _BUDGET, {"--schedule": dict(
@@ -383,10 +389,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
             help="comma-separated increasing radii, e.g. '2,4,8'")}),
         "zeros": (_cmd_zeros, _MAP, _COMPONENT, _CSV_OUT,
                   {"--box": dict(type=_box, required=True, help="x0,x1,y0,y1"),
-                   "--step": dict(type=float, default=0.05)}),
+                   "--step": dict(type=_finite, default=0.05)}),
         "local-structure": (_cmd_local_structure, _MAP, _COMPONENT,
                             {"--z0": dict(type=_complex, required=True),
-                             "--probe-radius": dict(type=float, default=1e-2)}),
+                             "--probe-radius": dict(type=_finite, default=1e-2)}),
         "tracts": (_cmd_tracts, _MAP, _COMPONENT, _RADIUS),
         "dependence": (_cmd_dependence, _MAP, _SAMPLING, _CONE),
         "phi": (_cmd_phi, _MAP, _SAMPLING, {"--bins": dict(type=int, default=200)}),
@@ -394,22 +400,24 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
             "--theorem": dict(required=True, choices=(
                 "lewis", "antipodal", "halfplane", "cor-alpha", "murdoch-kuran",
                 "log2")),
-            "--C": dict(type=float, default=1.0),
-            "--alpha": dict(type=float, default=0.0),
-            "--b": dict(type=float, default=0.0),
+            "--C": dict(type=_finite, default=1.0),
+            "--alpha": dict(type=_finite, default=0.0),
+            "--b": dict(type=_finite, default=0.0),
             "--n": dict(type=int, default=1000000)}),
         "catalog": (_cmd_catalog, {"--name": {}}),
         "plot": (_cmd_plot, _MAP, _SAMPLING, _DIRECTIONS,
                  {"--out": dict(required=True, help="SVG output path")}),
     }
+    # a bad flag value raises argparse.ArgumentError, which main reports
     parser = argparse.ArgumentParser(
-        prog="harmonic-range", allow_abbrev=False,
+        prog="harmonic-range", allow_abbrev=False, exit_on_error=False,
         description="Numerical toolkit for ranges of planar harmonic maps.")
     parser.add_argument("--config", help="key=value file of flag defaults")
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {}
     for name, (func, *families) in table.items():
-        p = commands[name] = sub.add_parser(name, allow_abbrev=False)
+        p = commands[name] = sub.add_parser(name, allow_abbrev=False,
+                                            exit_on_error=False)
         p.set_defaults(func=func, entry=None)
         p.add_argument("--schema", action=_PrintSchema, const=name, nargs=0,
                        default=argparse.SUPPRESS,
@@ -446,6 +454,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # --help, --schema and argparse's usage errors end the parse
         return exc.code
+    except argparse.ArgumentError as exc:
+        # a refused flag value, worded as the library words a refused
+        # parameter: "a must be finite, got nan"
+        name = exc.argument_name.lstrip("-") + " " if exc.argument_name else ""
+        sys.stderr.write(f"error: {name}{exc.message}\n")
+        return USAGE_ERROR
     except (CliError, OSError, ValueError, catalog_mod.CatalogError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR

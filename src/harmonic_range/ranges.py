@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arcs import ArcSet, TWO_PI
-from .circles import _require_positive
+from .circles import _require_finite_number, _require_positive
 from .expressions import HarmonicMap, NonFiniteError
 
 __all__ = [
@@ -261,14 +261,28 @@ def _polar_fill(out: np.ndarray, r, t) -> None:
     np.multiply(r, np.sin(t), out=out.imag)
 
 
-def _sobol_disc_fill(out: np.ndarray, R: float, seed: int, start: int = 0) -> None:
-    """Write Sobol' points start .. start + out.size - 1 (p0, p1), carried
-    onto D(0, R) as R sqrt(p0) e^{2 pi i p1}, into the complex array
-    ``out``, one block at a time."""
-    for i, q in _sobol_blocks(start + out.size, seed, start):
-        p = q * _SOBOL_UNIT
-        _polar_fill(out[i - start:i - start + p.shape[1]], R * np.sqrt(p[0]),
-                    TWO_PI * p[1])
+def _sobol_disc(n: int, R: float, seed: int, start: int = 0, out=None):
+    """Sobol' points start .. n-1 (p0, p1) of seed, carried onto D(0, R)
+    as R sqrt(p0) e^{2 pi i p1}, as (index, points) pairs cut as
+    _sobol_blocks cuts them: the one source of generated Sobol' disc
+    points, for the second half of a range sample and for the log 2
+    check alike.  Each block is a new array, or, with out (room for
+    points start .. n-1), a view of out that it is written into.
+
+    The radii are made in the imaginary parts, which r sin t then
+    overwrites, so that no block of radii is held beside the points:
+    sqrt and products round correctly, so a strided view moves no bit,
+    while cos and sin are taken of a contiguous t."""
+    for i, q in _sobol_blocks(n, seed, start):
+        z = (np.empty(q.shape[1], dtype=complex) if out is None
+             else out[i - start:i - start + q.shape[1]])
+        r, t = z.imag, q[1] * _SOBOL_UNIT
+        np.sqrt(np.multiply(q[0], _SOBOL_UNIT, out=r), out=r)
+        r *= R
+        t *= TWO_PI
+        _polar_fill(z, r, t)
+        del q, t  # not held while the next block is made
+        yield i, z
 
 
 def _grid_radii(R: float, n_grid: int) -> np.ndarray:
@@ -292,7 +306,8 @@ def _sample_points(R: float, n_grid: int, seed: int, start: int,
         z[:m - start] = rows.ravel()[start - r0 * n_grid:min(stop, m) - r0 * n_grid]
     if stop > m:
         first = max(start, m)
-        _sobol_disc_fill(z[first - start:], R, seed, first - m)
+        for _ in _sobol_disc(stop - m, R, seed, first - m, out=z[first - start:]):
+            pass  # each block is written into z
     return z
 
 
@@ -435,6 +450,8 @@ def estimate_directions(samples: RangeSample, bins: int = 720,
     w = samples.w
     if cutoffs is not None:
         cutoffs = tuple(sorted(float(c) for c in cutoffs))
+        for c in cutoffs:
+            _require_finite_number(c, "cutoff")
     positive = np.empty(w.size) if cutoffs is None else None
     n_pos = n_large = 0  # n_large: the samples beyond the top cutoff
     G = np.zeros(bins)
@@ -481,6 +498,7 @@ def estimate_directions(samples: RangeSample, bins: int = 720,
 def antipodal_pairs(arcs: ArcSet, tol_rad: float = 0.0) -> ArcSet:
     """Angles theta (mod pi, represented in [0, pi)) with both e^{i theta}
     and -e^{i theta} in the tol-fattened set."""
+    _require_finite_number(tol_rad, "tol_rad")
     fat = arcs.fatten(tol_rad) if tol_rad > 0 else arcs
     both = fat.intersect(fat.rotate(math.pi))
     half = both.intersect(ArcSet.from_intervals([(0.0, math.pi)]))
@@ -507,8 +525,7 @@ def antipodal_gap_alpha(E: ArcSet, tol_rad: float = GAP_TOL_RAD) -> float | None
 
     The allowed angles are the closed complement of E fattened by tol and
     of its copies turned by +-pi/2.  With tol 0 every angle would do."""
-    if not tol_rad > 0:
-        raise ValueError(f"tol_rad must be positive, got {tol_rad}")
+    _require_positive(tol_rad, "tol_rad")
     fat = E.fatten(tol_rad)
     allowed = fat.union(fat.rotate(math.pi / 2)).union(
         fat.rotate(-math.pi / 2)).complement()

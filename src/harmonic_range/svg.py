@@ -19,6 +19,7 @@ VIEW = 800
 MARGIN = 60
 RING_WIDTH = 14
 MAX_POINTS = 20000  # larger samples are thinned to at most this many dots
+DOT_CHUNK = 1024  # dots joined into one part of the document
 
 
 def _fmt(x: float) -> str:
@@ -40,6 +41,14 @@ def _autoscale(w: np.ndarray) -> tuple[float, float, float]:
     # SVG y axis points down
     y0 = VIEW - (MARGIN + RING_WIDTH + 6) + scale * lo
     return scale, x0, y0
+
+
+def _dots(w: np.ndarray, scale: float, x0: float, y0: float) -> str:
+    """The lines of the dots of the values w, one circle a line."""
+    return "\n".join(
+        f'<circle cx="{_fmt(scale * wk.real + x0)}" '
+        f'cy="{_fmt(y0 - scale * wk.imag)}" r="1.2" '
+        f'fill="#1f77b4" fill-opacity="0.55"/>' for wk in w)
 
 
 def render_range_svg(samples: RangeSample, arcs: ArcSet) -> str:
@@ -78,11 +87,11 @@ def render_range_svg(samples: RangeSample, arcs: ArcSet) -> str:
             f'A {_fmt(ring_r)} {_fmt(ring_r)} 0 {large} 0 '
             f'{_fmt(x2)} {_fmt(y2)}" fill="none" stroke="#d62728" '
             f'stroke-width="{RING_WIDTH}" stroke-linecap="round"/>')
-    for wk in w:
-        px = scale * wk.real + x0
-        py = y0 - scale * wk.imag
-        parts.append(
-            f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="1.2" '
-            f'fill="#1f77b4" fill-opacity="0.55"/>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    # a chunk of dots is one string, not one small string a dot (some 130
+    # bytes each, 80 of them text), so the parts take about what the
+    # document takes
+    parts.extend(_dots(w[k:k + DOT_CHUNK], scale, x0, y0)
+                 for k in range(0, w.size, DOT_CHUNK))
+    # the closing tag ends the document, so the join is its one copy
+    parts.append("</svg>\n")
+    return "\n".join(parts)

@@ -11,14 +11,15 @@ counts as constant (ROADMAP item 4).  Checked, not proved.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .arcs import ArcSet
 from .circles import _require_finite_number, _require_positive
 from .expressions import HarmonicMap
-from .ranges import (DirectionEstimate, RangeSample, _blocks,
-                     _sobol_disc_fill, antipodal_pairs)
+from .ranges import (DirectionEstimate, RangeSample, _blocks, _sobol_disc,
+                     antipodal_pairs)
 from .reports import TheoremVerdict
 from .zeros import detect_dependence
 
@@ -43,6 +44,10 @@ DIRECTION_TOL_RAD = math.radians(1.0)
 LINE_TOL = 1e-6
 # rounding allowance on both sides of the log 2 inequalities
 LOG2_SLACK = 1e-12
+# the log 2 points lie in D(0, LOG2_RADIUS), and none within PUNCTURE_GAP
+# of the punctures 0 and 1
+LOG2_RADIUS = 100.0
+PUNCTURE_GAP = 1e-9
 
 
 class ExcludedPointError(ValueError):
@@ -186,6 +191,7 @@ def check_halfplane_theorem(f: HarmonicMap, alpha: float,
     estimated direction lies from the half circle (None for an empty
     estimate); the hypothesis holds when it is not negative, so a margin
     near 0 marks a verdict decided on a float tie."""
+    _require_finite_number(alpha, "alpha")
     half = ArcSet.from_intervals([(alpha - math.pi / 2, alpha + math.pi / 2)])
     margin = (None if est.arcs.is_empty
               else DIRECTION_TOL_RAD - est.arcs.directed_hausdorff(half))
@@ -253,6 +259,7 @@ def check_murdoch_kuran(f: HarmonicMap, a: float, R: float,
     """Polynomial u with |u| <= a|v| beyond radius R forces u = b v and a
     line-shaped range."""
     _require_finite_number(a, "a")
+    _require_finite_number(R, "R")
     deg = f.u.degree()
     if deg is None or deg == 0:
         return TheoremVerdict(
@@ -290,58 +297,104 @@ def check_murdoch_kuran(f: HarmonicMap, a: float, R: float,
         sampling=samples.metadata())
 
 
-def log2_sample_points(n: int, seed: int, radius: float = 100.0) -> np.ndarray:
-    """Quasi-random points in D(0, radius) staying away from 0 and 1."""
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
-    _require_positive(radius, "radius")
-    z = np.empty(n, dtype=complex)
-    _sobol_disc_fill(z, radius, seed)
-    keep = np.empty(n, dtype=bool)
-    for blk in _blocks(n):
-        zb = z[blk]
-        np.logical_and(np.abs(zb) > 1e-9, np.abs(zb - 1.0) > 1e-9, out=keep[blk])
-    return z if keep.all() else z[keep]
+@dataclass(frozen=True)
+class _Log2Points:
+    """The points of log2_sample_points(n, seed, radius), made one block
+    at a time: each block of the Sobol' disc source of ranges, without
+    its points within PUNCTURE_GAP of 0 or 1.  So they come in the same
+    order, and a block may be empty."""
+
+    n: int
+    seed: int
+    radius: float = LOG2_RADIUS
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"n must be at least 1, got {self.n}")
+        _require_positive(self.radius, "radius")
+
+    def blocks(self):
+        for _, z in _sobol_disc(self.n, self.radius, self.seed):
+            keep = np.abs(z) > PUNCTURE_GAP
+            keep &= np.abs(z - 1.0) > PUNCTURE_GAP
+            yield z if keep.all() else z[keep]
 
 
-def check_log2_inequalities(z_samples: np.ndarray) -> TheoremVerdict:
-    """|log+|z| - log+|z-1|| <= log 2 and max(log|z|, log|z-1|) >= -log 2
-    away from the two punctures."""
-    z = np.asarray(z_samples, dtype=complex)
+def log2_sample_points(n: int, seed: int, radius: float = LOG2_RADIUS) -> np.ndarray:
+    """Quasi-random points in D(0, radius) staying away from 0 and 1: the
+    first n Sobol' points of seed, carried onto the disc as the second
+    half of a range sample is, without those within PUNCTURE_GAP of 0 or
+    1.  The array form of the points that the CLI's log 2 check makes
+    block by block."""
+    points = _Log2Points(n, seed, radius)
+    z, k = np.empty(n, dtype=complex), 0
+    for zb in points.blocks():
+        z[k:k + zb.size] = zb
+        k += zb.size
+    return z if k == n else z[:k].copy()
+
+
+def _log2_block(zb: np.ndarray, found: tuple) -> tuple[bool, float, complex]:
+    """Check one block of the log 2 points: extend each list of found
+    with the block's first points of that kind of witness, up to 4, and
+    return whether a point lies within 1e-12 of a puncture, with the first
+    closest distance to one and its point.  The temporaries hold a few
+    doubles a point and go when it returns; a point at a puncture has log
+    -inf, which the caller refuses."""
     log2 = math.log(2.0)
+    az, az1 = np.abs(zb), np.abs(zb - 1.0)
+    near = np.minimum(az, az1)
+    excluded = bool(np.any(near < 1e-12))
+    k = int(np.argmin(near))
+    closest = near[k]
+    log_az, log_az1 = np.log(az, out=az), np.log(az1, out=az1)
+    # near is spent: its buffer takes log+|z|, then the difference
+    lp = np.maximum(log_az, 0.0, out=near)
+    lp1 = np.maximum(log_az1, 0.0)
+    lp -= lp1
+    bad1 = np.abs(lp, out=lp) > log2 + LOG2_SLACK
+    bad2 = np.maximum(log_az, log_az1, out=lp1) < -log2 - LOG2_SLACK
+    for bad, pts in zip((bad1, bad2), found):
+        pts.extend(zb[np.nonzero(bad)[0][:4 - len(pts)]].tolist())
+    return excluded, closest, zb[k]
+
+
+def check_log2_inequalities(z_samples) -> TheoremVerdict:
+    """|log+|z| - log+|z-1|| <= log 2 and max(log|z|, log|z-1|) >= -log 2
+    away from the two punctures.
+
+    z_samples is an array of points, or a _Log2Points, whose points are
+    made block by block and never held whole.  Both are read a block of
+    at most POINT_BLOCK points at a time, an empty block skipped, and
+    the witnesses and the excluded point are the first in point order,
+    so the same points give the same verdict either way."""
+    if isinstance(z_samples, _Log2Points):
+        blocks = z_samples.blocks()
+    else:
+        z = np.asarray(z_samples, dtype=complex)
+        blocks = (z[blk] for blk in _blocks(z.size))
     notes = ("log+ difference exceeds log 2", "max log below -log 2")
-    found = ([], [])  # the first 4 indices of each kind of witness
-    excluded = False
-    # each block's first closest point to a puncture, and where it lies
+    found = ([], [])  # the first 4 points of each kind of witness
+    count, excluded = 0, False
+    # each block's first closest distance to a puncture, and its point
     nearest, at = [], []
-    # block by block: each temporary holds one block of POINT_BLOCK points
-    # (512 KB of doubles at 2^16), whatever the size of the sample.  A
-    # sample at a puncture has log -inf; it raises below
     with np.errstate(divide="ignore"):
-        for blk in _blocks(z.size):
-            zb = z[blk]
-            az, az1 = np.abs(zb), np.abs(zb - 1.0)
-            near = np.minimum(az, az1)
-            excluded |= bool(np.any(near < 1e-12))
-            k = int(np.argmin(near))
-            nearest.append(near[k])
-            at.append(blk.start + k)
-            log_az, log_az1 = np.log(az, out=az), np.log(az1, out=az1)
-            lp = np.maximum(log_az, 0.0)
-            lp1 = np.maximum(log_az1, 0.0)
-            bad1 = np.abs(lp - lp1) > log2 + LOG2_SLACK
-            bad2 = np.maximum(log_az, log_az1) < -log2 - LOG2_SLACK
-            for bad, idx in zip((bad1, bad2), found):
-                idx.extend((blk.start + np.nonzero(bad)[0][:4 - len(idx)]).tolist())
+        for zb in blocks:
+            if zb.size:
+                count += zb.size
+                too_close, closest, point = _log2_block(zb, found)
+                excluded |= too_close
+                nearest.append(closest)
+                at.append(point)
     if excluded:
         # np.argmin over the block minima picks the first minimum overall,
         # NaN included, as it would over the whole sample
-        k = at[int(np.argmin(nearest))]
-        raise ExcludedPointError(f"sample too close to a puncture: {z[k]}")
-    witnesses = [{"z": [z[k].real, z[k].imag], "note": note}
-                 for idx, note in zip(found, notes) for k in idx]
+        raise ExcludedPointError("sample too close to a puncture: "
+                                 f"{at[int(np.argmin(nearest))]}")
+    witnesses = [{"z": [p.real, p.imag], "note": note}
+                 for pts, note in zip(found, notes) for p in pts]
     holds = not witnesses
     return TheoremVerdict(
         theorem="ineq_log2", hypothesis_holds=True,
         conclusion_holds=holds, conclusion_witnesses=witnesses,
-        params={"slack": LOG2_SLACK}, sampling={"count": int(z.size)})
+        params={"slack": LOG2_SLACK}, sampling={"count": count})

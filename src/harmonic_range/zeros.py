@@ -388,6 +388,7 @@ def detect_dependence(samples: RangeSample, a: float,
     pairwise sum over a whole product has a fixed order, while np.dot's
     BLAS sums, and so b and the residual, change with its thread count."""
     _require_finite_number(a, "a")
+    _require_finite_number(R, "R")
     blocks = list(_blocks(samples.count))
     masks = [samples.beyond(R, blk) for blk in blocks]
     counts = [int(np.count_nonzero(mask)) for mask in masks]

@@ -8,11 +8,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import harmonic_range.cli as cli
 import harmonic_range.ranges as ranges
 import harmonic_range.theorems as theorems
 import harmonic_range.zeros as zeros
+from harmonic_range.arcs import ArcSet
 from harmonic_range.expressions import NonFiniteError, parse_map
 from harmonic_range.ranges import sample_range
+from harmonic_range.svg import render_range_svg
 from harmonic_range.theorems import (ExcludedPointError, check_log2_inequalities,
                                      log2_sample_points)
 
@@ -128,6 +131,16 @@ def test_the_log2_check_peaks_in_blocks():
     z = log2_sample_points(1 << 20, seed=7)
     verdict, peak = _traced_peak(lambda: check_log2_inequalities(z))
     assert verdict.conclusion_holds
+    assert peak < 8 * MB, peak
+
+
+def test_the_cli_log2_check_never_holds_its_points(capsys):
+    n = 1 << 20
+    code, peak = _traced_peak(lambda: cli.main(["check", "--theorem", "log2",
+                                                "--n", str(n)]))
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["sampling"]["count"] == n
+    # the points alone would take 16 MB
     assert peak < 8 * MB, peak
 
 
@@ -301,6 +314,16 @@ def test_sample_passes_peak_in_blocks(name, big_sample):
         run = lambda s: theorems.check_halfplane_theorem(None, 0.3, est, s)  # noqa: E731
     _, peak = _traced_peak(lambda: run(big_sample))
     assert peak < 4 * MB, peak
+
+
+def test_render_range_svg_peaks_at_its_parts_and_one_document(big_sample):
+    arcs = ArcSet.from_intervals([(0.1, 0.5)])
+    svg, peak = _traced_peak(lambda: render_range_svg(big_sample, arcs))
+    assert svg.count("\n") > 10_000
+    # the parts, chunks of lines, take about what the document takes, and
+    # the join is its one copy; one string a line took 1.7 times the
+    # document, and a second copy one more
+    assert peak < 2 * len(svg) + MB // 4, peak
 
 
 def test_log2_sample_points_peak_in_blocks():

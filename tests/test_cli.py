@@ -1,6 +1,7 @@
 """End-to-end command-line interface tests."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -64,6 +65,35 @@ def test_check_log2_exit_zero(capsys):
                     "--n", "100000", "--seed", "7")
     assert code == 0
     assert doc["conclusion"]["holds"]
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+# sha256 of the stdout of check --theorem log2 at (n, seed): one point, one
+# point past a block of 2^16, and the default 10^6
+@pytest.mark.parametrize("n, seed, digest", [
+    (1, 0, "9b58698a96afec19e23a16d34803b5be8a91be9add2d52f3a55301f90e802904"),
+    (65_537, 3, "3e2745a12641f493a9174c908d3006ba315f4d8c909d6b95b3995f5b472a12fb"),
+    (1_000_000, 7, "101a9ea5027f53937e54177395bf3486edb6cc2012c40da1873227fa1e7f969a"),
+])
+def test_check_log2_stdout_is_pinned(capsys, n, seed, digest):
+    assert main(["check", "--theorem", "log2", "--n", str(n),
+                 "--seed", str(seed)]) == 0
+    assert _sha256(capsys.readouterr().out.encode()) == digest
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["plot", "--catalog", "exp-wedge"],
+     "f89d3176011ef388cec400a20c6aec976589a531b307bba7518b88e0c2529725"),
+    (["sample", "--catalog", "exp-wedge", "--n-grid", "256"],
+     "6e3402a0847b1739ffdbe748d897a2bfec1c8f02f154f1a9103e9af0bb25a50b"),
+], ids=["plot-svg", "sample-csv"])
+def test_artifact_bytes_are_pinned(tmp_path, capsys, argv, digest):
+    out = tmp_path / "artifact"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert _sha256(out.read_bytes()) == digest
 
 
 def test_check_verdict_mismatch_exit_one(capsys):
@@ -330,6 +360,63 @@ def test_a_non_finite_parameter_exits_two_naming_it(capsys, argv, name):
     assert "Traceback" not in captured.err
 
 
+IDENTITY = ["--map", "u=re(z); v=im(z)", "--n-grid", "64"]
+# each once exited 0 with the bytes of a finite value, 1 with a false
+# violation, or 2 blaming the arc endpoints, the sample's cover, an
+# overflow of the map or the JSON encoder
+NON_FINITE_FLAGS = [
+    (["antipodal", *IDENTITY, "--tol", "nan"], "tol"),
+    (["antipodal", *IDENTITY, "--tol", "inf"], "tol"),
+    (["check", "--theorem", "antipodal", *IDENTITY, "--cutoffs", "nan"], "cutoffs"),
+    (["directions", *IDENTITY, "--cutoffs", "1,inf"], "cutoffs"),
+    (["check", "--theorem", "halfplane", *IDENTITY, "--alpha", "nan"], "alpha"),
+    # u is not a polynomial: the hypothesis is inapplicable, R unused
+    (["check", "--theorem", "murdoch-kuran", "--map", "u=re(exp(z)); v=im(z)",
+      "--n-grid", "64", "--inner-R", "nan"], "inner-R"),
+    (["check", "--theorem", "murdoch-kuran", *IDENTITY, "--inner-R", "inf"],
+     "inner-R"),
+    (["dependence", *IDENTITY, "--inner-R", "nan"], "inner-R"),
+    (["local-structure", "--map", "u=re(z); v=im(z)", "--z0", "nan+0i"], "z0"),
+    (["local-structure", "--map", "u=re(z); v=im(z)", "--z0", "0",
+      "--probe-radius", "nan"], "probe-radius"),
+    (["eval", "--map", "u=re(z); v=im(z)", "--z", "nan"], "z"),
+]
+
+
+def _non_finite_ids(case) -> str:
+    argv, flag = case
+    return "-".join([argv[0], argv[2] if argv[0] == "check" else flag, argv[-1]])
+
+
+@pytest.mark.parametrize("argv, flag", NON_FINITE_FLAGS,
+                         ids=[_non_finite_ids(c) for c in NON_FINITE_FLAGS])
+def test_a_non_finite_flag_exits_two_naming_it(capsys, argv, flag):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    value = argv[-1].split(",")[-1]
+    assert captured.err == f"error: {flag} must be finite, got {value}\n"
+
+
+def test_a_non_finite_config_line_exits_two_naming_its_flag(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tol=-inf\n")
+    assert main(["--config", str(cfg), "antipodal", *IDENTITY]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: tol must be finite, got -inf\n"
+
+
+def test_a_finite_flag_value_keeps_its_bytes(capsys):
+    # the flag's type reads a finite value as float does
+    argv = ["antipodal", *IDENTITY, "--tol", "0.25"]
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    assert main(argv[:-1] + ["2.5e-1"]) == 0
+    assert capsys.readouterr().out == want
+    assert json.loads(want)["pairs"]
+
+
 EXP_EXP = "u=re(exp(exp(z))); v=im(exp(exp(z)))"
 # 1368 of its 131,072 samples at R 8, n_grid 256, seed 3 are not finite
 EXP_EXP_U = ["--map", "u=re(exp(exp(z))); v=im(z)", "--R", "8", "--seed", "3"]
@@ -422,6 +509,18 @@ def test_overflow_stderr_is_one_error_line(argv, tmp_path):
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "overflows" in lines[0]
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, flag", NON_FINITE_FLAGS,
+                         ids=[_non_finite_ids(c) for c in NON_FINITE_FLAGS])
+def test_a_non_finite_flag_exits_two_naming_it_in_a_subprocess(argv, flag, tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "harmonic_range.cli", *argv],
+        env=_subprocess_env(), capture_output=True, text=True, cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    value = argv[-1].split(",")[-1]
+    assert proc.stderr == f"error: {flag} must be finite, got {value}\n"
 
 
 def test_dependence_does_not_depend_on_the_blas_threads():

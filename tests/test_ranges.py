@@ -455,6 +455,23 @@ def test_antipodal_gap_alpha_needs_positive_tolerance(tol):
         antipodal_gap_alpha(ArcSet.from_points([1.0]), tol_rad=tol)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+def test_antipodal_tolerances_must_be_finite(tol):
+    # tol nan once gave the pairs of tol 0; tol inf blamed the arc endpoints
+    arcs = ArcSet.from_intervals([(0.1, 0.4), (3.3, 3.5)])
+    for find in (antipodal_pairs, antipodal_gap_alpha):
+        with pytest.raises(ValueError, match="^tol_rad must be finite"):
+            find(arcs, tol_rad=tol)
+
+
+@pytest.mark.parametrize("cutoff", [math.nan, math.inf])
+def test_explicit_cutoffs_must_be_finite(cutoff):
+    # a nan cutoff once emptied the estimate: every G > nan is false
+    s = sample_range(parse_map("u=re(z); v=im(z)"), 8.0, n_grid=64, seed=0)
+    with pytest.raises(ValueError, match=f"^cutoff must be finite, got {cutoff}$"):
+        estimate_directions(s, cutoffs=(1.0, cutoff))
+
+
 def test_cone_avoidance_normalize_cross():
     cross = ArcSet.from_points([PI / 4, PI, 3 * PI / 2])
     assert cone_avoidance_normalize(cross) is not None

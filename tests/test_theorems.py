@@ -1,10 +1,13 @@
 """Hypothesis/conclusion checkers on concrete instances."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+import harmonic_range.ranges as ranges
+import harmonic_range.theorems as theorems
 from harmonic_range.catalog import get_entry
 from harmonic_range.expressions import parse_map
 from harmonic_range.arcs import ArcSet
@@ -163,7 +166,14 @@ def test_cor_alpha_rejects_alpha_one():
     (lambda f, s, x: check_cor_alpha(f, x, 0.5, 0.1, s), "a"),
     (lambda f, s, x: check_cor_alpha(f, 1.0, 0.5, x, s), "b"),
     (lambda f, s, x: check_murdoch_kuran(f, x, 1.0, s), "a"),
-], ids=["lewis-C", "cor-alpha-a", "cor-alpha-b", "murdoch-kuran-a"])
+    (lambda f, s, x: check_murdoch_kuran(f, 1.0, x, s), "R"),
+    # u is not a polynomial, so R is never used; it is still echoed
+    (lambda f, s, x: check_murdoch_kuran(parse_map("u=re(exp(z)); v=im(z)"),
+                                         1.0, x, s), "R"),
+    (lambda f, s, x: check_halfplane_theorem(f, x, estimate_directions(s), s),
+     "alpha"),
+], ids=["lewis-C", "cor-alpha-a", "cor-alpha-b", "murdoch-kuran-a",
+        "murdoch-kuran-R", "murdoch-kuran-inapplicable-R", "halfplane-alpha"])
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
 def test_a_non_finite_parameter_is_named(check, name, x):
     # a NaN once decided the verdict: every witness test x > nan is false
@@ -244,3 +254,49 @@ def test_log2_sample_points_drop_the_punctures():
 def test_log2_sample_points_rejects_bad_input(n, radius):
     with pytest.raises(ValueError):
         log2_sample_points(n, seed=0, radius=radius)
+
+
+LOG2_CASES = [
+    (1, 0, 100.0),
+    # not a multiple of POINT_BLOCK, at either block size below
+    (65_537, 3, 100.0),
+    (200_001, 4, 3.0),
+    # about a quarter of the points lie within 1e-9 of 0 and are dropped
+    (70_000, 5, 2e-9),
+    # every point does: every block is empty, and the count is 0
+    (1000, 2, 1e-9),
+]
+
+
+@pytest.mark.parametrize("n, seed, radius", LOG2_CASES)
+# a tighter slack turns points near z = 2 and z = 1/2 into witnesses
+@pytest.mark.parametrize("slack", [None, -0.01])
+def test_the_generated_log2_check_is_the_check_of_the_array(n, seed, radius, slack,
+                                                           monkeypatch):
+    if slack is not None:
+        monkeypatch.setattr(theorems, "LOG2_SLACK", slack)
+    for block in (ranges.POINT_BLOCK, 4097):
+        monkeypatch.setattr(ranges, "POINT_BLOCK", block)
+        z = log2_sample_points(n, seed, radius)
+        want = json.dumps(check_log2_inequalities(z).to_dict())
+        made = theorems._Log2Points(n, seed, radius)
+        assert json.dumps(check_log2_inequalities(made).to_dict()) == want, block
+    verdict = json.loads(want)
+    assert verdict["sampling"]["count"] == z.size
+    assert (z.size == 0) == (radius == 1e-9)
+    if slack is not None and radius == 3.0:
+        # four of each kind, across several blocks
+        assert len(verdict["conclusion"]["witnesses"]) == 8
+
+
+def test_the_generated_log2_check_names_the_same_excluded_point(monkeypatch):
+    # with no gap, the points within 1e-12 of 0 are kept, and refused
+    monkeypatch.setattr(theorems, "PUNCTURE_GAP", 0.0)
+    messages = []
+    for points in (log2_sample_points(70_000, 5, 2e-12),
+                   theorems._Log2Points(70_000, 5, 2e-12)):
+        with pytest.raises(ExcludedPointError) as err:
+            check_log2_inequalities(points)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("sample too close to a puncture: (")

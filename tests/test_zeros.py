@@ -234,3 +234,11 @@ def test_dependence_refuses_a_non_finite_cone_bound(a):
     s = sample_range(parse_map("u=re(z); v=im(0.5*i*z)"), 8.0, n_grid=64, seed=0)
     with pytest.raises(ValueError, match=f"^a must be finite, got {a}$"):
         detect_dependence(s, a=a, R=1.0)
+
+
+@pytest.mark.parametrize("R", [math.nan, math.inf])
+def test_dependence_refuses_a_non_finite_radius(R):
+    # R = nan once said "samples do not cover |z| > R"
+    s = sample_range(parse_map("u=re(z); v=im(0.5*i*z)"), 8.0, n_grid=64, seed=0)
+    with pytest.raises(ValueError, match=f"^R must be finite, got {R}$"):
+        detect_dependence(s, a=1.0, R=R)
