@@ -9,6 +9,7 @@ finite, or the call raises NonFiniteError.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import cache
@@ -39,8 +40,6 @@ MAX_SHRINK = 8            # radius halvings before multiplicity gives up
 ZOOM_POINTS = 129         # samples across a bracket at each zoom level ...
 ZOOM_LEVELS = 3           # ... which then narrows 64-fold about its best one
 FOURIER_SAMPLES = 1024    # circle samples behind a Fourier profile
-POSITIVITY_CIRCLES = 24   # the positivity check scans radii r k / 24 ...
-POSITIVITY_ANGLES = 256   # ... at this many angles each
 
 
 class PositivityError(ValueError):
@@ -68,10 +67,11 @@ def _require_finite(values: np.ndarray, what: str) -> None:
                              "the map overflows")
 
 
-def _require_finite_number(value: float, name: str) -> None:
-    """ValueError unless the input called name is finite: a NaN or inf
-    parameter would decide every comparison of a check by itself."""
-    if not math.isfinite(value):
+def _require_finite_number(value: complex, name: str) -> None:
+    """ValueError unless the input called name, real or complex, is
+    finite: a NaN or inf parameter would decide every comparison of a
+    check by itself."""
+    if not cmath.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
 
 
@@ -114,6 +114,8 @@ def _finite(value: float, z: complex, r: float) -> float:
 def circle_values(u: HarmonicComponent, center: complex, radius: float,
                   n: int = DEFAULT_SAMPLES) -> np.ndarray:
     """u at n equally spaced points of |w - center| = radius, from angle 0."""
+    _require_finite_number(center, "center")
+    _require_positive(radius, "radius")
     return _finite_values(u, center + radius * _ring(n),
                           f"samples of u on the circle of radius {radius:g} "
                           f"about {center:g}")
@@ -124,7 +126,6 @@ def circle_max(u: HarmonicComponent, z: complex, r: float,
                absolute: bool = False, n: int = DEFAULT_SAMPLES) -> CircleMax:
     """M(u, z, r) (or M(|u|, z, r) with absolute=True), always finite: a
     grid sample or a zoom sample that is not raises NonFiniteError."""
-    _require_positive(r, "radius")
     vals = circle_values(u, z, r, n)
     if absolute:
         vals = np.abs(vals)
@@ -195,23 +196,22 @@ def fourier_profile(u: HarmonicComponent, center: complex, radius: float,
 
 
 def _check_positive(u: HarmonicComponent, z0: complex, r: float):
-    for j in range(POSITIVITY_CIRCLES + 1):
-        rho = r * j / POSITIVITY_CIRCLES
-        if rho == 0.0:
-            val = float(u.value(z0))
-            if val <= 0.0:
-                raise PositivityError(z0, val)
-            continue
-        vals = circle_values(u, z0, rho, POSITIVITY_ANGLES)
-        k = int(np.argmin(vals))
-        if vals[k] <= 0.0:
-            raise PositivityError(complex(z0 + rho * _ring(POSITIVITY_ANGLES)[k]),
-                                  float(vals[k]))
+    """PositivityError unless u > 0 on the closed disc |w - z0| <= r.  u
+    is harmonic, so by the minimum principle its least value on the
+    disc is taken on the boundary circle: the samples there decide, and
+    the witness is the boundary sample where u is least."""
+    vals = circle_values(u, z0, r)
+    k = int(np.argmin(vals))
+    if vals[k] <= 0.0:
+        raise PositivityError(complex(z0 + r * _ring(DEFAULT_SAMPLES)[k]),
+                              float(vals[k]))
 
 
 def harnack_bound_check(u: HarmonicComponent, z0: complex, r: float,
                         s: float) -> dict:
-    """Harnack inequality M(u,z0,s) <= ((r+s)/(r-s)) u(z0) for positive u.
+    """Harnack inequality M(u,z0,s) <= ((r+s)/(r-s)) u(z0) for u positive
+    on the disc |w - z0| <= r, which the boundary circle decides (minimum
+    principle); PositivityError where it is not.
 
     With s = 2r/3 the right-hand factor is exactly 5.
     """

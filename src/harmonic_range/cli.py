@@ -23,9 +23,10 @@ from .ranges import (antipodal_gap_alpha, antipodal_pairs,
                      cone_avoidance_normalize, estimate_directions,
                      phi_profile, phi_sublinearity_check, sample_range)
 from .svg import render_range_svg
-from .theorems import (_Log2Points, check_antipodal_theorem, check_cor_alpha,
-                       check_halfplane_theorem, check_lewis_region,
-                       check_log2_inequalities, check_murdoch_kuran)
+from .theorems import (LOG2_RADIUS, _Log2Points, check_antipodal_theorem,
+                       check_cor_alpha, check_halfplane_theorem,
+                       check_lewis_region, check_log2_inequalities,
+                       check_murdoch_kuran)
 from .zeros import (Rect, detect_dependence, local_structure, trace_zero_set,
                     tract_report)
 
@@ -308,6 +309,15 @@ def _cmd_phi(args) -> tuple[dict, int]:
 
 def _cmd_check(args) -> tuple[dict, int]:
     if args.theorem == "log2":
+        for flag, given in (("--map", args.map), ("--catalog", args.catalog),
+                            ("--map-file", args.map_file),
+                            ("--R", args.R != _RADIUS["--R"]["default"]),
+                            ("--n-grid",
+                             args.n_grid != _SAMPLING["--n-grid"]["default"])):
+            if given:
+                raise CliError(f"{flag} is not read by --theorem log2, which "
+                               f"samples D(0, {LOG2_RADIUS:g}) from --n and "
+                               "--seed only")
         # the points are made and checked block by block, never held whole
         verdict = check_log2_inequalities(_Log2Points(args.n, args.seed))
     else:
@@ -399,7 +409,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         "check": (_cmd_check, _MAP, _SAMPLING, _DIRECTIONS, _CONE, {
             "--theorem": dict(required=True, choices=(
                 "lewis", "antipodal", "halfplane", "cor-alpha", "murdoch-kuran",
-                "log2")),
+                "log2"), help=f"log2 takes no map: it samples "
+                f"D(0, {LOG2_RADIUS:g}) from --n and --seed only"),
             "--C": dict(type=_finite, default=1.0),
             "--alpha": dict(type=_finite, default=0.0),
             "--b": dict(type=_finite, default=0.0),

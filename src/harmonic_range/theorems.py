@@ -68,60 +68,6 @@ def is_constant_proxy(values: np.ndarray) -> bool:
     return _constant_between(float(np.min(values)), float(np.max(values)))
 
 
-# every MEDIAN_STRIDE-th value goes into the subsample that places the
-# window of _blocked_median.  A prime: a stride of 64 takes the same 4 or 8
-# angles of every radius of a power-of-two polar grid, and such a biased
-# subsample missed the middle ranks in half of 336 trial medians; 61
-# missed in none
-MEDIAN_STRIDE = 61
-
-
-def _blocked_median(blocks, n: int) -> tuple[float, float, float]:
-    """(np.median, min, max) of the n values that each call of blocks()
-    yields block by block, with np.median's bits, and temporaries of a
-    block plus a window of the middle values.
-
-    Pass 1 takes the extremes and every MEDIAN_STRIDE-th value.  The order
-    statistics of that subsample bracket the middle ranks by a window
-    [a, b] (4 standard deviations of a random subsample's rank either
-    side).  Pass 2 counts the values below a, at a and at b, and keeps
-    those strictly inside; ties at the edges thus cost nothing.  When the
-    middle ranks fall outside the window, or a value is NaN, np.median
-    runs on all the values: exact, and rare.  Where zeros of both signs
-    tie in the middle, the sign of a zero median may differ."""
-    lo, hi, sub = math.inf, -math.inf, []
-    for g in blocks():
-        # np.minimum and np.maximum keep a NaN
-        lo, hi = float(np.minimum(lo, g.min())), float(np.maximum(hi, g.max()))
-        sub.append(g[::MEDIAN_STRIDE].copy())
-    ranks = sorted({(n - 1) // 2, n // 2})
-    if lo <= hi:  # no NaN
-        sub = np.sort(np.concatenate(sub))
-        m = sub.size
-        margin = 2 * math.isqrt(m) + 1
-        ja, jb = ranks[0] * m // n - margin, ranks[-1] * m // n + margin
-        a = float(sub[ja]) if ja > 0 else lo
-        b = float(sub[jb]) if jb < m - 1 else hi
-        below = at_a = at_b = 0
-        inside = []
-        for g in blocks():
-            below += int(np.count_nonzero(g < a))
-            at_a += int(np.count_nonzero(g == a))
-            at_b += int(np.count_nonzero(g == b)) if b > a else 0
-            inside.append(g[(g > a) & (g < b)])
-        inside = np.concatenate(inside)
-        # ranks below+at_a .. below+at_a+inside.size-1 are inside
-        first, last = below + at_a, below + at_a + inside.size
-        if below <= ranks[0] and ranks[-1] < last + at_b:
-            kth = [k - first for k in ranks if first <= k < last]
-            if kth:
-                inside.partition(kth)
-            mids = [a if k < first else b if k >= last else inside[k - first]
-                    for k in ranks]
-            return float(np.mean(np.array(mids))), lo, hi
-    return float(np.median(np.concatenate(list(blocks())))), lo, hi
-
-
 def _witness(z: complex, w: complex, note: str) -> dict:
     return {"z": [z.real, z.imag], "w": [w.real, w.imag], "note": note}
 
@@ -190,7 +136,13 @@ def check_halfplane_theorem(f: HarmonicMap, alpha: float,
     The reported margin is DIRECTION_TOL_RAD minus the farthest an
     estimated direction lies from the half circle (None for an empty
     estimate); the hypothesis holds when it is not negative, so a margin
-    near 0 marks a verdict decided on a float tie."""
+    near 0 marks a verdict decided on a float tie.
+
+    One blocked pass takes the least and the greatest value of g =
+    cos(alpha) u + sin(alpha) v, which decide its constancy.  The
+    reported c is their midpoint, the constant from which g strays
+    least at its farthest, and max_dev (when g is not constant) is half
+    the oscillation, the farthest g strays from c."""
     _require_finite_number(alpha, "alpha")
     half = ArcSet.from_intervals([(alpha - math.pi / 2, alpha + math.pi / 2)])
     margin = (None if est.arcs.is_empty
@@ -209,21 +161,22 @@ def check_halfplane_theorem(f: HarmonicMap, alpha: float,
         witnesses.append({"note": "estimated directions leave the half circle",
                           "arcs": est.arcs.to_dict()["arcs"]})
     ca, sa, w = math.cos(alpha), math.sin(alpha), samples.w
-
-    def combination():
-        for blk in _blocks(w.size):
-            yield ca * w.real[blk] + sa * w.imag[blk]
-
-    med, lo, hi = _blocked_median(combination, w.size)
+    if not w.size:
+        raise ValueError("the sample is empty: g has no extremes")
+    lo, hi = math.inf, -math.inf
+    for blk in _blocks(w.size):
+        g = ca * w.real[blk] + sa * w.imag[blk]
+        lo, hi = min(lo, float(g.min())), max(hi, float(g.max()))
     concl = _constant_between(lo, hi)
-    # |g - med| grows with g on each side of med: its maximum is at an extreme
+    # halves first: hi + lo and hi - lo can overflow where g does not
+    c = 0.5 * lo + 0.5 * hi
     cw = [] if concl else [{"note": "combination not constant",
-                            "max_dev": max(hi - med, med - lo)}]
+                            "max_dev": 0.5 * hi - 0.5 * lo}]
     return TheoremVerdict(
         theorem="thm_halfplane", hypothesis_holds=hyp,
         hypothesis_witnesses=witnesses,
         conclusion_holds=concl, conclusion_witnesses=cw,
-        params={"alpha": alpha, "c": med, "tol_rad": DIRECTION_TOL_RAD,
+        params={"alpha": alpha, "c": c, "tol_rad": DIRECTION_TOL_RAD,
                 "boundary_case": boundary, "margin": margin},
         sampling=samples.metadata())
 

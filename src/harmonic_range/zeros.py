@@ -238,6 +238,8 @@ def local_structure(u: HarmonicComponent, z0: complex,
                     probe_radius: float = 1e-2) -> dict:
     """Multiplicity n, the 2n zero-ray angles on a small circle, and the
     alternating sector signs between them."""
+    _require_finite_number(z0, "z0")
+    _require_positive(probe_radius, "probe_radius")
     m = CIRCLE_SCAN_N
     # half-step offset keeps symmetric zero rays off the sample grid
     sx = np.sign(_finite_values(u, z0 + probe_radius * _ring(m, 0.5),

@@ -240,62 +240,6 @@ def test_sobol_blocks_are_the_columns_of_sobol_ints(block, monkeypatch):
         assert starts == list(range(0, n, 1 << (block.bit_length() - 1)))
 
 
-def _median_of(x: np.ndarray, block: int) -> tuple[float, float, float]:
-    return theorems._blocked_median(
-        lambda: (x[s:s + block] for s in range(0, x.size, block)), x.size)
-
-
-def _same_float(a, b) -> bool:
-    return np.float64(a).tobytes() == np.float64(b).tobytes()
-
-
-@pytest.fixture
-def median_calls(monkeypatch):
-    """How often np.median runs: only the fallback of _blocked_median
-    calls it."""
-    calls = []
-    median = np.median
-    monkeypatch.setattr(np, "median", lambda x: calls.append(x.size) or median(x))
-    return calls
-
-
-def test_the_blocked_median_falls_back_when_the_window_misses(median_calls):
-    rng = np.random.default_rng(5)
-    x = rng.normal(size=theorems.MEDIAN_STRIDE * 1000)
-    # every value the subsample takes lies far above the rest
-    x[::theorems.MEDIAN_STRIDE] += 100.0
-    want = np.median(x)
-    median_calls.clear()
-    got, lo, hi = _median_of(x, 10 * theorems.MEDIAN_STRIDE)
-    assert median_calls == [x.size]
-    assert _same_float(got, want)
-    assert (lo, hi) == (x.min(), x.max())
-
-
-@pytest.mark.parametrize("n", [1000, 1001, 100_000, 100_001])
-def test_the_blocked_median_with_ties_on_the_window_edges(n, median_calls):
-    rng = np.random.default_rng(n)
-    for x in (rng.integers(0, 5, size=n) * 0.5,  # five values, all tied
-              np.full(n, 0.1),
-              # 40 % tied at 0.25, the middle ranks among them
-              np.where(rng.random(n) < 0.4, 0.25, rng.normal(size=n))):
-        want = np.median(x)
-        for block in (1000, 4097):
-            median_calls.clear()
-            got, lo, hi = _median_of(x, block)
-            assert median_calls == []  # the window held the middle ranks
-            assert _same_float(got, want)
-            assert (lo, hi) == (x.min(), x.max())
-
-
-@pytest.mark.parametrize("x", [[2.5], [3.0, -1.0], [np.inf, 1.0], [7.0, np.nan, 1.0]])
-def test_the_blocked_median_of_tiny_samples(x):
-    x = np.array(x)
-    got, _, _ = _median_of(x, 1)
-    want = np.median(x)
-    assert _same_float(got, want) or (np.isnan(got) and np.isnan(want))
-
-
 @pytest.fixture(scope="module")
 def big_sample():
     # 2 * 512^2 = 2^19 points, 8 MB each of z and w, as the exp-wedge tasks

@@ -85,6 +85,61 @@ def test_harnack_rejects_sign_changing_function():
         harnack_bound_check(u, 0.0, 3.0, 2.0)
 
 
+def test_positivity_is_decided_on_the_boundary_circle():
+    # re(z + 0.5) is least at -1 on the unit circle (minimum principle);
+    # the witness once lay at -0.5, where it first reaches 0
+    u = _comp("u=re(z+0.5); v=im(z)")
+    with pytest.raises(PositivityError) as err:
+        harnack_bound_check(u, 0.0, 1.0, 0.5)
+    w = err.value.witness
+    assert abs(w) == pytest.approx(1.0, abs=1e-15)
+    assert w.real == pytest.approx(-1.0, abs=1e-15)
+    assert err.value.value == float(u.value(w)) <= 0.0
+
+
+def test_a_map_positive_on_the_boundary_circle_passes():
+    # re(z + 1) + 1e-6 is least, 1e-6, at -1 on the unit circle
+    u = _comp("u=re(z+1.000001); v=im(z)")
+    res = harnack_bound_check(u, 0.0, 1.0, 0.5)
+    assert res["holds"]
+    assert res["rhs"] == pytest.approx(3.0 * 1.000001, rel=1e-12)
+
+
+_CENTER_CHECKS = {
+    "circle-values": lambda u, c: circle_values(u, c, 1.0),
+    "circle-max": lambda u, c: circle_max(u, c, 1.0),
+    "fourier-profile": lambda u, c: fourier_profile(u, c, 1.0),
+    "multiplicity": lambda u, c: multiplicity(u, c, 0.5),
+    "lemma-abs": lambda u, c: lemma_abs_check(u, c, 1.0),
+    "harnack": lambda u, c: harnack_bound_check(u, c, 3.0, 2.0),
+}
+
+
+@pytest.mark.parametrize("center", [1j * math.inf, complex(math.nan, 0.0),
+                                    complex(0.0, -math.inf)],
+                         ids=["inf-imag", "nan", "minus-inf-imag"])
+@pytest.mark.parametrize("name", _CENTER_CHECKS)
+def test_a_non_finite_center_is_named(name, center):
+    # re(w) is finite on a circle about i inf: circle_max once gave 1.0,
+    # multiplicity 1, and the lemma and Harnack checks held
+    with pytest.raises(ValueError, match="^center must be finite, got "):
+        _CENTER_CHECKS[name](_comp("u=re(z); v=im(z)"), center)
+
+
+@pytest.mark.parametrize("run", [
+    *(lambda u, r=r: circle_values(u, 0.0, r) for r in (math.nan, math.inf, 0.0, -1.0)),
+    *(lambda u, r=r: fourier_profile(u, 0.0, r) for r in (math.nan, math.inf)),
+    # s < r holds for r = inf
+    lambda u: harnack_bound_check(u, 0.0, math.inf, 1.0),
+], ids=["values-nan", "values-inf", "values-0", "values-minus-1",
+        "fourier-nan", "fourier-inf", "harnack-inf"])
+def test_a_radius_not_finite_and_positive_is_named(run):
+    # a NaN or inf radius once raised NonFiniteError, blaming the map; a
+    # radius 0 or -1 was sampled
+    with pytest.raises(ValueError, match="^radius must be finite and positive, got "):
+        run(_comp("u=re(z+10); v=im(z)"))
+
+
 def test_lemma_abs_bound_holds():
     for src in ("u=re(z); v=im(z)", "u=re(z^2+z); v=im(z)",
                 "u=im(exp(z)); v=im(z)"):

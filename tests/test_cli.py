@@ -84,6 +84,31 @@ def test_check_log2_stdout_is_pinned(capsys, n, seed, digest):
     assert _sha256(capsys.readouterr().out.encode()) == digest
 
 
+@pytest.mark.parametrize("extra, flag", [
+    (["--catalog", "identity"], "--catalog"),
+    (["--map", "u=re(z); v=im(z)"], "--map"),
+    (["--map-file", "map.txt"], "--map-file"),
+    (["--R", "5"], "--R"),
+    (["--n-grid", "64"], "--n-grid"),
+    (["--R", "5", "--catalog", "identity"], "--catalog"),
+])
+def test_check_log2_refuses_the_flags_it_does_not_read(capsys, extra, flag):
+    # these once exited 0 with the bytes of the plain call
+    assert main(["check", "--theorem", "log2", "--n", "10", *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {flag} is not read by --theorem log2, "
+                            "which samples D(0, 100) from --n and --seed only\n")
+
+
+def test_check_log2_takes_the_default_radius_and_grid(capsys):
+    plain = main(["check", "--theorem", "log2", "--n", "10"]), capsys.readouterr()
+    given = (main(["check", "--theorem", "log2", "--n", "10", "--R", "30",
+                   "--n-grid", "256"]), capsys.readouterr())
+    assert plain == given
+    assert plain[0] == 0
+
+
 @pytest.mark.parametrize("argv, digest", [
     (["plot", "--catalog", "exp-wedge"],
      "f89d3176011ef388cec400a20c6aec976589a531b307bba7518b88e0c2529725"),

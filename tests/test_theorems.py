@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import harmonic_range.ranges as ranges
 import harmonic_range.theorems as theorems
@@ -139,6 +140,72 @@ def test_halfplane_constancy_is_the_oscillation_test():
     assert not is_constant_proxy(u)
     assert not v.conclusion_holds
     assert v.params["c"] == 0.0
+
+
+# |u|, |v| up to 1.2e308: g stays finite for every alpha, but hi - lo
+# and hi + lo of two such values overflow
+_VALUE = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 5e-324, 1.2e308, -1.2e308]),
+                   st.floats(-1.2e308, 1.2e308))
+
+
+@st.composite
+def _column(draw, n):
+    """n values: any finite ones, or a few values repeated (ties, or a
+    constant column)."""
+    pool = draw(st.lists(_VALUE, min_size=1, max_size=3))
+    return draw(st.one_of(st.lists(_VALUE, min_size=n, max_size=n),
+                          st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+
+
+@st.composite
+def _halfplane_case(draw):
+    n = draw(st.integers(1, 9))
+    alpha = draw(st.sampled_from([0.0, math.pi / 2, 0.3, -2.0, 3 * math.pi / 4]))
+    return draw(_column(n)), draw(_column(n)), alpha, draw(st.sampled_from([1, 2, 3, 4096]))
+
+
+def _halfplane_of(w: np.ndarray, alpha: float = 0.0):
+    """The half-plane verdict on the range values w, with an empty estimate."""
+    s = RangeSample(z=np.zeros(w.size, dtype=complex), w=w, radius=1.0,
+                    n_grid=1, seed=0)
+    est = DirectionEstimate(arcs=ArcSet.empty(), cutoffs=(), bins=1)
+    return check_halfplane_theorem(None, alpha, est, s)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_halfplane_case())
+def test_halfplane_c_and_max_dev_are_the_midpoint_and_half_oscillation(case):
+    u, v, alpha, block = case
+    w = np.empty(len(u), dtype=complex)
+    w.real, w.imag = u, v
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ranges, "POINT_BLOCK", block)
+        verdict = _halfplane_of(w, alpha)
+    g = math.cos(alpha) * w.real + math.sin(alpha) * w.imag
+    lo, hi = float(np.min(g)), float(np.max(g))
+    assert verdict.params["c"] == 0.5 * lo + 0.5 * hi
+    assert math.isfinite(verdict.params["c"])
+    assert verdict.conclusion_holds == theorems._constant_between(lo, hi)
+    if verdict.conclusion_holds:
+        assert verdict.conclusion_witnesses == []
+    else:
+        max_dev = verdict.conclusion_witnesses[0]["max_dev"]
+        assert max_dev == 0.5 * hi - 0.5 * lo
+        assert math.isfinite(max_dev)
+
+
+def test_halfplane_c_of_an_exp_sample():
+    # the midpoint of the combination's extremes; the median was -1.54e-18
+    f, s = _sampled("u=re(z); v=im(exp(0.93*z))", R=12.9, n_grid=512, seed=5)
+    v = check_halfplane_theorem(f, 0.0, estimate_directions(s), s)
+    lo, hi = float(s.w.real.min()), float(s.w.real.max())
+    assert (v.params["c"], v.conclusion_witnesses[0]["max_dev"]) == (0.0, hi)
+    assert lo == -hi
+
+
+def test_halfplane_refuses_an_empty_sample():
+    with pytest.raises(ValueError, match="^the sample is empty"):
+        _halfplane_of(np.zeros(0, dtype=complex))
 
 
 def test_cor_alpha_bounded_v():

@@ -176,6 +176,22 @@ def test_tract_report_refuses_a_radius_not_finite_and_positive(R):
         tract_report(_u("u=re(z^2); v=im(z)"), R)
 
 
+@pytest.mark.parametrize("z0", [1j * math.inf, complex(math.nan, 0.0)],
+                         ids=["inf-imag", "nan"])
+def test_local_structure_refuses_a_non_finite_center(z0):
+    # on i inf re(z) is finite: once n 1 with two rays; a NaN z0 once
+    # raised NonFiniteError, blaming the map
+    with pytest.raises(ValueError, match="^z0 must be finite, got "):
+        local_structure(_u("u=re(z); v=im(z)"), z0)
+
+
+@pytest.mark.parametrize("r", [math.nan, math.inf, 0.0, -1e-2])
+def test_local_structure_refuses_a_probe_radius_not_finite_and_positive(r):
+    with pytest.raises(ValueError, match="^probe_radius must be finite and "
+                       "positive, got "):
+        local_structure(_u("u=re(z); v=im(z)"), 0.0, probe_radius=r)
+
+
 def test_tract_report_rejects_transcendental():
     with pytest.raises(NotPolynomialError):
         tract_report(_u("u=im(exp(z)); v=im(z)"), 10.0)
