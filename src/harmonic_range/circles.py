@@ -113,26 +113,38 @@ def _finite(value: float, z: complex, r: float) -> float:
 
 def circle_values(u: HarmonicComponent, center: complex, radius: float,
                   n: int = DEFAULT_SAMPLES) -> np.ndarray:
-    """u at n equally spaced points of |w - center| = radius, from angle 0."""
+    """u at n >= 1 equally spaced points of |w - center| = radius, from
+    angle 0."""
     _require_finite_number(center, "center")
     _require_positive(radius, "radius")
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     return _finite_values(u, center + radius * _ring(n),
                           f"samples of u on the circle of radius {radius:g} "
                           f"about {center:g}")
 
 
-@np.errstate(over="ignore", invalid="ignore")  # overflow is a NonFiniteError
 def circle_max(u: HarmonicComponent, z: complex, r: float,
                absolute: bool = False, n: int = DEFAULT_SAMPLES) -> CircleMax:
     """M(u, z, r) (or M(|u|, z, r) with absolute=True), always finite: a
     grid sample or a zoom sample that is not raises NonFiniteError."""
-    vals = circle_values(u, z, r, n)
+    return _max_from(u, z, r, circle_values(u, z, r, n), absolute)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # overflow is a NonFiniteError
+def _max_from(u: HarmonicComponent, z: complex, r: float, vals: np.ndarray,
+              absolute: bool = False) -> CircleMax:
+    """circle_max from vals, the samples circle_values(u, z, r, n) already
+    took: one grid gives both M(u, z, r) and M(|u|, z, r)."""
+    n = len(vals)
     if absolute:
         vals = np.abs(vals)
-    # local maxima on the cyclic grid
-    left = np.roll(vals, 1)
-    right = np.roll(vals, -1)
-    is_peak = (vals >= left) & (vals >= right)
+    # local maxima on the cyclic grid: no less than either neighbour
+    is_peak = np.empty(n, dtype=bool)
+    is_peak[0] = vals[0] >= vals[-1]
+    np.greater_equal(vals[1:], vals[:-1], out=is_peak[1:])
+    is_peak[:-1] &= vals[:-1] >= vals[1:]
+    is_peak[-1] &= vals[-1] >= vals[0]
     # never empty: the samples are finite, so the largest is a peak
     peaks = np.nonzero(is_peak)[0]
     order = np.lexsort((peaks, -vals[peaks]))  # by value desc, then smaller angle
@@ -185,8 +197,12 @@ class FourierProfile:
 
 def fourier_profile(u: HarmonicComponent, center: complex, radius: float,
                     n_terms: int = 64) -> FourierProfile:
-    """Trapezoidal-rule Fourier coefficients (spectrally accurate here)."""
+    """Trapezoidal-rule Fourier coefficients (spectrally accurate here) of
+    the FOURIER_SAMPLES samples, which alias c_k with k >= FOURIER_SAMPLES
+    // 2: 0 <= n_terms < FOURIER_SAMPLES // 2."""
     n = FOURIER_SAMPLES
+    if not 0 <= n_terms < n // 2:
+        raise ValueError(f"n_terms must be from 0 to {n // 2 - 1}, got {n_terms}")
     vals = circle_values(u, center, radius, n)
     fft = np.fft.fft(vals)
     coeffs = [complex(fft[0].real / n, 0.0)]

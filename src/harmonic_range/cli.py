@@ -309,15 +309,6 @@ def _cmd_phi(args) -> tuple[dict, int]:
 
 def _cmd_check(args) -> tuple[dict, int]:
     if args.theorem == "log2":
-        for flag, given in (("--map", args.map), ("--catalog", args.catalog),
-                            ("--map-file", args.map_file),
-                            ("--R", args.R != _RADIUS["--R"]["default"]),
-                            ("--n-grid",
-                             args.n_grid != _SAMPLING["--n-grid"]["default"])):
-            if given:
-                raise CliError(f"{flag} is not read by --theorem log2, which "
-                               f"samples D(0, {LOG2_RADIUS:g}) from --n and "
-                               "--seed only")
         # the points are made and checked block by block, never held whole
         verdict = check_log2_inequalities(_Log2Points(args.n, args.seed))
     else:
@@ -379,6 +370,28 @@ _CONE = {"--a": dict(type=_finite, default=1.0),
          "--inner-R": dict(type=_finite, default=1.0,
                            help="hypothesis radius: only |z| > inner-R is constrained")}
 _CSV_OUT = {"--out": dict(help="CSV output path")}
+_THEOREM = {"--theorem": dict(required=True, choices=(
+    "lewis", "antipodal", "halfplane", "cor-alpha", "murdoch-kuran", "log2"),
+    help=f"log2 takes no map: it samples D(0, {LOG2_RADIUS:g}) from --n and "
+    "--seed only")}
+_THEOREM_PARAMS = {"--C": dict(type=_finite, default=1.0),
+                   "--alpha": dict(type=_finite, default=0.0),
+                   "--b": dict(type=_finite, default=0.0),
+                   "--n": dict(type=int, default=1000000)}
+# the flags of check besides --theorem, which the theorems read in part
+_CHECK = (_MAP, _SAMPLING, _DIRECTIONS, _CONE, _THEOREM_PARAMS)
+# the flags of check that each theorem reads, and what the refusal of
+# another flag adds
+_MAPPED = (*_MAP, *_SAMPLING)
+_THEOREM_READS = {
+    "lewis": ((*_MAPPED, "--C"), ""),
+    "antipodal": ((*_MAPPED, *_DIRECTIONS), ""),
+    "halfplane": ((*_MAPPED, *_DIRECTIONS, "--alpha"), ""),
+    "cor-alpha": ((*_MAPPED, "--a", "--alpha", "--b"), ""),
+    "murdoch-kuran": ((*_MAPPED, *_CONE), ""),
+    "log2": (("--seed", "--n"), f", which samples D(0, {LOG2_RADIUS:g}) "
+             "from --n and --seed only"),
+}
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
@@ -406,15 +419,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         "tracts": (_cmd_tracts, _MAP, _COMPONENT, _RADIUS),
         "dependence": (_cmd_dependence, _MAP, _SAMPLING, _CONE),
         "phi": (_cmd_phi, _MAP, _SAMPLING, {"--bins": dict(type=int, default=200)}),
-        "check": (_cmd_check, _MAP, _SAMPLING, _DIRECTIONS, _CONE, {
-            "--theorem": dict(required=True, choices=(
-                "lewis", "antipodal", "halfplane", "cor-alpha", "murdoch-kuran",
-                "log2"), help=f"log2 takes no map: it samples "
-                f"D(0, {LOG2_RADIUS:g}) from --n and --seed only"),
-            "--C": dict(type=_finite, default=1.0),
-            "--alpha": dict(type=_finite, default=0.0),
-            "--b": dict(type=_finite, default=0.0),
-            "--n": dict(type=int, default=1000000)}),
+        "check": (_cmd_check, _MAP, _SAMPLING, _DIRECTIONS, _CONE, _THEOREM,
+                  _THEOREM_PARAMS),
         "catalog": (_cmd_catalog, {"--name": {}}),
         "plot": (_cmd_plot, _MAP, _SAMPLING, _DIRECTIONS,
                  {"--out": dict(required=True, help="SVG output path")}),
@@ -450,7 +456,21 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
         entry = catalog_mod.get_entry(args.catalog)
         commands[args.command].set_defaults(entry=entry, **entry.params)
         args = parser.parse_args(argv)
+    if args.command == "check":
+        _refuse_unread(args, commands["check"])
     return args
+
+
+def _refuse_unread(args, parser: argparse.ArgumentParser) -> None:
+    """CliError for the first flag of check, in the order of _CHECK, that
+    the theorem does not read and whose value is not the parser's default;
+    a catalog's params are defaults, so only the user's flags and the
+    --config file can be refused."""
+    reads, why = _THEOREM_READS[args.theorem]
+    for flag in (flag for family in _CHECK for flag in family):
+        dest = flag.lstrip("-").replace("-", "_")
+        if flag not in reads and getattr(args, dest) != parser.get_default(dest):
+            raise CliError(f"{flag} is not read by --theorem {args.theorem}{why}")
 
 
 def main(argv=None) -> int:

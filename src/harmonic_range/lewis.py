@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circles import (_finite, _finite_values, _require_positive, _ring,
-                      circle_max, circle_values)
+from .circles import (_finite, _finite_values, _max_from, _require_positive,
+                      _ring, circle_max, circle_values)
 from .expressions import HarmonicComponent, HarmonicMap, _terms
 from .reports import TheoremVerdict
 from .zeros import NoSignChangeError, Rect, _bisect, _sign_change_edges
@@ -48,7 +48,7 @@ EXP_FACTOR_MAX = 700.0
 # discs are scanned
 PRUNE_MARGIN = 1.05
 # centers sampled as one block of the radius scan, one (k, SEARCH_SAMPLES)
-# array
+# array: the first k rows of the sampler's one scan buffer
 SCAN_BLOCK = 64
 # the certificates and the range check of a rescaled map use one mesh
 CHECK_GRID_N = 101
@@ -112,6 +112,10 @@ def _scan_sampler(u: HarmonicComponent, centers: list[complex]):
     about centers[idx], one row of SEARCH_SAMPLES values per index of the
     index array idx (one index gives one row), at the angles
     2 pi n / SEARCH_SAMPLES.  A block of circles is one array operation.
+    The term table writes a block of 2 to SCAN_BLOCK rows into one
+    (SCAN_BLOCK, SEARCH_SAMPLES) buffer of the sampler and returns a view
+    of it, valid until the next call: a search makes one sampler, so its
+    products fault their pages in once.  One row is a fresh array.
 
     Two samplers.  Term table, when _terms splits F into terms
     P_j(z) e^{alpha_j z}, polynomials (alpha = 0) and exp(alpha z + beta)
@@ -152,6 +156,8 @@ def _scan_sampler(u: HarmonicComponent, centers: list[complex]):
     powers = {alpha: ring[np.outer(np.arange(len(c)), np.arange(SEARCH_SAMPLES))
                           % SEARCH_SAMPLES] for alpha, (c, _) in terms.items()}
 
+    out = np.empty((SCAN_BLOCK, SEARCH_SAMPLES))
+
     @functools.lru_cache(maxsize=2)
     def table(r: float) -> np.ndarray:
         # the terms' e^{ikt} e^{alpha r e^{it}}; the same at every r if alpha = 0
@@ -162,7 +168,9 @@ def _scan_sampler(u: HarmonicComponent, centers: list[complex]):
     def from_table(idx, r: float) -> np.ndarray:
         if top * r > EXP_FACTOR_MAX:
             return direct(idx, r)
-        vals = (rows[idx] * r ** kk) @ table(r if top else 0.0)
+        k = np.size(idx)
+        dst = out[:k] if 1 < k <= len(out) else None
+        vals = np.matmul(rows[idx] * r ** kk, table(r if top else 0.0), out=dst)
         off = ~normal[idx]
         if off.any():
             vals[off] = direct(np.asarray(idx)[off], r)
@@ -206,14 +214,16 @@ def lewis_disc_search(u: HarmonicComponent, R: float,
     terms at the center times a table per radius, any other component by
     direct evaluation.  It walks the 20 dyadic radii from large to small;
     at each radius the centers where the disc fits and that are not yet
-    pruned are sampled in blocks of at most SCAN_BLOCK, and each block is
-    pruned against the best disc of the blocks before it.  A circle that is
-    not finite raises NonFiniteError, the first one in (radius, block)
-    order.  Of the scanned discs the
-    least _pick_key wins: ties in the score to 12 significant digits go to
-    the smaller radius, then to the smaller center.  The winner is refined
-    with circle_max, by direct evaluation, and every reported value comes
-    from that refinement.
+    pruned are sampled in blocks of at most SCAN_BLOCK, into one scan
+    buffer, and each block is pruned against the best disc of the blocks
+    before it.  A circle that is not finite raises NonFiniteError, the
+    first one in (radius, block) order.  Of the scanned discs the least
+    _pick_key wins: ties in the score to 12 significant digits go to the
+    smaller radius, then to the smaller center.  The winner is refined as
+    circle_max refines, by direct evaluation, and every reported value
+    comes from that refinement.  Each refined circle is sampled once:
+    |z| = R/2 for the constancy test and M(u, 0, R/2), the winner's circle
+    for M(|u|, z, r) and M(u, z, r).
     """
     _require_positive(R, "R")
     _require_positive(C0_budget, "C0_budget")
@@ -222,7 +232,7 @@ def lewis_disc_search(u: HarmonicComponent, R: float,
     # u is scaled; u == 0 is constant too
     if np.ptp(half) <= 1e-12 * np.max(np.abs(half)):
         raise ConstantComponentError("u is constant at this scale")
-    M_half = circle_max(u, 0.0, R / 2.0).value
+    M_half = _max_from(u, 0.0, R / 2.0, half).value
 
     centers = _candidate_centers(u, R)
     C = np.array(centers, dtype=complex)
@@ -269,10 +279,12 @@ def lewis_disc_search(u: HarmonicComponent, R: float,
         raise NoSignChangeError("no admissible disc found on the zero set")
     _, r, (x, y) = best
     z = complex(x, y)
-    # refine the winner with the precise circle maximum
-    M_abs = circle_max(u, z, r, absolute=True).value
+    # refine the winner with the precise circle maximum, signed and absolute
+    # from one grid
+    vals = circle_values(u, z, r)
+    M_abs = _max_from(u, z, r, vals, absolute=True).value
     M_34 = circle_max(u, z, 0.75 * r).value
-    M_u = circle_max(u, z, r).value
+    M_u = _max_from(u, z, r, vals).value
     doubling = M_abs / M_34
     growth = M_half / M_u
     return LewisDisc(center=z, radius=r, M=M_abs,

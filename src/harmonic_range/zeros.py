@@ -90,19 +90,18 @@ def _bisect(g, a, b) -> np.ndarray:
     g(b) of opposite signs, and g maps an array of points to real values.
     A bracket whose midpoint is an exact zero freezes there."""
     # an end moves only to a midpoint of its own sign, so the sign of g at
-    # the a ends is read once
+    # the a ends is read once: hi holds the ends where g > 0, lo the others
+    # (NaN included), and a midpoint where g = 0 moves both
     pos = g(a) > 0
-    dtype = np.result_type(a, b)
-    a, b = np.array(a, dtype=dtype), np.array(b, dtype=dtype)
+    hi, lo = np.where(pos, a, b), np.where(pos, b, a)
+    m = np.empty_like(hi)
     for _ in range(BISECT_HALVINGS):
-        m = a + b
+        np.add(lo, hi, out=m)
         m *= 0.5
         fm = g(m)
-        hit = fm == 0.0
-        same = (fm > 0) == pos
-        np.copyto(a, m, where=hit | same)
-        np.copyto(b, m, where=hit | ~same)
-    return 0.5 * (a + b)
+        np.copyto(hi, m, where=fm >= 0)
+        np.copyto(lo, m, where=~(fm > 0))
+    return 0.5 * (lo + hi)
 
 
 def _newton_to_zero(u: HarmonicComponent, z: complex,

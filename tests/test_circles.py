@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from harmonic_range.circles import (CenterNotZeroError, NonFiniteError,
-                                    PositivityError, _ring, circle_max,
-                                    circle_values, fourier_profile,
-                                    harnack_bound_check, lemma_abs_check,
-                                    multiplicity)
+from harmonic_range.circles import (DEFAULT_SAMPLES, FOURIER_SAMPLES,
+                                    REFINE_PEAKS, ZOOM_LEVELS, ZOOM_POINTS,
+                                    CenterNotZeroError, CircleMax,
+                                    NonFiniteError, PositivityError, _max_from,
+                                    _ring, circle_max, circle_values,
+                                    fourier_profile, harnack_bound_check,
+                                    lemma_abs_check, multiplicity)
 from harmonic_range.expressions import parse_map
 
 
@@ -277,3 +279,70 @@ def test_the_zoom_agrees_with_golden_section(absolute):
         want = _golden_circle_max(u, z, r, absolute, vals)
         assert got >= vals.max()
         assert abs(got - want) <= 1e-13 * np.abs(vals).max(), (u, z, r)
+
+
+def _rolled_circle_max(u, z, r, absolute, n):
+    """circle_max as it was before it took the maximum from given samples:
+    grid peaks by two np.roll copies, then the zoom."""
+    vals = circle_values(u, z, r, n)
+    if absolute:
+        vals = np.abs(vals)
+    is_peak = (vals >= np.roll(vals, 1)) & (vals >= np.roll(vals, -1))
+    peaks = np.nonzero(is_peak)[0]
+    top = peaks[np.lexsort((peaks, -vals[peaks]))][:REFINE_PEAKS]
+    step = 2.0 * math.pi / n
+    h, theta = step, top * step
+    offsets = np.linspace(-1.0, 1.0, ZOOM_POINTS)
+    rows = np.arange(len(top))
+    for _ in range(ZOOM_LEVELS):
+        angles = theta[:, None] + h * offsets
+        g = np.asarray(u.value(z + r * (np.cos(angles) + 1j * np.sin(angles))),
+                       dtype=float)
+        if absolute:
+            g = np.abs(g)
+        best = np.argmax(g, axis=1)
+        theta, peak = angles[rows, best], g[rows, best]
+        h *= 2.0 / (ZOOM_POINTS - 1)
+    i = np.lexsort((theta, -peak))[0]
+    best_val, best_theta = float(peak[i]), float(theta[i])
+    k0 = int(np.argmax(vals))
+    if vals[k0] > best_val:
+        best_val, best_theta = float(vals[k0]), k0 * step
+    return CircleMax(best_val, best_theta % (2.0 * math.pi))
+
+
+@pytest.mark.parametrize("n", [1, 2, DEFAULT_SAMPLES])
+@pytest.mark.parametrize("absolute", [False, True])
+def test_the_maximum_of_given_samples_is_circle_max(n, absolute):
+    for u, z, r in _seeded_circles():
+        got = _max_from(u, z, r, circle_values(u, z, r, n), absolute)
+        assert got == circle_max(u, z, r, absolute=absolute, n=n), (u, z, r)
+        assert got == _rolled_circle_max(u, z, r, absolute, n), (u, z, r)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_a_sample_count_below_one_is_refused(n):
+    u = _comp("u=re(z); v=im(z)")
+    for call in (lambda: circle_values(u, 0.0, 1.0, n),
+                 lambda: circle_max(u, 0.0, 1.0, n=n),
+                 lambda: circle_max(u, 0.0, 1.0, absolute=True, n=n)):
+        with pytest.raises(ValueError, match=f"^n must be at least 1, got {n}$"):
+            call()
+
+
+@pytest.mark.parametrize("n_terms", [-1, FOURIER_SAMPLES // 2, 600])
+def test_a_fourier_profile_past_the_unaliased_terms_is_refused(n_terms):
+    # the samples alias c_k with k >= FOURIER_SAMPLES // 2, and -1 once gave
+    # c_0 alone
+    u = _comp("u=re(z^3+2*z); v=im(z)")
+    with pytest.raises(ValueError, match=f"^n_terms must be from 0 to "
+                       f"{FOURIER_SAMPLES // 2 - 1}, got {n_terms}$"):
+        fourier_profile(u, 0.0, 1.0, n_terms=n_terms)
+
+
+def test_a_fourier_profile_takes_every_unaliased_term():
+    u = _comp("u=re(z^3+2*z); v=im(z)")
+    assert len(fourier_profile(u, 0.0, 1.0, n_terms=0).coefficients) == 1
+    prof = fourier_profile(u, 0.0, 1.0, n_terms=FOURIER_SAMPLES // 2 - 1)
+    assert len(prof.coefficients) == FOURIER_SAMPLES // 2
+    assert prof.coefficients[3] == pytest.approx(1.0, abs=1e-12)

@@ -109,6 +109,46 @@ def test_check_log2_takes_the_default_radius_and_grid(capsys):
     assert plain[0] == 0
 
 
+@pytest.mark.parametrize("theorem, extra, flag", [
+    # once exited 0 with the bytes of the call without the last five flags
+    ("lewis", ["--alpha", "0.3", "--bins", "7", "--b", "4", "--n", "5",
+               "--inner-R", "3"], "--bins"),
+    ("lewis", ["--inner-R", "3"], "--inner-R"),
+    ("murdoch-kuran", ["--C", "9", "--cutoffs", "1,2"], "--cutoffs"),
+    ("murdoch-kuran", ["--C", "9"], "--C"),
+    ("antipodal", ["--b", "4"], "--b"),
+    ("halfplane", ["--n", "5"], "--n"),
+    ("cor-alpha", ["--bins", "7"], "--bins"),
+])
+def test_check_refuses_the_flags_its_theorem_does_not_read(capsys, theorem,
+                                                           extra, flag):
+    assert main(["check", "--theorem", theorem, *IDENTITY, *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} is not read by --theorem {theorem}\n"
+
+
+def test_check_refuses_an_unread_flag_of_the_config_file(tmp_path, capsys):
+    cfg = tmp_path / "check.cfg"
+    cfg.write_text("alpha=0.3\n")
+    assert main(["--config", str(cfg), "check", "--theorem", "lewis",
+                 *IDENTITY]) == 2
+    assert capsys.readouterr().err == ("error: --alpha is not read by "
+                                       "--theorem lewis\n")
+
+
+def test_check_takes_the_defaults_of_flags_it_does_not_read(capsys):
+    # a catalog's params are defaults: exp-wedge's cutoffs are not refused
+    code, doc = run(capsys, "check", "--theorem", "lewis", "--catalog",
+                    "exp-wedge")
+    assert code == 0
+    assert doc["theorem"] == "lewis"
+    plain = main(["check", "--theorem", "lewis", *IDENTITY]), capsys.readouterr()
+    given = (main(["check", "--theorem", "lewis", *IDENTITY, "--alpha", "0",
+                   "--bins", "720", "--n", "1000000"]), capsys.readouterr())
+    assert plain == given
+
+
 @pytest.mark.parametrize("argv, digest", [
     (["plot", "--catalog", "exp-wedge"],
      "f89d3176011ef388cec400a20c6aec976589a531b307bba7518b88e0c2529725"),

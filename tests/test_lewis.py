@@ -11,7 +11,8 @@ from harmonic_range import expressions, lewis
 from harmonic_range.expressions import (Add, Const, Exp, HarmonicComponent,
                                         Mul, Neg, Pow, Var, Z, coefficients,
                                         degree, evaluate, parse_map)
-from harmonic_range.circles import NonFiniteError, circle_max
+from harmonic_range.circles import (DEFAULT_SAMPLES, NonFiniteError, _ring,
+                                    circle_max)
 from harmonic_range.arcs import ArcSet
 from harmonic_range.lewis import (SEARCH_SAMPLES, LewisDisc,
                                   _candidate_centers, _scan_sampler,
@@ -759,3 +760,60 @@ def test_a_nan_in_the_schedule_is_a_bad_input():
     with pytest.raises(ValueError, match="finite and positive") as exc:
         rescaled_sequence(parse_map("u=re(z); v=im(z)"), [2.0, math.nan])
     assert not isinstance(exc.value, NonFiniteError)
+
+
+def test_the_scan_buffer_holds_the_bits_of_a_fresh_product(monkeypatch):
+    # the seeded families of test_taylor_table_samples_match_direct_evaluation,
+    # five centers a block
+    rng = np.random.default_rng(3)
+    cases = [(_random_polynomial(rng, int(rng.integers(2, 9))), k % 2)
+             for k in range(60)]
+    cases.append((Pow(Add(Mul(Const(0.5 + 0.1j), Z), Const(0.3)), 64), 0))
+    cases += [(_random_exp_polynomial(rng, int(rng.integers(1, 4))), k % 2)
+              for k in range(30)]
+    idx = np.arange(5)
+    for k, (expr, part) in enumerate(cases):
+        u = HarmonicComponent(expr, ("real", "imag")[part])
+        centers = [complex(*rng.uniform(-3.0, 3.0, size=2)) for _ in idx]
+        r = float(rng.uniform(0.01, 3.0))
+        # a buffer of one row takes no block of five: a fresh product
+        monkeypatch.setattr(lewis, "SCAN_BLOCK", 1)
+        fresh = _scan_sampler(u, centers)(idx, r)
+        kept = fresh.copy()
+        monkeypatch.undo()
+        sample = _scan_sampler(u, centers)
+        one = sample(0, r)
+        row = one.copy()
+        block = sample(idx, r)
+        assert block.tobytes() == fresh.tobytes(), k
+        # the buffer is one array, rewritten by the next block
+        assert np.shares_memory(block, sample(idx[:2], 0.5 * r)), k
+        assert fresh.tobytes() == kept.tobytes(), k
+        assert one.tobytes() == row.tobytes(), k
+
+
+@pytest.mark.parametrize("src,R", [
+    ("u=re(z^3-2*z+1); v=im(z)", 6.0),
+    ("u=im(exp(z)); v=re(exp(z))", 12.0),
+    ("u=re(exp(z^2)); v=im(z)", 2.0),       # sampled directly
+])
+def test_a_search_samples_each_refined_circle_once(monkeypatch, src, R):
+    u = parse_map(src).u
+    grids = []
+    value = HarmonicComponent.value
+
+    def counting(self, z):
+        if np.shape(z) == (DEFAULT_SAMPLES,):
+            grids.append(np.array(z))
+        return value(self, z)
+    monkeypatch.setattr(HarmonicComponent, "value", counting)
+    disc = lewis_disc_search(u, R)
+    ring = _ring(DEFAULT_SAMPLES)
+
+    def times(center, radius):
+        return sum(np.array_equal(z, center + radius * ring) for z in grids)
+    assert (disc.center, disc.radius) != (0j, R / 2.0)
+    assert times(0.0, R / 2.0) == 1
+    assert times(disc.center, disc.radius) == 1
+    assert times(disc.center, 0.75 * disc.radius) == 1
+    assert len(grids) == 3

@@ -82,6 +82,50 @@ def test_bisect_runs_every_bracket_as_the_scalar_loop_would(g, a, b):
     assert _bisect(g, a, b).tolist() == want
 
 
+def _two_mask_bisect(g, a, b):
+    """_bisect as it was: a fresh midpoint array and both masks per halving."""
+    pos = g(a) > 0
+    dtype = np.result_type(a, b)
+    a, b = np.array(a, dtype=dtype), np.array(b, dtype=dtype)
+    for _ in range(BISECT_HALVINGS):
+        m = a + b
+        m *= 0.5
+        fm = g(m)
+        hit = fm == 0.0
+        same = (fm > 0) == pos
+        np.copyto(a, m, where=hit | same)
+        np.copyto(b, m, where=hit | ~same)
+    return 0.5 * (a + b)
+
+
+def _cubic(x):
+    return x * (x - 1.0) * (x + 2.0)
+
+
+@pytest.mark.parametrize("g,dtype", [
+    (_cubic, float),
+    # NaN counts as not positive, in both loops
+    (lambda x: np.where((x > 0.3) & (x < 0.4), np.nan, _cubic(x)), float),
+    (lambda w: (w * w).real - 1.0, complex),
+], ids=["real", "real-nan", "complex"])
+def test_bisect_moves_the_ends_as_the_two_mask_loop_did(g, dtype):
+    rng = np.random.default_rng(11)
+    a, b = rng.uniform(-3.0, 3.0, size=(2, 400))
+    if dtype is complex:
+        a, b = (a, b) + 1j * rng.uniform(-3.0, 3.0, size=(2, 400))
+    keep = g(a) * g(b) < 0
+    # brackets whose first midpoint is the zero 1, either way round, and one
+    # whose second midpoint is
+    tilt = 0.5j if dtype is complex else 0.0
+    ends = np.array([0.5 + tilt, 1.5 - tilt, 0.5])
+    a = np.concatenate([a[keep], ends])
+    b = np.concatenate([b[keep], np.array([1.5 - tilt, 0.5 + tilt, 2.5])])
+    got, want = _bisect(g, a, b), _two_mask_bisect(g, a, b)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    assert got[-3:].tolist() == [1.0, 1.0, 1.0]
+
+
 class _Counting:
     """A harmonic component that counts its evaluations."""
 
