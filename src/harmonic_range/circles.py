@@ -241,11 +241,13 @@ def harnack_bound_check(u: HarmonicComponent, z0: complex, r: float,
 
 def lemma_abs_check(u: HarmonicComponent, z0: complex, r: float) -> dict:
     """M(|u|, z0, 2r/3) <= 4 M(u, z0, r) for u vanishing at the center."""
-    scale = circle_max(u, z0, r, absolute=True).value
-    if abs(float(u.value(z0))) > 1e-9 * (1.0 + scale):
-        raise CenterNotZeroError(f"u({z0}) = {float(u.value(z0))} is not zero")
+    vals = circle_values(u, z0, r)
+    scale = _max_from(u, z0, r, vals, absolute=True).value
+    u0 = float(u.value(z0))
+    if abs(u0) > 1e-9 * (1.0 + scale):
+        raise CenterNotZeroError(f"u({z0}) = {u0} is not zero")
     lhs = circle_max(u, z0, 2.0 * r / 3.0, absolute=True).value
-    rhs = 4.0 * circle_max(u, z0, r).value
+    rhs = 4.0 * _max_from(u, z0, r, vals).value
     return {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs * (1.0 + 1e-9)}
 
 

@@ -363,7 +363,8 @@ _RADIUS = {"--R": dict(type=_finite, default=30.0, help="sampling radius")}
 _SAMPLING = {**_RADIUS, "--n-grid": dict(type=int, default=256),
              "--seed": dict(type=int, default=0)}
 _DIRECTIONS = {"--bins": dict(type=int, default=720),
-               "--cutoffs": dict(type=_numbers, help="comma-separated modulus cutoffs")}
+               "--cutoffs": dict(type=_numbers, help="a fixed modulus ladder, comma-"
+                                 "separated; without it the growth rule decides")}
 _COMPONENT = {"--component": dict(choices=("u", "v"), default="u")}
 _BUDGET = {"--budget": dict(type=_finite, default=100.0)}
 _CONE = {"--a": dict(type=_finite, default=1.0),

@@ -71,6 +71,7 @@ class LewisDisc:
     growth_ratio: float       # M(u, 0, R/2) / M(u, center, radius)
     doubling_ratio: float     # M(|u|, center, radius) / M(u, center, 3r/4)
     domain_radius: float
+    M_three_quarters: float   # M(u, center, 3r/4), for certify; not in to_dict
     budget_met: bool = True
 
     @property
@@ -289,7 +290,7 @@ def lewis_disc_search(u: HarmonicComponent, R: float,
     growth = M_half / M_u
     return LewisDisc(center=z, radius=r, M=M_abs,
                      growth_ratio=growth, doubling_ratio=doubling,
-                     domain_radius=R,
+                     domain_radius=R, M_three_quarters=M_34,
                      budget_met=max(doubling, growth) <= C0_budget)
 
 
@@ -313,8 +314,7 @@ class RescaledMap:
         Uv = np.asarray(self.U(_check_points()), dtype=float)
         u0 = abs(float(self.U(0j)))
         sup_abs = float(np.max(np.abs(Uv)))
-        m34 = circle_max(self.source.u, self.disc.center,
-                         0.75 * self.disc.radius).value / self.disc.M
+        m34 = self.disc.M_three_quarters / self.disc.M
         C0 = self.disc.empirical_C0
         return {
             "center_zero": u0,

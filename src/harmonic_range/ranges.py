@@ -1,11 +1,11 @@
 """Range sampling and asymptotic-direction estimation.
 
 The range of an entire harmonic map is sampled on a bounded disc; a
-direction on the unit circle counts as asymptotic when samples keep
-appearing near it at every modulus cutoff of an increasing schedule.
-Estimation is inherently one-sided: directions realized only beyond the
-sampling radius can be missed, so every estimate records the radius and
-schedule it was computed with.
+direction on the unit circle counts as asymptotic when the range, centred
+on a sample, reaches farther in it from the outer part of the disc than
+from the inner part.  Estimation is inherently one-sided: directions
+realized only beyond the sampling radius can be missed, so every estimate
+records the radius it was computed with.
 """
 
 from __future__ import annotations
@@ -116,6 +116,17 @@ class RangeSample:
             if np.count_nonzero(far) == np.count_nonzero(r > R + d):
                 return far
         return np.abs(self.points(blk)) > R
+
+    def outer(self, blk: slice):
+        """An index into the run of indices blk of its points outside the
+        inner set of the growth rule: the mask |z| > INNER_FRACTION R for
+        explicit points; for generated ones a slice past the polar-grid
+        rings of radius <= INNER_FRACTION R, which come first in the grid
+        (row by row in increasing radius), computed with no point."""
+        if self._z is not None:
+            return np.abs(self._z[blk]) > INNER_FRACTION * self.radius
+        rings = math.floor(INNER_FRACTION * self.n_grid) * self.n_grid
+        return slice(max(rings - self._span(blk)[0], 0), None)
 
     def metadata(self) -> dict:
         return {
@@ -351,6 +362,10 @@ def sample_range(f: HarmonicMap, R: float, n_grid: int = 256,
 
 @dataclass
 class DirectionEstimate:
+    """The arcs of estimate_directions.  With no cutoffs (the growth rule)
+    cutoffs is empty, stabilization_index 0, and low_confidence means that
+    fewer than MIN_LARGE samples outside the inner set fall in kept bins."""
+
     arcs: ArcSet
     cutoffs: tuple[float, ...]
     bins: int
@@ -371,52 +386,6 @@ class DirectionEstimate:
         }
 
 
-def _quantiles(x: np.ndarray, qs) -> np.ndarray:
-    """np.quantile(x, qs), linear method, bit for bit, for ascending qs in
-    [0, 1]; partitions x in place.
-
-    Each order statistic comes from a one-pivot partition of the part of x
-    above the one before, and its successor from a min.  np.quantile
-    partitions at all of them in one call, which takes about 5x longer."""
-    n = x.size
-    virtual = (n - 1) * np.asarray(qs, dtype=float)
-    below = np.floor(virtual)
-    gamma = virtual - below
-    lo, hi = np.empty(gamma.size), np.empty(gamma.size)
-    start = 0
-    for j, k in enumerate(below.astype(np.intp).tolist()):
-        if k + 1 >= n:  # q = 1, or a single value
-            lo[j] = hi[j] = x[start:].max()
-            continue
-        x[start:].partition(k - start)
-        lo[j], hi[j] = x[k], x[k + 1:].min()
-        start = k
-    # numpy's _lerp, step for step
-    diff = hi - lo
-    out = lo + diff * gamma
-    np.subtract(hi, diff * (1 - gamma), out=out, where=gamma >= 0.5)
-    return out
-
-
-def _default_cutoffs(positive: np.ndarray) -> tuple[float, ...]:
-    """Quantile cutoffs plus a geometric ladder of absolute floors, from
-    the positive moduli (partitioned in place).
-
-    A cutoff equal to the largest modulus leaves no sample beyond it, so it
-    is dropped, unless every cutoff is: the moduli are then all equal, and
-    that one cutoff leaves an empty estimate."""
-    if positive.size == 0:
-        return (1.0,)
-    m0, *qs = _quantiles(positive, (0.5, 0.90, 0.99, 0.999)).tolist()
-    top = float(positive.max())
-    ladder = []
-    m = max(m0, 1e-12)
-    while m < top:
-        ladder.append(m)
-        m *= 4.0
-    return tuple(sorted(c for c in set(qs + ladder) if c < top)) or (top,)
-
-
 def _bin_index(w: np.ndarray, bins: int) -> np.ndarray:
     """Index of the equal direction bin of [0, 2*pi) that each value's
     angle lies in.  The angles are those of np.mod(np.angle(w), 2*pi) bit
@@ -432,66 +401,74 @@ def _bin_index(w: np.ndarray, bins: int) -> np.ndarray:
 
 # estimated arcs are widened by this many bins on each side
 FATTEN_BINS = 1
-# fewer samples than this beyond the top cutoff flag low confidence
+# fewer samples than this in the kept bins flag low confidence
 MIN_LARGE = 8
+# the growth rule's margin, and the radius of its inner set over R
+GROWTH_RATIO = 1.5
+INNER_FRACTION = 0.4
 
 
 def estimate_directions(samples: RangeSample, bins: int = 720,
                         cutoffs=None) -> DirectionEstimate:
-    """Bin sample directions and keep bins that survive every cutoff from
-    the stabilization index on; merge surviving bins into closed arcs.
+    """Bin the directions of the (finite) sample and merge the kept bins
+    into closed arcs, widened by FATTEN_BINS bins; one pass in blocks
+    takes the bin maxima, which np.maximum.at gives exactly in any order.
 
-    The sample is finite, as every RangeSample is.  One pass in blocks
-    builds the per-bin maximum modulus G, which np.maximum.at gives
-    exactly in any order.  Only the default cutoffs hold the positive
-    moduli of the whole sample, for their quantiles."""
+    With no cutoffs, the growth rule keeps bin b of the angle of w - w[0]
+    when G(b) > GROWTH_RATIO max(Gi(b-1), Gi(b), Gi(b+1)) and G(b) > 0, G
+    and Gi its largest |w - w[0]| over the sample and over the inner set
+    (RangeSample.outer): a translation moves no asymptotic direction.
+    Then cutoffs is empty, stabilization_index 0, and low_confidence means
+    fewer than MIN_LARGE samples outside the inner set in the kept bins.
+    With cutoffs, a fixed ladder keeps the bins whose largest |w| passes
+    every cutoff from the stabilization index on, and low_confidence
+    means fewer than MIN_LARGE samples beyond the top one."""
     if bins < 90:
         raise ValueError("need at least 90 bins")
     w = samples.w
-    if cutoffs is not None:
+    if cutoffs is None:
+        # bin b of the inner set at b, and of the rest at bins + b
+        centre = w[0] if w.size else 0j
+        G = np.zeros(2 * bins)
+        counts = np.zeros(2 * bins, dtype=np.intp)
+        for blk in _blocks(w.size):
+            d = w[blk] - centre
+            idx = _bin_index(d, bins)
+            idx[samples.outer(blk)] += bins
+            np.maximum.at(G, idx, np.abs(d))
+            counts += np.bincount(idx, minlength=2 * bins)
+        Gi, Go = G[:bins], G[bins:]
+        near = np.maximum(np.maximum(np.roll(Gi, 1), Gi), np.roll(Gi, -1))
+        # G = max(Gi, Go) passes only through Go; near >= 0, so Go > 0
+        keep = Go > GROWTH_RATIO * near
+        cutoffs, stab, n_large = (), 0, int(counts[bins:][keep].sum())
+    else:
         cutoffs = tuple(sorted(float(c) for c in cutoffs))
         for c in cutoffs:
             _require_finite_number(c, "cutoff")
-    positive = np.empty(w.size) if cutoffs is None else None
-    n_pos = n_large = 0  # n_large: the samples beyond the top cutoff
-    G = np.zeros(bins)
-    for blk in _blocks(w.size):
-        wb = w[blk]
-        mods = np.abs(wb)
-        np.maximum.at(G, _bin_index(wb, bins), mods)
-        if cutoffs is None:
-            mods = mods[mods > 0]
-            positive[n_pos:n_pos + mods.size] = mods
-            n_pos += mods.size
-        else:
+        n_large = 0  # the samples beyond the top cutoff
+        G = np.zeros(bins)
+        for blk in _blocks(w.size):
+            mods = np.abs(w[blk])
+            np.maximum.at(G, _bin_index(w[blk], bins), mods)
             n_large += int(np.count_nonzero(mods > cutoffs[-1]))
-    if cutoffs is None:
-        positive = positive[:n_pos]
-        cutoffs = _default_cutoffs(positive)
-        # every default cutoff is positive
-        n_large = int(np.count_nonzero(positive > cutoffs[-1]))
+        occupied = [G > c for c in cutoffs]
+        stab = len(cutoffs) - 1
+        for j in range(len(cutoffs) - 1):
+            if np.array_equal(occupied[j], occupied[j + 1]):
+                stab = j
+                break
+        # occupancy is monotone in the cutoff, so the occupied set at the
+        # stabilization index is the one every later cutoff agrees on up to
+        # further shrinking; it is the estimate, unless no sample lies
+        # beyond the top cutoff
+        keep = occupied[stab] & (n_large > 0)
 
-    occupied = [G > c for c in cutoffs]
-    stab = len(cutoffs) - 1
-    for j in range(len(cutoffs) - 1):
-        if np.array_equal(occupied[j], occupied[j + 1]):
-            stab = j
-            break
-    # occupancy is monotone in the cutoff, so the occupied set at the
-    # stabilization index is the one every later cutoff agrees on up to
-    # further shrinking; it is the estimate
-    keep = occupied[stab]
-    low_conf = n_large < MIN_LARGE
-
-    if n_large == 0:
-        arcs, n_kept = ArcSet.empty(), 0
-    else:
-        arcs = ArcSet.from_bins(keep).fatten(FATTEN_BINS * (TWO_PI / bins))
-        n_kept = int(np.count_nonzero(keep))
+    arcs = ArcSet.from_bins(keep).fatten(FATTEN_BINS * (TWO_PI / bins))
     return DirectionEstimate(arcs=arcs, cutoffs=cutoffs, bins=bins,
-                             occupied_bins=n_kept,
+                             occupied_bins=int(np.count_nonzero(keep)),
                              stabilization_index=stab,
-                             low_confidence=low_conf,
+                             low_confidence=n_large < MIN_LARGE,
                              radius=samples.radius)
 
 

@@ -157,6 +157,31 @@ def test_lemma_abs_requires_zero_center():
         lemma_abs_check(u, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("src,z0,r", [
+    ("u=re(z); v=im(z)", 0.0, 2.0),
+    ("u=re(z^3-z); v=im(z)", 1.0, 0.7),
+    ("u=im(exp(z)); v=im(z)", 0.0, 2.0),
+])
+def test_lemma_abs_samples_its_r_circle_once(monkeypatch, src, z0, r):
+    u = _comp(src)
+    want = {"lhs": circle_max(u, z0, 2.0 * r / 3.0, absolute=True).value,
+            "rhs": 4.0 * circle_max(u, z0, r).value}
+    grids = []
+    value = type(u).value
+
+    def counting(self, z):
+        if np.shape(z) == (DEFAULT_SAMPLES,):
+            grids.append(np.array(z))
+        return value(self, z)
+    monkeypatch.setattr(type(u), "value", counting)
+    res = lemma_abs_check(u, z0, r)
+    assert (res["lhs"], res["rhs"]) == (want["lhs"], want["rhs"])
+    ring = _ring(DEFAULT_SAMPLES)
+    assert len(grids) == 2
+    assert np.array_equal(grids[0], z0 + r * ring)
+    assert np.array_equal(grids[1], z0 + (2.0 * r / 3.0) * ring)
+
+
 @pytest.mark.parametrize("src,z0,want", [
     ("u=re(z); v=im(z)", 0.0, 1),
     ("u=re(z^2); v=im(z)", 0.0, 2),

@@ -86,6 +86,27 @@ def test_rescaled_sequence_certificates():
         assert cert["lower_bound_ok"]
 
 
+def test_certify_samples_no_circle(monkeypatch):
+    f = parse_map("u=im(exp(z)); v=re(exp(z))")
+    seq = rescaled_sequence(f, [4.0, 8.0])
+    m34 = [circle_max(f.u, rm.disc.center, 0.75 * rm.disc.radius).value
+           for rm in seq]
+    shapes = []
+    value = HarmonicComponent.value
+
+    def counting(self, z):
+        shapes.append(np.shape(z))
+        return value(self, z)
+    monkeypatch.setattr(HarmonicComponent, "value", counting)
+    for rm, m in zip(seq, m34):
+        cert = rm.certify()
+        # the check mesh and the center, and no circle: M(u, z, 3r/4) is
+        # the one the search took
+        assert shapes == [lewis._check_points().shape, ()]
+        shapes.clear()
+        assert cert["M_three_quarters"] == m / rm.disc.M
+
+
 def test_rescaled_map_unit_normalization():
     f = parse_map("u=re(z); v=im(z)")
     rm = rescaled_sequence(f, [4.0])[0]
@@ -216,10 +237,12 @@ def _exhaustive_disc_search(u, R, C0_budget=100.0):
                 best = (key, z, r)
     _, z, r = best
     M_abs = circle_max(u, z, r, absolute=True).value
-    doubling = M_abs / circle_max(u, z, 0.75 * r).value
+    M_34 = circle_max(u, z, 0.75 * r).value
+    doubling = M_abs / M_34
     growth = M_half / circle_max(u, z, r).value
     return LewisDisc(center=z, radius=r, M=M_abs, growth_ratio=growth,
                      doubling_ratio=doubling, domain_radius=R,
+                     M_three_quarters=M_34,
                      budget_met=max(doubling, growth) <= C0_budget)
 
 
