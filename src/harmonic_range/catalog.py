@@ -46,11 +46,7 @@ class CatalogEntry:
     def directions(self, samples: Optional[RangeSample] = None) -> DirectionEstimate:
         if self.kind == "arcset":
             return DirectionEstimate(arcs=self.arcs, cutoffs=(), bins=0)
-        if samples is None:
-            samples = self.sample()
-        cutoffs = self.params.get("cutoffs")
-        return estimate_directions(samples,
-                                   cutoffs=tuple(cutoffs) if cutoffs else None)
+        return estimate_directions(self.sample() if samples is None else samples)
 
     def expected_directions(self) -> Optional[ArcSet]:
         if "directions" not in self.expected:

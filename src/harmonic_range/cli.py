@@ -130,7 +130,7 @@ def _sample(args, f: HarmonicMap):
 
 
 def _estimate(args, samples):
-    return estimate_directions(samples, bins=args.bins, cutoffs=args.cutoffs)
+    return estimate_directions(samples, bins=args.bins)
 
 
 def _strict(properties: dict) -> dict:
@@ -362,9 +362,7 @@ _MAP = {"--map": dict(help="inline map text, e.g. 'u=re(z); v=im(exp(z))'"),
 _RADIUS = {"--R": dict(type=_finite, default=30.0, help="sampling radius")}
 _SAMPLING = {**_RADIUS, "--n-grid": dict(type=int, default=256),
              "--seed": dict(type=int, default=0)}
-_DIRECTIONS = {"--bins": dict(type=int, default=720),
-               "--cutoffs": dict(type=_numbers, help="a fixed modulus ladder, comma-"
-                                 "separated; without it the growth rule decides")}
+_DIRECTIONS = {"--bins": dict(type=int, default=720)}
 _COMPONENT = {"--component": dict(choices=("u", "v"), default="u")}
 _BUDGET = {"--budget": dict(type=_finite, default=100.0)}
 _CONE = {"--a": dict(type=_finite, default=1.0),

@@ -61,13 +61,12 @@ class RangeSample:
     cached for a generated sample."""
 
     def __init__(self, z: np.ndarray | None, w: np.ndarray, radius: float,
-                 n_grid: int, seed: int, grid_type: str = "polar+sobol"):
+                 n_grid: int, seed: int):
         self._z = z
         self.w = w
         self.radius = radius
         self.n_grid = n_grid
         self.seed = seed
-        self.grid_type = grid_type
         bad = sum(int(np.count_nonzero(~np.isfinite(w[blk])))
                   for blk in _blocks(w.size))
         if bad:
@@ -133,7 +132,7 @@ class RangeSample:
             "radius": self.radius,
             "n_grid": self.n_grid,
             "seed": self.seed,
-            "grid_type": self.grid_type,
+            "grid_type": "polar+sobol" if self._z is None else "explicit",
             "count": self.count,
         }
 
@@ -364,7 +363,9 @@ def sample_range(f: HarmonicMap, R: float, n_grid: int = 256,
 class DirectionEstimate:
     """The arcs of estimate_directions.  With no cutoffs (the growth rule)
     cutoffs is empty, stabilization_index 0, and low_confidence means that
-    fewer than MIN_LARGE samples outside the inner set fall in kept bins."""
+    fewer than MIN_LARGE samples outside the inner set fall in kept bins.
+    cutoffs and stabilization_index serve the benchmark's exp tasks alone,
+    and go with the ladder."""
 
     arcs: ArcSet
     cutoffs: tuple[float, ...]
@@ -422,7 +423,9 @@ def estimate_directions(samples: RangeSample, bins: int = 720,
     fewer than MIN_LARGE samples outside the inner set in the kept bins.
     With cutoffs, a fixed ladder keeps the bins whose largest |w| passes
     every cutoff from the stabilization index on, and low_confidence
-    means fewer than MIN_LARGE samples beyond the top one."""
+    means fewer than MIN_LARGE samples beyond the top one.  No front end
+    passes cutoffs: the keyword and the ladder stay for the benchmark's
+    exp tasks alone, until it stops passing them (ROADMAP item 1)."""
     if bins < 90:
         raise ValueError("need at least 90 bins")
     w = samples.w

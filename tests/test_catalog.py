@@ -5,7 +5,7 @@ import math
 import pytest
 
 from harmonic_range.catalog import CatalogError, get_entry, load_catalog
-from harmonic_range.ranges import antipodal_pairs
+from harmonic_range.ranges import antipodal_pairs, sample_range
 from harmonic_range.theorems import is_constant_proxy
 
 import numpy as np
@@ -95,6 +95,27 @@ def test_map_entries_carry_their_sampling_params():
     for entry in load_catalog().values():
         if entry.kind == "map":
             assert {"R", "n_grid", "seed"} <= set(entry.params), entry.name
+
+
+def test_map_entries_hold_their_sampling_params_alone():
+    # the growth rule decides every map's directions with no setting of
+    # its own, so params are the keywords of sample_range and no other
+    for entry in load_catalog().values():
+        if entry.kind == "map":
+            assert set(entry.params) == {"R", "n_grid", "seed"}, entry.name
+
+
+def test_exp_wedge_directions_come_from_the_growth_rule():
+    est = get_entry("exp-wedge").directions()
+    assert est.cutoffs == () and est.stabilization_index == 0
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_exp_wedge_params_find_the_wedge_at_each_sample_seed(seed):
+    entry = get_entry("exp-wedge")
+    s = sample_range(entry.harmonic_map(), **dict(entry.params, seed=seed))
+    est = entry.directions(s)
+    assert math.degrees(est.arcs.hausdorff(entry.expected_directions())) < 2.0
 
 
 @pytest.mark.parametrize("name", ["identity", "square", "exp-wedge", "exp-exp-cross"])

@@ -114,7 +114,7 @@ def test_check_log2_takes_the_default_radius_and_grid(capsys):
     ("lewis", ["--alpha", "0.3", "--bins", "7", "--b", "4", "--n", "5",
                "--inner-R", "3"], "--bins"),
     ("lewis", ["--inner-R", "3"], "--inner-R"),
-    ("murdoch-kuran", ["--C", "9", "--cutoffs", "1,2"], "--cutoffs"),
+    ("murdoch-kuran", ["--C", "9", "--bins", "7"], "--bins"),
     ("murdoch-kuran", ["--C", "9"], "--C"),
     ("antipodal", ["--b", "4"], "--b"),
     ("halfplane", ["--n", "5"], "--n"),
@@ -138,7 +138,8 @@ def test_check_refuses_an_unread_flag_of_the_config_file(tmp_path, capsys):
 
 
 def test_check_takes_the_defaults_of_flags_it_does_not_read(capsys):
-    # a catalog's params are defaults: exp-wedge's cutoffs are not refused
+    # a catalog's params are defaults, and every theorem of a map reads
+    # exp-wedge's (R, n_grid, seed)
     code, doc = run(capsys, "check", "--theorem", "lewis", "--catalog",
                     "exp-wedge")
     assert code == 0
@@ -151,7 +152,7 @@ def test_check_takes_the_defaults_of_flags_it_does_not_read(capsys):
 
 @pytest.mark.parametrize("argv, digest", [
     (["plot", "--catalog", "exp-wedge"],
-     "f89d3176011ef388cec400a20c6aec976589a531b307bba7518b88e0c2529725"),
+     "b5b50468e2abeba31a166780be742f44310ee0e39d8f9e96d606f4cc4baad050"),
     (["sample", "--catalog", "exp-wedge", "--n-grid", "256"],
      "6e3402a0847b1739ffdbe748d897a2bfec1c8f02f154f1a9103e9af0bb25a50b"),
 ], ids=["plot-svg", "sample-csv"])
@@ -331,8 +332,7 @@ _FLAG_VALUES = {
     "sample": {"R": ["3", "5.5", "1e1"], "n_grid": ["64", "80"],
                "seed": ["0", "4", "17"]},
     "directions": {"R": ["3", "5.5", "1e1"], "n_grid": ["64", "80"],
-                   "seed": ["0", "4"], "bins": ["90", "360", "720"],
-                   "cutoffs": ["1,2,4", "0.5,3"]},
+                   "seed": ["0", "4"], "bins": ["90", "360", "720"]},
 }
 
 
@@ -432,8 +432,8 @@ IDENTITY = ["--map", "u=re(z); v=im(z)", "--n-grid", "64"]
 NON_FINITE_FLAGS = [
     (["antipodal", *IDENTITY, "--tol", "nan"], "tol"),
     (["antipodal", *IDENTITY, "--tol", "inf"], "tol"),
-    (["check", "--theorem", "antipodal", *IDENTITY, "--cutoffs", "nan"], "cutoffs"),
-    (["directions", *IDENTITY, "--cutoffs", "1,inf"], "cutoffs"),
+    (["check", "--theorem", "antipodal", *IDENTITY, "--R", "nan"], "R"),
+    (["rescale", "--map", "u=re(z); v=im(z)", "--schedule", "2,inf"], "schedule"),
     (["check", "--theorem", "halfplane", *IDENTITY, "--alpha", "nan"], "alpha"),
     # u is not a polynomial: the hypothesis is inapplicable, R unused
     (["check", "--theorem", "murdoch-kuran", "--map", "u=re(exp(z)); v=im(z)",
@@ -461,6 +461,25 @@ def test_a_non_finite_flag_exits_two_naming_it(capsys, argv, flag):
     assert captured.out == ""
     value = argv[-1].split(",")[-1]
     assert captured.err == f"error: {flag} must be finite, got {value}\n"
+
+
+@pytest.mark.parametrize("argv", [["directions", *IDENTITY],
+                                  ["check", "--theorem", "antipodal", *IDENTITY]],
+                         ids=["directions", "check"])
+def test_the_cutoffs_flag_is_refused(capsys, argv):
+    # it once chose a modulus ladder in place of the growth rule
+    assert main(argv + ["--cutoffs", "1,2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("error: unrecognized arguments: --cutoffs 1,2\n")
+    assert "Traceback" not in captured.err
+
+
+def test_a_catalog_entry_takes_the_growth_rule(capsys):
+    # exp-wedge's params once carried a modulus ladder
+    code, doc = run(capsys, "directions", "--catalog", "exp-wedge")
+    assert code == 0
+    assert doc["cutoffs"] == [] and doc["stabilization_index"] == 0
 
 
 def test_a_non_finite_config_line_exits_two_naming_its_flag(tmp_path, capsys):

@@ -123,6 +123,15 @@ def test_a_sample_built_by_hand_keeps_its_points():
     assert s.count == 4
 
 
+def test_the_metadata_names_the_points_a_sample_holds():
+    # a sample built by hand once claimed the generated grid
+    s = sample_range(parse_map("u=re(z); v=im(z)"), 3.0, n_grid=64, seed=2)
+    by_hand = RangeSample(z=s.z, w=s.w, radius=s.radius, n_grid=s.n_grid,
+                          seed=s.seed)
+    assert s.metadata()["grid_type"] == "polar+sobol"
+    assert by_hand.metadata() == dict(s.metadata(), grid_type="explicit")
+
+
 @pytest.mark.parametrize("z, n_grid", [(np.zeros(3, dtype=complex), 64), (None, 2)])
 def test_a_range_sample_needs_a_value_for_each_point(z, n_grid):
     with pytest.raises(ValueError, match="^4 values for (3|8) points$"):
