@@ -240,11 +240,12 @@ def harnack_bound_check(u: HarmonicComponent, z0: complex, r: float,
 
 
 def lemma_abs_check(u: HarmonicComponent, z0: complex, r: float) -> dict:
-    """M(|u|, z0, 2r/3) <= 4 M(u, z0, r) for u vanishing at the center."""
+    """M(|u|, z0, 2r/3) <= 4 M(u, z0, r) for u vanishing at the center:
+    |u(z0)| at most 1e-9 times the largest |u| on the circle."""
     vals = circle_values(u, z0, r)
     scale = _max_from(u, z0, r, vals, absolute=True).value
     u0 = float(u.value(z0))
-    if abs(u0) > 1e-9 * (1.0 + scale):
+    if abs(u0) > 1e-9 * scale:
         raise CenterNotZeroError(f"u({z0}) = {u0} is not zero")
     lhs = circle_max(u, z0, 2.0 * r / 3.0, absolute=True).value
     rhs = 4.0 * _max_from(u, z0, r, vals).value
@@ -255,9 +256,11 @@ def multiplicity(u: HarmonicComponent, z0: complex, r: float) -> int:
     """Order of the zero of u at z0: index of the first dominant harmonic.
 
     The radius is halved until the answer agrees on two consecutive radii.
+    The center is a zero when |u(z0)| is at most MULTIPLICITY_TOL times
+    the largest |u| on the circle of radius r.
     """
     scale = circle_max(u, z0, r, absolute=True).value
-    if abs(float(u.value(z0))) > MULTIPLICITY_TOL * (1.0 + scale):
+    if abs(float(u.value(z0))) > MULTIPLICITY_TOL * scale:
         raise CenterNotZeroError(
             f"u({z0}) is not zero at tolerance {MULTIPLICITY_TOL}")
 

@@ -308,24 +308,13 @@ def _cmd_phi(args) -> tuple[dict, int]:
 
 
 def _cmd_check(args) -> tuple[dict, int]:
-    if args.theorem == "log2":
-        # the points are made and checked block by block, never held whole
+    call = _THEOREMS[args.theorem][2]
+    if call is None:
+        # log2: the points are made and checked block by block, never held whole
         verdict = check_log2_inequalities(_Log2Points(args.n, args.seed))
     else:
         f = _resolve_map(args)
-        s = _sample(args, f)
-        if args.theorem == "lewis":
-            verdict = check_lewis_region(f, args.C, s)
-        elif args.theorem == "antipodal":
-            est = _estimate(args, s)
-            verdict = check_antipodal_theorem(f, est, s)
-        elif args.theorem == "halfplane":
-            est = _estimate(args, s)
-            verdict = check_halfplane_theorem(f, args.alpha, est, s)
-        elif args.theorem == "cor-alpha":
-            verdict = check_cor_alpha(f, args.a, args.alpha, args.b, s)
-        else:
-            verdict = check_murdoch_kuran(f, args.a, args.inner_R, s)
+        verdict = call(args, f, _sample(args, f))
     return verdict.to_dict(), (0 if verdict.consistent else VERDICT_ERROR)
 
 
@@ -369,28 +358,34 @@ _CONE = {"--a": dict(type=_finite, default=1.0),
          "--inner-R": dict(type=_finite, default=1.0,
                            help="hypothesis radius: only |z| > inner-R is constrained")}
 _CSV_OUT = {"--out": dict(help="CSV output path")}
-_THEOREM = {"--theorem": dict(required=True, choices=(
-    "lewis", "antipodal", "halfplane", "cor-alpha", "murdoch-kuran", "log2"),
-    help=f"log2 takes no map: it samples D(0, {LOG2_RADIUS:g}) from --n and "
-    "--seed only")}
 _THEOREM_PARAMS = {"--C": dict(type=_finite, default=1.0),
                    "--alpha": dict(type=_finite, default=0.0),
                    "--b": dict(type=_finite, default=0.0),
                    "--n": dict(type=int, default=1000000)}
 # the flags of check besides --theorem, which the theorems read in part
 _CHECK = (_MAP, _SAMPLING, _DIRECTIONS, _CONE, _THEOREM_PARAMS)
-# the flags of check that each theorem reads, and what the refusal of
-# another flag adds
+# each theorem of check: the flags it reads, what the refusal of another
+# flag adds, and its call on the args, the map and the map's sample (log2
+# takes no map)
 _MAPPED = (*_MAP, *_SAMPLING)
-_THEOREM_READS = {
-    "lewis": ((*_MAPPED, "--C"), ""),
-    "antipodal": ((*_MAPPED, *_DIRECTIONS), ""),
-    "halfplane": ((*_MAPPED, *_DIRECTIONS, "--alpha"), ""),
-    "cor-alpha": ((*_MAPPED, "--a", "--alpha", "--b"), ""),
-    "murdoch-kuran": ((*_MAPPED, *_CONE), ""),
+_THEOREMS = {
+    "lewis": ((*_MAPPED, "--C"), "",
+              lambda a, f, s: check_lewis_region(f, a.C, s)),
+    "antipodal": ((*_MAPPED, *_DIRECTIONS), "",
+                  lambda a, f, s: check_antipodal_theorem(f, _estimate(a, s), s)),
+    "halfplane": ((*_MAPPED, *_DIRECTIONS, "--alpha"), "",
+                  lambda a, f, s: check_halfplane_theorem(
+                      f, a.alpha, _estimate(a, s), s)),
+    "cor-alpha": ((*_MAPPED, "--a", "--alpha", "--b"), "",
+                  lambda a, f, s: check_cor_alpha(f, a.a, a.alpha, a.b, s)),
+    "murdoch-kuran": ((*_MAPPED, *_CONE), "",
+                      lambda a, f, s: check_murdoch_kuran(f, a.a, a.inner_R, s)),
     "log2": (("--seed", "--n"), f", which samples D(0, {LOG2_RADIUS:g}) "
-             "from --n and --seed only"),
+             "from --n and --seed only", None),
 }
+_THEOREM = {"--theorem": dict(required=True, choices=tuple(_THEOREMS),
+    help=f"log2 takes no map: it samples D(0, {LOG2_RADIUS:g}) from --n and "
+    "--seed only")}
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
@@ -465,7 +460,7 @@ def _refuse_unread(args, parser: argparse.ArgumentParser) -> None:
     the theorem does not read and whose value is not the parser's default;
     a catalog's params are defaults, so only the user's flags and the
     --config file can be refused."""
-    reads, why = _THEOREM_READS[args.theorem]
+    reads, why, _ = _THEOREMS[args.theorem]
     for flag in (flag for family in _CHECK for flag in family):
         dest = flag.lstrip("-").replace("-", "_")
         if flag not in reads and getattr(args, dest) != parser.get_default(dest):

@@ -97,24 +97,16 @@ class RangeSample:
         return _sample_points(self.radius, self.n_grid, self.seed, *self._span(blk))
 
     def beyond(self, R: float, blk: slice) -> np.ndarray:
-        """np.abs(self.points(blk)) > R, bit for bit.
-
-        A generated point r e^{it} has |z| within a few ulps of r, the
-        radius it is generated at (cos t and sin t are within a few ulps,
-        and the products and np.abs round once each), and surely within
-        the relative RADIUS_TOL of it while its coordinates are normal
-        floats.  So the radii decide every point of a block, and its
-        points, with their cos and sin, are computed only when one radius
-        lies within d = RADIUS_TOL |R| (plus RADIUS_FLOOR, for subnormal
-        coordinates) of R."""
-        if self._z is None:
-            r = _sample_radii(self.radius, self.n_grid, self.seed, *self._span(blk))
-            d = RADIUS_TOL * abs(R) + RADIUS_FLOOR
-            far = r > R - d
-            # no radius in (R - d, R + d]: r > R - d exactly where r > R
-            if np.count_nonzero(far) == np.count_nonzero(r > R + d):
-                return far
-        return np.abs(self.points(blk)) > R
+        """The mask of the points of the run of indices blk that lie
+        beyond R: np.abs(z) > R for explicit points; for generated ones
+        r > R, r the radius that the point r e^{it} is generated at (its
+        modulus, which its rounded coordinates carry to a few ulps), so
+        no point is computed.  A point generated on the circle |z| = R is
+        not beyond R, whatever its angle."""
+        if self._z is not None:
+            return np.abs(self._z[blk]) > R
+        return _sample_radii(self.radius, self.n_grid, self.seed,
+                             *self._span(blk)) > R
 
     def outer(self, blk: slice):
         """An index into the run of indices blk of its points outside the
@@ -123,7 +115,7 @@ class RangeSample:
         rings of radius <= INNER_FRACTION R, which come first in the grid
         (row by row in increasing radius), computed with no point."""
         if self._z is not None:
-            return np.abs(self._z[blk]) > INNER_FRACTION * self.radius
+            return self.beyond(INNER_FRACTION * self.radius, blk)
         rings = math.floor(INNER_FRACTION * self.n_grid) * self.n_grid
         return slice(max(rings - self._span(blk)[0], 0), None)
 
@@ -152,13 +144,6 @@ class RangeSample:
                         w.real.tolist(), w.imag.tolist())
                 fh.write("".join(f"{a!r},{b!r},{c!r},{d!r}\r\n"
                                  for a, b, c, d in zip(*cols)))
-
-
-# a generated point's |z| lies within this relative distance of the radius
-# it is generated at (RangeSample.beyond; 1.7 ulps at most were seen), and
-# within RADIUS_FLOOR where its coordinates are subnormal
-RADIUS_TOL = 1e-12
-RADIUS_FLOOR = 1e-300
 
 
 _SOBOL_BITS = 30

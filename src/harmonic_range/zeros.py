@@ -379,11 +379,11 @@ def detect_dependence(samples: RangeSample, a: float,
     least-squares coefficient b in u = b v, on a sample that is finite,
     as every RangeSample is.
 
-    The points beyond R are those with np.abs(z) > R, bit for bit:
-    RangeSample.beyond takes them from the radius each point is generated
-    at, which |z| equals to a few ulps, and computes a block's points,
-    cos and sin included, only where one of those radii lies within a
-    relative 1e-12 of R.  The elementwise passes run in blocks.  The
+    The points beyond R are decided by RangeSample.beyond: a generated
+    point is beyond R when the radius it is generated at exceeds R, and
+    no point is computed for it (a point on the circle |z| = R is not
+    beyond R); an explicit point when np.abs(z) > R.  A sample with no
+    point beyond R is refused.  The elementwise passes run in blocks.  The
     values u and v beyond R are held whole (16 bytes a far point), and so
     is each of the products v*v and u*v in turn (8 more): numpy's
     pairwise sum over a whole product has a fixed order, while np.dot's

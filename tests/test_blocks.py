@@ -299,13 +299,19 @@ def test_a_generated_sample_holds_its_values_alone():
     assert s.z.tobytes() == s.z.tobytes()
 
 
-def _sample_radius_fractions():
+def _sample_moduli():
     s = sample_range(parse_map("u=re(z); v=im(z)"), 8.0, n_grid=100, seed=5)
-    m = s.n_grid ** 2
-    return s, {
+    p0 = ranges.sobol_points(s.n_grid ** 2, s.seed)[:, 0]
+    # the modulus of each generated point r e^{it} is the radius r it is
+    # generated at: ring k's R k / n_grid, or R sqrt(p0) for Sobol' point
+    # j, p0 from sobol_points (which matches scipy), not from ranges' radii
+    k = np.arange(1, s.n_grid + 1)
+    radii = np.concatenate([np.repeat(8.0 * (k / s.n_grid), s.n_grid),
+                            8.0 * np.sqrt(p0)])
+    return s, radii, {
         "grid-radius": 8.0 * (3 / s.n_grid),
-        # |z| of a Sobol' point, a few ulps from the radius it is made at
-        "sobol-modulus": float(np.abs(s.z[m + 4321])),
+        # a Sobol' point's modulus, which its np.abs exceeds by one ulp
+        "sobol-modulus": float(radii[s.n_grid ** 2 + 4332]),
         "half-radius": 4.0,
         "radius": 8.0,
     }
@@ -314,36 +320,36 @@ def _sample_radius_fractions():
 @pytest.mark.parametrize("which", ["grid-radius", "sobol-modulus",
                                    "half-radius", "radius"])
 def test_the_far_mask_is_the_modulus_test(which, monkeypatch):
-    s, radii = _sample_radius_fractions()
-    R = radii[which]
-    want = np.abs(s.z) > R
+    s, radii, at = _sample_moduli()
+    R = at[which]
+    want = radii > R
     assert 0 < np.count_nonzero(want) < s.count or which == "radius"
+    # a point generated on |z| = R is not beyond R, though np.abs may round
+    # its modulus above R; off that circle the two tests agree
+    modulus = np.abs(s.z)
+    clear = np.abs(modulus - R) > 1e-12 * R
+    assert np.array_equal(want[clear], (modulus > R)[clear])
     by_hand = ranges.RangeSample(z=s.z, w=s.w, radius=s.radius,
                                  n_grid=s.n_grid, seed=s.seed)
     for block in [ranges.POINT_BLOCK] + BLOCKS:
         monkeypatch.setattr(ranges, "POINT_BLOCK", block)
-        for sample in (s, by_hand):
+        for sample, mask in ((s, want), (by_hand, modulus > R)):
             got = np.concatenate([sample.beyond(R, blk)
                                   for blk in ranges._blocks(sample.count)])
-            assert np.array_equal(got, want), (which, block)
+            assert np.array_equal(got, mask), (which, block)
 
 
-def _counting_polar_fill(monkeypatch) -> list:
+def test_the_far_mask_computes_no_point(monkeypatch):
+    s = sample_range(parse_map("u=re(z); v=im(0.5*i*z)"), 100.0, n_grid=256, seed=3)
     calls = []
     fill = ranges._polar_fill
     monkeypatch.setattr(ranges, "_polar_fill",
                         lambda out, r, t: calls.append(out.size) or fill(out, r, t))
-    return calls
-
-
-def test_the_far_mask_takes_cos_and_sin_only_near_a_generating_radius(monkeypatch):
-    s = sample_range(parse_map("u=re(z); v=im(0.5*i*z)"), 100.0, n_grid=256, seed=3)
-    calls = _counting_polar_fill(monkeypatch)
-    rep = zeros.detect_dependence(s, a=2.5, R=1.0)
-    assert rep.dependent and calls == []
-    # R on the 3rd grid circle: the block that holds it is computed
-    zeros.detect_dependence(s, a=2.5, R=100.0 * (3 / 256))
-    assert calls and sum(calls) <= ranges.POINT_BLOCK + 2 * 256
+    for R in (1.0, 100.0 * (3 / 256), 100.0):
+        for blk in ranges._blocks(s.count):
+            s.beyond(R, blk)
+    assert zeros.detect_dependence(s, a=2.5, R=100.0 * (3 / 256)).dependent
+    assert calls == []
 
 
 def _line_sample(n_grid: int = 256):

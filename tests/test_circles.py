@@ -157,6 +157,20 @@ def test_lemma_abs_requires_zero_center():
         lemma_abs_check(u, 0.0, 1.0)
 
 
+def test_a_center_zero_is_relative_to_the_circle_scale():
+    # u(0) = -3e-13 is 23 % of the largest |u| on the unit circle: not a
+    # zero, though it once passed an absolute 1e-9
+    u = _comp("u=re(1e-12*(z-0.3)); v=im(z)")
+    with pytest.raises(CenterNotZeroError):
+        lemma_abs_check(u, 0.0, 1.0)
+    with pytest.raises(CenterNotZeroError):
+        multiplicity(u, 0.0, 1.0)
+    # a true zero at the same scale still counts
+    cube = _comp("u=re(1e-12*z^3); v=im(z)")
+    assert multiplicity(cube, 0.0, 1.0) == 3
+    assert lemma_abs_check(cube, 0.0, 1.0)["holds"]
+
+
 @pytest.mark.parametrize("src,z0,r", [
     ("u=re(z); v=im(z)", 0.0, 2.0),
     ("u=re(z^3-z); v=im(z)", 1.0, 0.7),

@@ -425,6 +425,19 @@ def test_a_non_finite_parameter_exits_two_naming_it(capsys, argv, name):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("cmd", [["dependence"],
+                                 ["check", "--theorem", "murdoch-kuran", "--a", "2.5"]])
+def test_no_sample_point_beyond_the_sampling_radius_exits_two(capsys, cmd):
+    # the ring |z| = 30 is not beyond 30, though np.abs rounds some of its
+    # points above 30: this once fitted b on 68 of them and exited 0
+    argv = cmd + ["--map", "u=re(z); v=im(0.5*i*z)", "--R", "30"]
+    assert main(argv + ["--inner-R", "30"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: samples do not cover |z| > R\n"
+    assert run(capsys, *argv, "--inner-R", "29.99")[0] == 0
+
+
 IDENTITY = ["--map", "u=re(z); v=im(z)", "--n-grid", "64"]
 # each once exited 0 with the bytes of a finite value, 1 with a false
 # violation, or 2 blaming the arc endpoints, the sample's cover, an
