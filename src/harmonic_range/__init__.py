@@ -18,16 +18,16 @@ from .lewis import (LewisDisc, RescaledMap, lewis_disc_search,
 from .ranges import (DirectionEstimate, PhiProfile, RangeSample,
                      antipodal_gap_alpha, antipodal_pairs,
                      cone_avoidance_normalize, estimate_directions,
-                     i_alpha_arcs, i_alpha_fit, phi_profile,
-                     phi_sublinearity_check, sample_range)
+                     i_alpha_fit, phi_profile, phi_sublinearity_check,
+                     sample_range)
 from .reports import TheoremVerdict
 from .theorems import (check_antipodal_theorem, check_cor_alpha,
                        check_halfplane_theorem, check_lewis_region,
                        check_log2_inequalities, check_murdoch_kuran,
                        log2_sample_points)
 from .zeros import (DependenceReport, Rect, TractReport, ZeroCurve,
-                    cleaning_check, detect_dependence, find_zero,
-                    local_structure, trace_zero_set, tract_report)
+                    detect_dependence, local_structure, trace_zero_set,
+                    tract_report)
 
 __version__ = "0.1.0"
 
@@ -43,14 +43,13 @@ __all__ = [
     "lewis_disc_search", "rescaled_range_check", "rescaled_sequence",
     "DirectionEstimate", "PhiProfile", "RangeSample",
     "antipodal_gap_alpha", "antipodal_pairs", "cone_avoidance_normalize",
-    "estimate_directions", "i_alpha_arcs", "i_alpha_fit", "phi_profile",
+    "estimate_directions", "i_alpha_fit", "phi_profile",
     "phi_sublinearity_check", "sample_range",
     "TheoremVerdict",
     "check_antipodal_theorem", "check_cor_alpha", "check_halfplane_theorem",
     "check_lewis_region", "check_log2_inequalities", "check_murdoch_kuran",
     "log2_sample_points",
-    "DependenceReport", "Rect", "TractReport", "ZeroCurve", "cleaning_check",
-    "detect_dependence", "find_zero", "local_structure", "trace_zero_set",
-    "tract_report",
+    "DependenceReport", "Rect", "TractReport", "ZeroCurve",
+    "detect_dependence", "local_structure", "trace_zero_set", "tract_report",
     "__version__",
 ]

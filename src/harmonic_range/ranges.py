@@ -29,7 +29,6 @@ __all__ = [
     "antipodal_pairs",
     "antipodal_gap_alpha",
     "cone_avoidance_normalize",
-    "i_alpha_arcs",
     "i_alpha_fit",
     "phi_profile",
     "phi_sublinearity_check",
@@ -39,7 +38,7 @@ __all__ = [
 # passes over a whole point set go through it in blocks of this many
 # points, so that their temporaries do not grow with the set; only
 # elementwise work is blocked, so no result depends on the block size
-POINT_BLOCK = 1 << 16
+POINT_BLOCK = 1 << 14
 
 
 def _blocks(n: int, size: int | None = None):
@@ -520,17 +519,6 @@ def cone_avoidance_normalize(arcs: ArcSet) -> dict | None:
     if a <= 1.0:
         return None
     return {"theta": theta, "a": a}
-
-
-def i_alpha_arcs(alpha: float) -> ArcSet:
-    """The three-arc circle subset left after cone normalization."""
-    if not (0.0 < alpha < math.pi / 4):
-        raise ValueError("alpha must lie in (0, pi/4)")
-    return ArcSet.from_intervals([
-        (-math.pi / 2 + alpha, math.pi / 2 - alpha),
-        (math.pi / 2 + alpha, math.pi - alpha),
-        (math.pi + alpha, 3 * math.pi / 2 - alpha),
-    ])
 
 
 def i_alpha_fit(arcs: ArcSet, tol_rad: float = 1e-2) -> float | None:

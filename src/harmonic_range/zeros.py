@@ -15,7 +15,6 @@ from .circles import (_finite_values, _require_finite_number, _require_positive,
                       _ring, circle_max, multiplicity)
 from .expressions import HarmonicComponent
 from .ranges import RangeSample, _blocks
-from .reports import TheoremVerdict
 
 __all__ = [
     "Rect",
@@ -25,22 +24,17 @@ __all__ = [
     "NoSignChangeError",
     "RadiusTooSmallError",
     "NotPolynomialError",
-    "find_zero",
     "trace_zero_set",
     "local_structure",
-    "cleaning_check",
     "tract_report",
     "detect_dependence",
 ]
 
 BISECT_HALVINGS = 60
 NEWTON_MAX_ITER = 60
-FIND_ZERO_GRID_N = 64
 TRACE_GRID_N = 48
 TRACE_MAX_STEPS = 4000
 CIRCLE_SCAN_N = 8192      # samples of the sign scans on a circle
-CLEANING_GRID_N = 201
-CLEANING_TOL = 1e-6       # relative size below which values count as zero
 RESIDUAL_TOL = 1e-6       # relative misfit of u = b v still called dependent
 
 
@@ -135,26 +129,6 @@ def _sign_change_edges(Z: np.ndarray, V: np.ndarray):
     v = sx[:, :-1] * sx[:, 1:] < 0
     return (np.concatenate([Z[:-1, :][h], Z[:, :-1][v]]),
             np.concatenate([Z[1:, :][h], Z[:, 1:][v]]))
-
-
-def find_zero(u: HarmonicComponent, search_box: Rect) -> complex:
-    """A point where u vanishes, via grid sign change + bisection + Newton."""
-    Z = search_box.grid(FIND_ZERO_GRID_N)
-    V = _finite_values(u, Z, "samples of u on the search grid")
-    scale = float(V.max() - V.min())
-    if scale <= 0.0:
-        raise NoSignChangeError("u is constant on the search grid")
-    a, b = _sign_change_edges(Z, V)
-    if not a.size:
-        zeros = np.nonzero(V == 0.0)
-        if zeros[0].size:
-            return complex(Z[int(zeros[0][0]), int(zeros[1][0])])
-        raise NoSignChangeError("u attains only one sign on the search grid")
-    z = complex(_bisect(u.value, a[:1], b[:1])[0])
-    zn, _ = _newton_to_zero(u, z, 1e-12 * scale)
-    if abs(float(u.value(zn))) <= abs(float(u.value(z))):
-        return zn
-    return z  # Newton stagnated; keep the bisection point
 
 
 def _seed_zeros(u: HarmonicComponent, box: Rect) -> list[complex]:
@@ -255,70 +229,6 @@ def local_structure(u: HarmonicComponent, z0: complex,
     signs = [1 if on_ray(0.5 * (a + b)) > 0 else -1
              for a, b in zip(rays, rays[1:] + [rays[0] + 2.0 * math.pi])]
     return {"n": n, "ray_angles": rays, "sector_signs": signs}
-
-
-def cleaning_check(U, V, r: float) -> TheoremVerdict:
-    """On D(0,r): zero sets of U and V coincide and U*V has constant sign.
-
-    U, V are callables (harmonic components or rescaled accessors).
-    """
-    Z = Rect(-r, r, -r, r).grid(CLEANING_GRID_N).ravel()
-    Z = Z[np.abs(Z) <= r]
-    Uv = np.asarray(U(Z), dtype=float)
-    Vv = np.asarray(V(Z), dtype=float)
-    sU = max(float(np.max(np.abs(Uv))), 1e-300)
-    sV = max(float(np.max(np.abs(Vv))), 1e-300)
-    u0 = abs(float(U(0j)))
-    v0 = abs(float(V(0j)))
-    if u0 > CLEANING_TOL * sU or v0 > CLEANING_TOL * sV:
-        raise ValueError("U and V must both vanish at the origin")
-
-    # matched-resolution zero bands: |.| below a grid-scale threshold
-    band = 4.0 * r / CLEANING_GRID_N
-    gU = np.abs(np.asarray(_grad_mag(U, Z, band), dtype=float))
-    tU = band * np.maximum(gU, CLEANING_TOL * sU / band)
-    zU = np.abs(Uv) <= tU
-    gV = np.abs(np.asarray(_grad_mag(V, Z, band), dtype=float))
-    tV = band * np.maximum(gV, CLEANING_TOL * sV / band)
-    zV = np.abs(Vv) <= tV
-
-    witnesses = []
-    for bad, kind in ((zU & ~zV, "zeroU-not-zeroV"), (zV & ~zU, "zeroV-not-zeroU")):
-        for k in np.nonzero(bad)[0][:8]:
-            witnesses.append({"z": [Z[k].real, Z[k].imag],
-                              "U": float(Uv[k]), "V": float(Vv[k]), "kind": kind})
-    coincide = not witnesses
-
-    prod = Uv * Vv
-    sig = CLEANING_TOL * sU * sV
-    pos = bool(np.any(prod > sig))
-    neg = bool(np.any(prod < -sig))
-    sign_const = not (pos and neg)
-    if not sign_const:
-        kp = int(np.argmax(prod))
-        kn = int(np.argmin(prod))
-        for k in (kp, kn):
-            witnesses.append({"z": [Z[k].real, Z[k].imag],
-                              "U": float(Uv[k]), "V": float(Vv[k]),
-                              "kind": "sign-flip"})
-
-    sign = "UV>=0" if pos and sign_const else ("UV<=0" if neg and sign_const else "degenerate")
-    return TheoremVerdict(
-        theorem="cleaning",
-        hypothesis_holds=True,
-        conclusion_holds=coincide and sign_const,
-        conclusion_witnesses=witnesses,
-        params={"r": r, "tol": CLEANING_TOL, "sign": sign},
-        sampling={"grid_n": CLEANING_GRID_N},
-    )
-
-
-def _grad_mag(func, Z: np.ndarray, h: float) -> np.ndarray:
-    """Crude finite-difference gradient magnitude for threshold scaling."""
-    f0 = np.asarray(func(Z), dtype=float)
-    fx = np.asarray(func(Z + h), dtype=float)
-    fy = np.asarray(func(Z + 1j * h), dtype=float)
-    return np.sqrt((fx - f0) ** 2 + (fy - f0) ** 2) / h
 
 
 @dataclass

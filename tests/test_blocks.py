@@ -29,7 +29,7 @@ MAPS = ["u=re(z^3-z); v=im(z^2)",
 
 def _sample_bytes(src: str) -> tuple[bytes, bytes] | str:
     """The bytes of the sample, or the message that refuses it."""
-    # 2 * 256^2 = 131,072 points: two blocks at the default size
+    # 2 * 256^2 = 131,072 points: eight blocks at the default size
     try:
         s = sample_range(parse_map(src), 8.0, n_grid=256, seed=3)
     except NonFiniteError as err:
@@ -159,7 +159,7 @@ def test_to_csv_peaks_in_blocks(tmp_path):
 
 
 def _exp_sample(n_grid: int = 256):
-    # 2 * n_grid^2 points: two blocks at the default size for n_grid 256
+    # 2 * n_grid^2 points: eight blocks at the default size for n_grid 256
     return sample_range(parse_map(MAPS[1]), 4.0, n_grid=n_grid, seed=3)
 
 
@@ -248,7 +248,8 @@ def big_sample():
     return s
 
 
-@pytest.mark.parametrize("name", ["directions-explicit", "phi", "halfplane",
+@pytest.mark.parametrize("name", ["directions-default", "directions-explicit",
+                                  "phi", "halfplane", "antipodal",
                                   "lewis-region", "cor-alpha"])
 def test_sample_passes_peak_in_blocks(name, big_sample):
     run = PASSES.get(name)
@@ -257,7 +258,7 @@ def test_sample_passes_peak_in_blocks(name, big_sample):
         est = ranges.estimate_directions(big_sample, cutoffs=(2.0, 10.0, 40.0))
         run = lambda s: theorems.check_halfplane_theorem(None, 0.3, est, s)  # noqa: E731
     _, peak = _traced_peak(lambda: run(big_sample))
-    assert peak < 4 * MB, peak
+    assert peak < 1 * MB, peak
 
 
 def test_render_range_svg_peaks_at_its_parts_and_one_document(big_sample):

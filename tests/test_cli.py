@@ -72,7 +72,7 @@ def _sha256(data: bytes) -> str:
 
 
 # sha256 of the stdout of check --theorem log2 at (n, seed): one point, one
-# point past a block of 2^16, and the default 10^6
+# point past 2^16, a multiple of the block, and the default 10^6
 @pytest.mark.parametrize("n, seed, digest", [
     (1, 0, "9b58698a96afec19e23a16d34803b5be8a91be9add2d52f3a55301f90e802904"),
     (65_537, 3, "3e2745a12641f493a9174c908d3006ba315f4d8c909d6b95b3995f5b472a12fb"),

@@ -22,7 +22,7 @@ import pytest
 from harmonic_range.cli import main
 from harmonic_range.expressions import parse_map
 from harmonic_range.lewis import lewis_disc_search
-from harmonic_range.zeros import Rect, find_zero, local_structure, trace_zero_set
+from harmonic_range.zeros import Rect, local_structure, trace_zero_set
 
 TRACES = {
     "re(z)": ("u=re(z); v=im(z)", Rect(-1, 1, -1, 1),
@@ -125,15 +125,3 @@ def test_lewis_disc_search_golden(R):
 
 def test_zeros_csv_golden(tmp_path, capsys):
     assert zeros_csv_digest(tmp_path) == ZEROS_CSV
-
-
-def test_find_zero_on_line_is_a_zero_to_relative_precision():
-    # not pinned in bits: the bracket on re(z) over [-1, 1]^2 narrows
-    # further than the bisection's halvings reach, so the last bits of
-    # the returned point depend on how many halvings are made
-    u = parse_map("u=re(z); v=im(z)").u
-    box = Rect(-1.0, 1.0, -1.0, 1.0)
-    z = find_zero(u, box)
-    scale = 2.0  # max - min of re(z) on the box
-    assert box.contains(z)
-    assert abs(float(u.value(z))) <= 1e-12 * scale

@@ -5,12 +5,14 @@ class is listed in its module's ``__all__``, the names that the
 benchmark's layer tracer wraps; the finite-and-positive input test is
 written once, in its guard; no module imports a name it never uses,
 which a deletion can leave behind; one function builds the rings of
-circle samples; each expression compiles into one program; and the Lewis
-scan leaves the choice of its sampler to the term splitter of the
-expressions."""
+circle samples; each expression compiles into one program; the Lewis scan
+leaves the choice of its sampler to the term splitter of the expressions;
+and every public function and class of a layer has a caller outside the
+tests, or is named in the README."""
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,7 @@ import pytest
 import harmonic_range
 
 SOURCES = sorted(Path(harmonic_range.__file__).parent.glob("*.py"))
+REPO = Path(__file__).resolve().parents[1]
 
 
 def _function_level_package_imports(tree: ast.AST) -> list[int]:
@@ -278,3 +281,54 @@ def test_the_check_sees_a_second_sampler_choice():
                      "if isinstance(u.expr, Exp) and u.degree() == 1:\n"
                      "    rows = coefficients(u.expr, C)\n")
     assert _sampler_choices(tree) == ["Exp", "coefficients", ".degree()"]
+
+
+def _read_names(tree: ast.Module, skip: str | None = None) -> set[str]:
+    """The names tree reads, bare or as an attribute, outside its top-level
+    function or class named skip."""
+    own = {id(node) for fn in tree.body
+           if isinstance(fn, (ast.FunctionDef, ast.ClassDef)) and fn.name == skip
+           for node in ast.walk(fn)}
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and id(node) not in own}
+
+
+def _uncalled(module: str, names: list[str], trees: dict[str, ast.Module],
+              text: str) -> list[str]:
+    """The names of module that no tree reads outside their own definition
+    and that text never mentions."""
+    return [name for name in names
+            if not any(name in _read_names(tree, name if key == module else None)
+                       for key, tree in trees.items())
+            and not re.search(rf"\b{name}\b", text)]
+
+
+def test_every_public_callable_has_a_caller():
+    # the library and the CLI, whose __init__ re-exports without reading a
+    # name, the benchmark's harness, and the acceptance criteria
+    trees = {p.stem: ast.parse(p.read_text()) for p in SOURCES}
+    trees |= {f"bench/{p.name}": ast.parse(p.read_text())
+              for p in sorted((REPO / "bench").glob("*.py"))}
+    trees["test_acceptance"] = ast.parse(
+        (REPO / "tests" / "test_acceptance.py").read_text())
+    readme = (REPO / "README.md").read_text()
+    uncalled = []
+    for path in SOURCES:
+        if path.stem in ("__init__", "cli"):
+            continue
+        module = importlib.import_module(f"harmonic_range.{path.stem}")
+        names = [n for n in module.__all__ if callable(getattr(module, n))]
+        uncalled += [(path.name, n)
+                     for n in _uncalled(path.stem, names, trees, readme)]
+    assert uncalled == []
+
+
+def test_the_check_sees_a_name_only_its_tests_call():
+    trees = {"zeros": ast.parse("def find_zero(u):\n"
+                                "    return find_zero(u - 1)\n"
+                                "def trace(u):\n"
+                                "    return u\n"),
+             "cli": ast.parse("from . import zeros\nzeros.trace(0)\n")}
+    names = ["find_zero", "trace", "parse_expr"]
+    assert _uncalled("zeros", names, trees, "`parse_expr(text)`") == ["find_zero"]

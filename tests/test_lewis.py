@@ -1,4 +1,4 @@
-"""Zero finding, disc search, and rescaled unit-disc maps."""
+"""Disc search and rescaled unit-disc maps."""
 
 import math
 import re
@@ -18,26 +18,7 @@ from harmonic_range.lewis import (SEARCH_SAMPLES, LewisDisc,
                                   _candidate_centers, _scan_sampler,
                                   lewis_disc_search, rescaled_range_check,
                                   rescaled_sequence)
-from harmonic_range.zeros import NoSignChangeError, Rect, find_zero
-
-
-def test_find_zero_on_line():
-    u = parse_map("u=re(z); v=im(z)").u
-    z = find_zero(u, Rect(-1.0, 1.0, -1.0, 1.0))
-    assert abs(u.value(z)) < 1e-10
-    assert abs(z.real) < 1e-10
-
-
-def test_find_zero_quadratic():
-    u = parse_map("u=re(z^2); v=im(z)").u
-    z = find_zero(u, Rect(0.1, 2.0, 0.1, 2.0))
-    assert abs(u.value(z)) < 1e-9
-
-
-def test_find_zero_requires_sign_change():
-    u = parse_map("u=re(z^2+100); v=im(z)").u
-    with pytest.raises(NoSignChangeError):
-        find_zero(u, Rect(-1.0, 1.0, -1.0, 1.0))
+from harmonic_range.zeros import NoSignChangeError
 
 
 def test_disc_search_linear():

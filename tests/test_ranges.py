@@ -17,10 +17,9 @@ from harmonic_range.ranges import (FATTEN_BINS, GAP_TOL_RAD, RangeSample,
                                    _bin_index, _polar_fill,
                                    antipodal_gap_alpha, antipodal_pairs,
                                    cone_avoidance_normalize,
-                                   estimate_directions, i_alpha_arcs,
-                                   i_alpha_fit, phi_profile,
-                                   phi_sublinearity_check, sample_range,
-                                   sobol_points)
+                                   estimate_directions, i_alpha_fit,
+                                   phi_profile, phi_sublinearity_check,
+                                   sample_range, sobol_points)
 
 PI = math.pi
 
@@ -401,16 +400,6 @@ def test_antipodal_gap_alpha_finds_probe():
         assert cross.distance(probe) >= 1e-3
 
 
-def test_i_alpha_arcs_structure():
-    alpha = 0.3
-    arcs = i_alpha_arcs(alpha)
-    assert len(arcs.arcs) == 3
-    assert arcs.measure() == pytest.approx(2 * PI - 6 * alpha)
-    assert arcs.contains(0.0)
-    assert not arcs.contains(PI / 2)
-    assert not arcs.contains(PI)
-
-
 def test_i_alpha_fit_accepts_tilted_line():
     # directions of the pair (x, 2x) sit strictly inside the three arcs
     beta = math.atan2(2.0, 1.0)
@@ -426,6 +415,27 @@ def test_i_alpha_fit_rejects_horizontal_line():
 
 
 # ---- reference oracles: the scans these routines replaced ----
+
+def i_alpha_arcs(alpha: float) -> ArcSet:
+    """The three-arc circle subset left after cone normalization."""
+    if not (0.0 < alpha < math.pi / 4):
+        raise ValueError("alpha must lie in (0, pi/4)")
+    return ArcSet.from_intervals([
+        (-math.pi / 2 + alpha, math.pi / 2 - alpha),
+        (math.pi / 2 + alpha, math.pi - alpha),
+        (math.pi + alpha, 3 * math.pi / 2 - alpha),
+    ])
+
+
+def test_i_alpha_arcs_structure():
+    alpha = 0.3
+    arcs = i_alpha_arcs(alpha)
+    assert len(arcs.arcs) == 3
+    assert arcs.measure() == pytest.approx(2 * PI - 6 * alpha)
+    assert arcs.contains(0.0)
+    assert not arcs.contains(PI / 2)
+    assert not arcs.contains(PI)
+
 
 def _sampled_subset_of(a, b, tol=0.0):
     if a.is_empty:

@@ -10,8 +10,7 @@ from harmonic_range.expressions import parse_map
 from harmonic_range.ranges import sample_range
 from harmonic_range.zeros import (BISECT_HALVINGS, NotPolynomialError,
                                   RadiusTooSmallError, Rect, _bisect,
-                                  _newton_to_zero, cleaning_check,
-                                  detect_dependence, find_zero,
+                                  _newton_to_zero, detect_dependence,
                                   local_structure, trace_zero_set,
                                   tract_report)
 
@@ -164,9 +163,9 @@ def test_newton_stops_at_the_first_nonfinite_value(z0, calls):
     ("u=re(z^300-z^299); v=im(z)", lambda u: tract_report(u, 40.0)),
     # inf on the probe circle once raised a bare OverflowError
     ("u=re(z^400); v=im(z)", lambda u: local_structure(u, 0.0, probe_radius=8.0)),
-    # NaN on the search grid once dropped its sign-change edges unseen
+    # NaN on the mesh (inf - inf) once dropped its sign-change edges unseen
     ("u=re(exp(exp(z))-exp(exp(z))+z); v=im(z)",
-     lambda u: find_zero(u, Rect(-8, 8, -8, 8))),
+     lambda u: trace_zero_set(u, Rect(-8, 8, -8, 8), 0.1)),
 ], ids=["trace-exp-exp", "trace-exp-cube", "tracts", "local-structure",
         "find-zero"])
 def test_overflow_is_a_nonfinite_error(src, run):
@@ -271,21 +270,6 @@ def test_dependence_degenerate_v():
     rep = detect_dependence(s, a=1.0, R=1.0)
     assert rep.degenerate
     assert not rep.dependent
-
-
-def test_cleaning_check_dependent_pair():
-    f = parse_map("u=re(z); v=im(2*i*z)")
-    verdict = cleaning_check(f.u.value, f.v.value, 1.0)
-    assert verdict.hypothesis_holds
-    assert verdict.conclusion_holds
-    assert verdict.params["tol"] == 1e-6
-    assert verdict.sampling == {"grid_n": 201}
-
-
-def test_cleaning_check_flags_mismatched_zero_sets():
-    f = parse_map("u=re(z); v=im(z)")
-    verdict = cleaning_check(f.u.value, f.v.value, 1.0)
-    assert not (verdict.hypothesis_holds and verdict.conclusion_holds)
 
 
 @pytest.mark.parametrize("a", [math.nan, math.inf])
