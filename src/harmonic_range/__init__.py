@@ -8,9 +8,9 @@ tracing, and theorem-instance checkers.
 
 from .arcs import ArcSet
 from .catalog import CatalogEntry, get_entry, load_catalog
-from .circles import (CircleMax, FourierProfile, NonFiniteError, circle_max,
-                      circle_values, fourier_profile, harnack_bound_check,
-                      lemma_abs_check, multiplicity)
+from .circles import (NonFiniteError, circle_max, circle_values,
+                      fourier_profile, harnack_bound_check, lemma_abs_check,
+                      multiplicity)
 from .expressions import (HarmonicComponent, HarmonicMap, ParseError,
                           parse_expr, parse_map)
 from .lewis import (LewisDisc, RescaledMap, lewis_disc_search,
@@ -34,9 +34,8 @@ __version__ = "0.1.0"
 __all__ = [
     "ArcSet",
     "CatalogEntry", "get_entry", "load_catalog",
-    "CircleMax", "FourierProfile", "NonFiniteError", "circle_max",
-    "circle_values", "fourier_profile", "harnack_bound_check",
-    "lemma_abs_check", "multiplicity",
+    "NonFiniteError", "circle_max", "circle_values", "fourier_profile",
+    "harnack_bound_check", "lemma_abs_check", "multiplicity",
     "HarmonicComponent", "HarmonicMap", "ParseError",
     "parse_expr", "parse_map",
     "LewisDisc", "RescaledMap",

@@ -209,12 +209,12 @@ class ArcSet:
             raise ValueError("fatten requires delta >= 0")
         return ArcSet.from_intervals([(lo - delta, hi + delta) for lo, hi in self.arcs])
 
-    def subset_of(self, other: "ArcSet", tol: float = 0.0) -> bool:
-        """Every point of self within tol of other: the directed Hausdorff
-        distance from self to other is at most tol."""
+    def subset_of(self, other: "ArcSet") -> bool:
+        """Every point of self in other: the directed Hausdorff distance
+        from self to other is 0."""
         if self.is_empty:
             return True
-        return not other.is_empty and self.directed_hausdorff(other) <= tol
+        return not other.is_empty and self.directed_hausdorff(other) <= 0.0
 
     # ---- metrics ----
 

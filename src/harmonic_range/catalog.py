@@ -45,7 +45,7 @@ class CatalogEntry:
 
     def directions(self, samples: Optional[RangeSample] = None) -> DirectionEstimate:
         if self.kind == "arcset":
-            return DirectionEstimate(arcs=self.arcs, cutoffs=(), bins=0)
+            return DirectionEstimate(arcs=self.arcs, bins=0)
         return estimate_directions(self.sample() if samples is None else samples)
 
     def expected_directions(self) -> Optional[ArcSet]:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -19,8 +18,6 @@ import numpy as np
 from .expressions import HarmonicComponent, NonFiniteError
 
 __all__ = [
-    "CircleMax",
-    "FourierProfile",
     "PositivityError",
     "CenterNotZeroError",
     "DegenerateZeroError",
@@ -39,7 +36,8 @@ MULTIPLICITY_TOL = 1e-8   # relative size of a dominant Fourier harmonic
 MAX_SHRINK = 8            # radius halvings before multiplicity gives up
 ZOOM_POINTS = 129         # samples across a bracket at each zoom level ...
 ZOOM_LEVELS = 3           # ... which then narrows 64-fold about its best one
-FOURIER_SAMPLES = 1024    # circle samples behind a Fourier profile
+FOURIER_SAMPLES = 1024    # circle samples behind a Fourier profile ...
+FOURIER_TERMS = 64        # ... of c_0 .. c_64, none aliased (k < 512)
 
 
 class PositivityError(ValueError):
@@ -81,12 +79,6 @@ def _require_positive(value: float, name: str) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
-@dataclass(frozen=True)
-class CircleMax:
-    value: float
-    argmax_angle: float
-
-
 @cache
 def _ring(n: int, offset: float = 0.0) -> np.ndarray:
     """e^{i (k + offset) 2 pi / n} for k < n: built once, shared, read-only."""
@@ -125,7 +117,7 @@ def circle_values(u: HarmonicComponent, center: complex, radius: float,
 
 
 def circle_max(u: HarmonicComponent, z: complex, r: float,
-               absolute: bool = False, n: int = DEFAULT_SAMPLES) -> CircleMax:
+               absolute: bool = False, n: int = DEFAULT_SAMPLES) -> float:
     """M(u, z, r) (or M(|u|, z, r) with absolute=True), always finite: a
     grid sample or a zoom sample that is not raises NonFiniteError."""
     return _max_from(u, z, r, circle_values(u, z, r, n), absolute)
@@ -133,7 +125,7 @@ def circle_max(u: HarmonicComponent, z: complex, r: float,
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is a NonFiniteError
 def _max_from(u: HarmonicComponent, z: complex, r: float, vals: np.ndarray,
-              absolute: bool = False) -> CircleMax:
+              absolute: bool = False) -> float:
     """circle_max from vals, the samples circle_values(u, z, r, n) already
     took: one grid gives both M(u, z, r) and M(|u|, z, r)."""
     n = len(vals)
@@ -169,46 +161,22 @@ def _max_from(u: HarmonicComponent, z: complex, r: float, vals: np.ndarray,
         best = np.argmax(g, axis=1)  # the first, the smaller angle, on ties
         theta, peak = angles[rows, best], g[rows, best]
         h *= 2.0 / (ZOOM_POINTS - 1)
-    i = np.lexsort((theta, -peak))[0]  # by value desc, then smaller angle
-    best_val, best_theta = float(peak[i]), float(theta[i])
-    # never do worse than the raw grid
-    k0 = int(np.argmax(vals))
-    if vals[k0] > best_val:
-        best_val = float(vals[k0])
-        best_theta = k0 * step
-    return CircleMax(value=best_val, argmax_angle=best_theta % (2.0 * math.pi))
+    # the best zoom peak, by value desc, then smaller angle; never worse
+    # than the raw grid
+    return max(float(peak[np.lexsort((theta, -peak))[0]]), float(vals.max()))
 
 
-@dataclass(frozen=True)
-class FourierProfile:
-    """Coefficients c_k of u(center + r e^{i t}) = sum_k Re(c_k e^{i k t})."""
-
-    center: complex
-    radius: float
-    coefficients: tuple[complex, ...]
-
-    def reconstruct(self, theta: np.ndarray) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        out = np.full(theta.shape, self.coefficients[0].real, dtype=float)
-        for k, c in enumerate(self.coefficients[1:], start=1):
-            out += (c * np.exp(1j * k * theta)).real
-        return out
-
-
-def fourier_profile(u: HarmonicComponent, center: complex, radius: float,
-                    n_terms: int = 64) -> FourierProfile:
-    """Trapezoidal-rule Fourier coefficients (spectrally accurate here) of
-    the FOURIER_SAMPLES samples, which alias c_k with k >= FOURIER_SAMPLES
-    // 2: 0 <= n_terms < FOURIER_SAMPLES // 2."""
+def fourier_profile(u: HarmonicComponent, center: complex,
+                    radius: float) -> np.ndarray:
+    """c_0, ..., c_FOURIER_TERMS of u(center + radius e^{i t}) = sum_k
+    Re(c_k e^{i k t}): trapezoidal-rule coefficients (spectrally accurate
+    here) of the FOURIER_SAMPLES samples, which alias c_k with k >=
+    FOURIER_SAMPLES // 2."""
     n = FOURIER_SAMPLES
-    if not 0 <= n_terms < n // 2:
-        raise ValueError(f"n_terms must be from 0 to {n // 2 - 1}, got {n_terms}")
-    vals = circle_values(u, center, radius, n)
-    fft = np.fft.fft(vals)
-    coeffs = [complex(fft[0].real / n, 0.0)]
-    for k in range(1, n_terms + 1):
-        coeffs.append(complex(2.0 * fft[k] / n))
-    return FourierProfile(center=center, radius=radius, coefficients=tuple(coeffs))
+    fft = np.fft.fft(circle_values(u, center, radius, n))
+    coeffs = 2.0 * fft[:FOURIER_TERMS + 1] / n
+    coeffs[0] = fft[0].real / n
+    return coeffs
 
 
 def _check_positive(u: HarmonicComponent, z0: complex, r: float):
@@ -234,7 +202,7 @@ def harnack_bound_check(u: HarmonicComponent, z0: complex, r: float,
     if not (0.0 < s < r):
         raise ValueError("need 0 < s < r")
     _check_positive(u, z0, r)
-    lhs = circle_max(u, z0, s).value
+    lhs = circle_max(u, z0, s)
     rhs = (r + s) / (r - s) * float(u.value(z0))
     return {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs * (1.0 + 1e-9)}
 
@@ -243,12 +211,12 @@ def lemma_abs_check(u: HarmonicComponent, z0: complex, r: float) -> dict:
     """M(|u|, z0, 2r/3) <= 4 M(u, z0, r) for u vanishing at the center:
     |u(z0)| at most 1e-9 times the largest |u| on the circle."""
     vals = circle_values(u, z0, r)
-    scale = _max_from(u, z0, r, vals, absolute=True).value
+    scale = _max_from(u, z0, r, vals, absolute=True)
     u0 = float(u.value(z0))
     if abs(u0) > 1e-9 * scale:
         raise CenterNotZeroError(f"u({z0}) = {u0} is not zero")
-    lhs = circle_max(u, z0, 2.0 * r / 3.0, absolute=True).value
-    rhs = 4.0 * _max_from(u, z0, r, vals).value
+    lhs = circle_max(u, z0, 2.0 * r / 3.0, absolute=True)
+    rhs = 4.0 * _max_from(u, z0, r, vals)
     return {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs * (1.0 + 1e-9)}
 
 
@@ -259,14 +227,13 @@ def multiplicity(u: HarmonicComponent, z0: complex, r: float) -> int:
     The center is a zero when |u(z0)| is at most MULTIPLICITY_TOL times
     the largest |u| on the circle of radius r.
     """
-    scale = circle_max(u, z0, r, absolute=True).value
+    scale = circle_max(u, z0, r, absolute=True)
     if abs(float(u.value(z0))) > MULTIPLICITY_TOL * scale:
         raise CenterNotZeroError(
             f"u({z0}) is not zero at tolerance {MULTIPLICITY_TOL}")
 
     def first_index(rho: float) -> int | None:
-        prof = fourier_profile(u, z0, rho)
-        mags = np.array([abs(c) for c in prof.coefficients])
+        mags = np.abs(fourier_profile(u, z0, rho))
         mags[0] = 0.0
         top = mags.max()
         if top <= 1e-300:

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import catalog as catalog_mod
+from .circles import _require_positive
 from .expressions import HarmonicMap, NonFiniteError, ParseError, parse_map
 from .lewis import lewis_disc_search, rescaled_sequence
 from .ranges import (antipodal_gap_alpha, antipodal_pairs,
@@ -146,10 +147,8 @@ SCHEMAS = {name: _strict(properties) for name, properties in {
                "count": {"type": "integer"},
                "out": {"type": ["string", "null"]}},
     "directions": {"arcs": {"type": "array"},
-                   "cutoffs": {"type": "array"},
                    "bins": {"type": "integer"},
                    "occupied_bins": {"type": "integer"},
-                   "stabilization_index": {"type": "integer"},
                    "low_confidence": {"type": "boolean"},
                    "radius": {"type": "number"}},
     "antipodal": {"pairs": {"type": "array"},
@@ -234,6 +233,8 @@ def _cmd_directions(args) -> tuple[dict, int]:
 
 
 def _cmd_antipodal(args) -> tuple[dict, int]:
+    # the gap probes need clearance, so --tol must be positive for any map
+    _require_positive(args.tol, "tol")
     est = _direction_estimate(args)
     pairs = antipodal_pairs(est.arcs, tol_rad=args.tol)
     alpha = None

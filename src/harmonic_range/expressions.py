@@ -462,30 +462,29 @@ def degree(e: Expr) -> int | None:
     raise TypeError(f"not an expression: {e!r}")
 
 
-def coefficients(e: Expr, z=0j) -> np.ndarray | None:
-    """Coefficients c_0, ..., c_d of e(z + h) as a polynomial in h, or None
-    when e is transcendental: at the default z = 0, the power basis.
+def coefficients(e: Expr) -> np.ndarray | None:
+    """Coefficients c_0, ..., c_d of e in the power basis, or None when e
+    is transcendental: the one term of _terms about 0.
 
-    z may be an array of points; the result then has shape (d + 1,) +
-    z.shape.  The tree is evaluated node by node, as evaluate does, in the
-    arithmetic of polynomials in h, so the rounding errors stay those of
-    evaluating e near z: (z - 10)^8 is expanded about z after z - 10 is
-    formed, not from the power basis, whose terms cancel near 10.
     Structural like degree: no leading zero is trimmed, so
     len(coefficients(e)) - 1 == degree(e) always (z - z gives [0, 0]).  The
-    cost grows with the square of the degree.  The one term of _terms.
+    cost grows with the square of the degree.
     """
     d = degree(e)
-    return None if d is None else _terms(e, z, d)[0j][0]
+    return None if d is None else _terms(e, 0j, d)[0j][0]
 
 
 def _terms(e: Expr, z, cap: int) -> dict | None:
     """e(z + h) split into terms P_j(h) e^{alpha_j h}, in one pass over the
     tree: {alpha_j: (c_j, m_j)}, c_j the coefficients of P_j in h about each
-    z with e^{L(z)} of its factors exp(L) folded in, and m_j a bound on
-    their |Re L(z)|.  None for exp of a non-affine argument or for more
-    than cap + 1 coefficients, a power refused before it is expanded.  A
-    polynomial is the term alpha = 0, with the bits of coefficients."""
+    point of the array z (along the axes after the first) with e^{L(z)} of
+    its factors exp(L) folded in, and m_j a bound on their |Re L(z)|.  The
+    tree is worked node by node, as evaluate does, so the rounding stays
+    that of evaluating e near z: (z - 10)^8 is expanded about z after
+    z - 10 is formed, not from the power basis, whose terms cancel near 10.
+    None for exp of a non-affine argument or for more than cap + 1
+    coefficients, a power refused before it is expanded.  A polynomial is
+    the term alpha = 0, with the bits of coefficients."""
     z = np.asarray(z, dtype=complex)
     match e:
         case Const(value):

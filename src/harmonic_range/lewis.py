@@ -233,7 +233,7 @@ def lewis_disc_search(u: HarmonicComponent, R: float,
     # u is scaled; u == 0 is constant too
     if np.ptp(half) <= 1e-12 * np.max(np.abs(half)):
         raise ConstantComponentError("u is constant at this scale")
-    M_half = _max_from(u, 0.0, R / 2.0, half).value
+    M_half = _max_from(u, 0.0, R / 2.0, half)
 
     centers = _candidate_centers(u, R)
     C = np.array(centers, dtype=complex)
@@ -283,9 +283,9 @@ def lewis_disc_search(u: HarmonicComponent, R: float,
     # refine the winner with the precise circle maximum, signed and absolute
     # from one grid
     vals = circle_values(u, z, r)
-    M_abs = _max_from(u, z, r, vals, absolute=True).value
-    M_34 = circle_max(u, z, 0.75 * r).value
-    M_u = _max_from(u, z, r, vals).value
+    M_abs = _max_from(u, z, r, vals, absolute=True)
+    M_34 = circle_max(u, z, 0.75 * r)
+    M_u = _max_from(u, z, r, vals)
     doubling = M_abs / M_34
     growth = M_half / M_u
     return LewisDisc(center=z, radius=r, M=M_abs,

@@ -345,26 +345,20 @@ def sample_range(f: HarmonicMap, R: float, n_grid: int = 256,
 
 @dataclass
 class DirectionEstimate:
-    """The arcs of estimate_directions.  With no cutoffs (the growth rule)
-    cutoffs is empty, stabilization_index 0, and low_confidence means that
-    fewer than MIN_LARGE samples outside the inner set fall in kept bins.
-    cutoffs and stabilization_index serve the benchmark's exp tasks alone,
-    and go with the ladder."""
+    """The arcs of estimate_directions.  Under the growth rule
+    low_confidence means that fewer than MIN_LARGE samples outside the
+    inner set fall in kept bins."""
 
     arcs: ArcSet
-    cutoffs: tuple[float, ...]
     bins: int
     occupied_bins: int = 0  # the bins the arcs are built from
-    stabilization_index: int = 0
     low_confidence: bool = False
     radius: float = 0.0
 
     def to_dict(self) -> dict:
         return {
             "arcs": self.arcs.to_dict()["arcs"],
-            "cutoffs": list(self.cutoffs),
             "bins": self.bins,
-            "stabilization_index": self.stabilization_index,
             "low_confidence": self.low_confidence,
             "radius": self.radius,
             "occupied_bins": self.occupied_bins,
@@ -403,8 +397,8 @@ def estimate_directions(samples: RangeSample, bins: int = 720,
     when G(b) > GROWTH_RATIO max(Gi(b-1), Gi(b), Gi(b+1)) and G(b) > 0, G
     and Gi its largest |w - w[0]| over the sample and over the inner set
     (RangeSample.outer): a translation moves no asymptotic direction.
-    Then cutoffs is empty, stabilization_index 0, and low_confidence means
-    fewer than MIN_LARGE samples outside the inner set in the kept bins.
+    Then low_confidence means fewer than MIN_LARGE samples outside the
+    inner set in the kept bins.
     With cutoffs, a fixed ladder keeps the bins whose largest |w| passes
     every cutoff from the stabilization index on, and low_confidence
     means fewer than MIN_LARGE samples beyond the top one.  No front end
@@ -428,7 +422,7 @@ def estimate_directions(samples: RangeSample, bins: int = 720,
         near = np.maximum(np.maximum(np.roll(Gi, 1), Gi), np.roll(Gi, -1))
         # G = max(Gi, Go) passes only through Go; near >= 0, so Go > 0
         keep = Go > GROWTH_RATIO * near
-        cutoffs, stab, n_large = (), 0, int(counts[bins:][keep].sum())
+        n_large = int(counts[bins:][keep].sum())
     else:
         cutoffs = tuple(sorted(float(c) for c in cutoffs))
         for c in cutoffs:
@@ -452,9 +446,8 @@ def estimate_directions(samples: RangeSample, bins: int = 720,
         keep = occupied[stab] & (n_large > 0)
 
     arcs = ArcSet.from_bins(keep).fatten(FATTEN_BINS * (TWO_PI / bins))
-    return DirectionEstimate(arcs=arcs, cutoffs=cutoffs, bins=bins,
+    return DirectionEstimate(arcs=arcs, bins=bins,
                              occupied_bins=int(np.count_nonzero(keep)),
-                             stabilization_index=stab,
                              low_confidence=n_large < MIN_LARGE,
                              radius=samples.radius)
 
@@ -462,7 +455,8 @@ def estimate_directions(samples: RangeSample, bins: int = 720,
 def antipodal_pairs(arcs: ArcSet, tol_rad: float = 0.0) -> ArcSet:
     """Angles theta (mod pi, represented in [0, pi)) with both e^{i theta}
     and -e^{i theta} in the tol-fattened set."""
-    _require_finite_number(tol_rad, "tol_rad")
+    if not (math.isfinite(tol_rad) and tol_rad >= 0.0):
+        raise ValueError(f"tol_rad must be finite and at least 0, got {tol_rad}")
     fat = arcs.fatten(tol_rad) if tol_rad > 0 else arcs
     both = fat.intersect(fat.rotate(math.pi))
     half = both.intersect(ArcSet.from_intervals([(0.0, math.pi)]))
@@ -478,6 +472,8 @@ GAP_ALPHA_STEP = 1e-3
 I_ALPHA_STEPS = 200
 # clearance of the antipodal gap probes, and the margin of normalization
 GAP_TOL_RAD = 1e-3
+# the three-arc fit's tolerance, and the least alpha it reports
+I_ALPHA_TOL_RAD = 1e-2
 # the directions that cone normalization and the three-arc fit keep clear of
 CONE_AXES = (math.pi / 2, math.pi, 3 * math.pi / 2)
 
@@ -521,18 +517,19 @@ def cone_avoidance_normalize(arcs: ArcSet) -> dict | None:
     return {"theta": theta, "a": a}
 
 
-def i_alpha_fit(arcs: ArcSet, tol_rad: float = 1e-2) -> float | None:
+def i_alpha_fit(arcs: ArcSet) -> float | None:
     """Largest alpha = (pi/4) k / I_ALPHA_STEPS, 0 < k < I_ALPHA_STEPS, with
-    arcs inside the tol-fattened three-arc set, or None when none works.
+    arcs inside the three-arc set fattened by I_ALPHA_TOL_RAD, or None
+    when none works.
 
     The fattened set leaves out the open arcs of radius alpha - tol about
     pi/2, pi and 3pi/2, so alpha works up to tol plus the distance from
     arcs to the nearest of those three directions."""
-    alpha_max = tol_rad + float(np.min(arcs.distance(CONE_AXES)))
+    alpha_max = I_ALPHA_TOL_RAD + float(np.min(arcs.distance(CONE_AXES)))
     # alpha at or below the tolerance would admit sets touching the
     # excluded directions; demand a genuine margin
     alphas = [(math.pi / 4) * k / I_ALPHA_STEPS for k in range(1, I_ALPHA_STEPS)]
-    return max((a for a in alphas if tol_rad < a <= alpha_max), default=None)
+    return max((a for a in alphas if I_ALPHA_TOL_RAD < a <= alpha_max), default=None)
 
 
 @dataclass
@@ -554,7 +551,10 @@ class PhiProfile:
 
 
 def phi_profile(samples: RangeSample, bins: int = 200) -> PhiProfile:
-    """The envelope of v over equal u-slabs of a (finite) range sample."""
+    """The envelope of v over bins >= 1 equal u-slabs of a (finite) range
+    sample."""
+    if bins < 1:
+        raise ValueError(f"bins must be at least 1, got {bins}")
     u = samples.w.real
     v = samples.w.imag
     lo, hi = float(u.min()), float(u.max())

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arcs import ArcSet
-from .circles import _require_finite_number, _require_positive
+from .circles import _require_finite_number
 from .expressions import HarmonicMap
 from .ranges import (DirectionEstimate, RangeSample, _blocks, _sobol_disc,
                      antipodal_pairs)
@@ -154,8 +154,7 @@ def check_halfplane_theorem(f: HarmonicMap, alpha: float,
         # endpoints reached only within tolerance: flag the boundary case
         strict = est.arcs.subset_of(
             ArcSet.from_intervals([(alpha - math.pi / 2 + DIRECTION_TOL_RAD,
-                                    alpha + math.pi / 2 - DIRECTION_TOL_RAD)]),
-            tol=0.0)
+                                    alpha + math.pi / 2 - DIRECTION_TOL_RAD)]))
         boundary = not strict
     if not hyp:
         witnesses.append({"note": "estimated directions leave the half circle",
@@ -252,34 +251,32 @@ def check_murdoch_kuran(f: HarmonicMap, a: float, R: float,
 
 @dataclass(frozen=True)
 class _Log2Points:
-    """The points of log2_sample_points(n, seed, radius), made one block
-    at a time: each block of the Sobol' disc source of ranges, without
-    its points within PUNCTURE_GAP of 0 or 1.  So they come in the same
+    """The points of log2_sample_points(n, seed), made one block at a
+    time: each block of the Sobol' disc source of ranges, without its
+    points within PUNCTURE_GAP of 0 or 1.  So they come in the same
     order, and a block may be empty."""
 
     n: int
     seed: int
-    radius: float = LOG2_RADIUS
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"n must be at least 1, got {self.n}")
-        _require_positive(self.radius, "radius")
 
     def blocks(self):
-        for _, z in _sobol_disc(self.n, self.radius, self.seed):
+        for _, z in _sobol_disc(self.n, LOG2_RADIUS, self.seed):
             keep = np.abs(z) > PUNCTURE_GAP
             keep &= np.abs(z - 1.0) > PUNCTURE_GAP
             yield z if keep.all() else z[keep]
 
 
-def log2_sample_points(n: int, seed: int, radius: float = LOG2_RADIUS) -> np.ndarray:
-    """Quasi-random points in D(0, radius) staying away from 0 and 1: the
-    first n Sobol' points of seed, carried onto the disc as the second
-    half of a range sample is, without those within PUNCTURE_GAP of 0 or
-    1.  The array form of the points that the CLI's log 2 check makes
-    block by block."""
-    points = _Log2Points(n, seed, radius)
+def log2_sample_points(n: int, seed: int) -> np.ndarray:
+    """Quasi-random points in D(0, LOG2_RADIUS) staying away from 0 and
+    1: the first n Sobol' points of seed, carried onto the disc as the
+    second half of a range sample is, without those within PUNCTURE_GAP
+    of 0 or 1.  The array form of the points that the CLI's log 2 check
+    makes block by block."""
+    points = _Log2Points(n, seed)
     z, k = np.empty(n, dtype=complex), 0
     for zb in points.blocks():
         z[k:k + zb.size] = zb

@@ -160,7 +160,7 @@ def trace_zero_set(u: HarmonicComponent, box: Rect,
     scale = max(circle_max(u, complex((box.x0 + box.x1) / 2,
                                       (box.y0 + box.y1) / 2),
                            max(box.x1 - box.x0, box.y1 - box.y0) / 2,
-                           absolute=True, n=512).value, 1e-300)
+                           absolute=True, n=512), 1e-300)
     target = 1e-10 * scale
     curves: list[ZeroCurve] = []
 

@@ -82,7 +82,7 @@ def test_fatten_and_subset():
     fat = s.fatten(0.25)
     assert fat.measure() == pytest.approx(1.0)
     assert s.subset_of(fat)
-    assert not fat.subset_of(s, tol=1e-6)
+    assert not fat.subset_of(s)
 
 
 def test_subset_of_sees_a_narrow_gap():
@@ -97,7 +97,7 @@ def test_subset_of_seam_and_full_circle():
     assert seam.subset_of(ArcSet.from_intervals([(5.9, 0.6 + TWO_PI)]))
     assert not seam.subset_of(ArcSet.from_intervals([(0.0, 0.4), (5.9, TWO_PI)]))
     assert ArcSet.full().subset_of(ArcSet.full())
-    assert not ArcSet.full().subset_of(seam, tol=1.0)
+    assert not ArcSet.full().subset_of(seam)
     assert ArcSet.empty().subset_of(ArcSet.empty())
 
 
@@ -157,12 +157,10 @@ def _sample_points(arcs, step):
             yield lo + (hi - lo) * k / (n - 1)
 
 
-def _sampled_subset_of(a, b, tol=0.0):
+def _sampled_subset_of(a, b):
     if a.is_empty:
         return True
-    fat = b.fatten(tol) if tol > 0 else b
-    step = max(tol / 4.0, 1e-4)
-    return bool(np.all(fat.contains(np.array(list(_sample_points(a, step))))))
+    return bool(np.all(b.contains(np.array(list(_sample_points(a, 1e-4))))))
 
 
 def _sampled_hausdorff(a, b):
@@ -197,12 +195,10 @@ def test_subset_of_matches_sampled_oracle():
     rng = random.Random(20261018)
     for _ in range(100):
         b = _random_arcs(rng)
-        tol = rng.choice([0.0, 0.004, 0.02])
-        # a fattening of b lies in b fattened by tol exactly when d <= tol;
-        # keep d off the boundary, where sampling decides by rounding
-        d = rng.choice([0.0, tol * 0.5, tol + 0.003])
+        # a fattening of b lies in b when it widens nothing
+        d = rng.choice([0.0, 0.003])
         for a in (b.fatten(d), _random_arcs(rng), b.intersect(_random_arcs(rng))):
-            assert a.subset_of(b, tol=tol) == _sampled_subset_of(a, b, tol), (a, b, tol)
+            assert a.subset_of(b) == _sampled_subset_of(a, b), (a, b)
 
 
 def test_hausdorff_within_sampling_error_of_oracle():

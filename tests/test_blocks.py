@@ -50,11 +50,12 @@ def test_sample_range_does_not_depend_on_the_block_size(src, monkeypatch):
 @pytest.mark.parametrize("n, seed, radius", [(200_001, 3, 100.0), (70_000, 5, 2e-9)])
 def test_log2_sample_points_do_not_depend_on_the_block_size(n, seed, radius,
                                                              monkeypatch):
-    want = log2_sample_points(n, seed, radius)
+    monkeypatch.setattr(theorems, "LOG2_RADIUS", radius)
+    want = log2_sample_points(n, seed)
     assert 0 < want.size <= n
     for block in BLOCKS:
         monkeypatch.setattr(ranges, "POINT_BLOCK", block)
-        assert log2_sample_points(n, seed, radius).tobytes() == want.tobytes(), block
+        assert log2_sample_points(n, seed).tobytes() == want.tobytes(), block
 
 
 def test_to_csv_does_not_depend_on_the_block_size(tmp_path, monkeypatch):
@@ -77,7 +78,8 @@ def _witness_indices(z: np.ndarray, verdict: dict) -> list[int]:
 # points, and at -0.05 the first block of 1000 holds 11 of the first kind
 @pytest.mark.parametrize("slack", [None, -0.01, -0.05])
 def test_the_log2_check_does_not_depend_on_the_block_size(slack, monkeypatch):
-    z = log2_sample_points(1 << 17, seed=4, radius=3.0)
+    monkeypatch.setattr(theorems, "LOG2_RADIUS", 3.0)
+    z = log2_sample_points(1 << 17, seed=4)
     if slack is not None:
         monkeypatch.setattr(theorems, "LOG2_SLACK", slack)
     want = check_log2_inequalities(z).to_dict()

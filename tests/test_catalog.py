@@ -5,7 +5,8 @@ import math
 import pytest
 
 from harmonic_range.catalog import CatalogError, get_entry, load_catalog
-from harmonic_range.ranges import antipodal_pairs, sample_range
+from harmonic_range.ranges import (antipodal_pairs, estimate_directions,
+                                   sample_range)
 from harmonic_range.theorems import is_constant_proxy
 
 import numpy as np
@@ -106,8 +107,9 @@ def test_map_entries_hold_their_sampling_params_alone():
 
 
 def test_exp_wedge_directions_come_from_the_growth_rule():
-    est = get_entry("exp-wedge").directions()
-    assert est.cutoffs == () and est.stabilization_index == 0
+    entry = get_entry("exp-wedge")
+    want = estimate_directions(entry.sample())
+    assert entry.directions().to_dict() == want.to_dict()
 
 
 @pytest.mark.parametrize("seed", range(5))

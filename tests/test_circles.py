@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from harmonic_range.circles import (DEFAULT_SAMPLES, FOURIER_SAMPLES,
-                                    REFINE_PEAKS, ZOOM_LEVELS, ZOOM_POINTS,
-                                    CenterNotZeroError, CircleMax,
+                                    FOURIER_TERMS, REFINE_PEAKS, ZOOM_LEVELS,
+                                    ZOOM_POINTS, CenterNotZeroError,
                                     NonFiniteError, PositivityError, _max_from,
                                     _ring, circle_max, circle_values,
                                     fourier_profile, harnack_bound_check,
@@ -34,7 +34,7 @@ def brute_circle_max(u, z, r, absolute=False, n=400000):
 ])
 def test_circle_max_matches_dense_grid(src, z, r):
     u = _comp(src)
-    got = circle_max(u, z, r).value
+    got = circle_max(u, z, r)
     want = brute_circle_max(u, z, r)
     assert got >= want - 1e-10
     assert abs(got - want) < 1e-8
@@ -43,18 +43,13 @@ def test_circle_max_matches_dense_grid(src, z, r):
 def test_circle_max_closed_form():
     # max of Re z on |z| = r is exactly r
     u = _comp("u=re(z); v=im(z)")
-    res = circle_max(u, 0.0, 3.0)
-    assert res.value == pytest.approx(3.0, abs=1e-12)
-    wrapped = min(res.argmax_angle % (2.0 * math.pi),
-                  2.0 * math.pi - res.argmax_angle % (2.0 * math.pi))
-    assert wrapped == pytest.approx(0.0, abs=1e-7)
+    assert circle_max(u, 0.0, 3.0) == pytest.approx(3.0, abs=1e-12)
 
 
 def test_circle_max_absolute():
     u = _comp("u=re(z); v=im(z)")
     # min of Re z is -r, so the absolute max ties at both ends
-    res = circle_max(u, 1.0, 2.0, absolute=True)
-    assert res.value == pytest.approx(3.0, abs=1e-12)
+    assert circle_max(u, 1.0, 2.0, absolute=True) == pytest.approx(3.0, abs=1e-12)
 
 
 def test_circle_values_shape():
@@ -66,11 +61,13 @@ def test_circle_values_shape():
 
 def test_fourier_profile_reconstructs():
     u = _comp("u=re(z^3+2*z); v=im(z)")
-    prof = fourier_profile(u, 0.3 + 0.1j, 1.2, n_terms=12)
+    c = fourier_profile(u, 0.3 + 0.1j, 1.2)
     theta = np.linspace(0.0, 2.0 * math.pi, 37, endpoint=False)
     direct = np.asarray(u.value(0.3 + 0.1j + 1.2 * np.exp(1j * theta)),
                         dtype=float)
-    assert np.max(np.abs(prof.reconstruct(theta) - direct)) < 1e-10
+    # u = sum_k Re(c_k e^{i k t}) on the circle
+    series = (c * np.exp(1j * np.outer(theta, np.arange(c.size)))).real.sum(axis=1)
+    assert np.max(np.abs(series - direct)) < 1e-10
 
 
 def test_harnack_factor_five_at_two_thirds():
@@ -178,8 +175,8 @@ def test_a_center_zero_is_relative_to_the_circle_scale():
 ])
 def test_lemma_abs_samples_its_r_circle_once(monkeypatch, src, z0, r):
     u = _comp(src)
-    want = {"lhs": circle_max(u, z0, 2.0 * r / 3.0, absolute=True).value,
-            "rhs": 4.0 * circle_max(u, z0, r).value}
+    want = {"lhs": circle_max(u, z0, 2.0 * r / 3.0, absolute=True),
+            "rhs": 4.0 * circle_max(u, z0, r)}
     grids = []
     value = type(u).value
 
@@ -314,7 +311,7 @@ def test_the_zoom_agrees_with_golden_section(absolute):
         vals = circle_values(u, z, r)
         if absolute:
             vals = np.abs(vals)
-        got = circle_max(u, z, r, absolute=absolute).value
+        got = circle_max(u, z, r, absolute=absolute)
         want = _golden_circle_max(u, z, r, absolute, vals)
         assert got >= vals.max()
         assert abs(got - want) <= 1e-13 * np.abs(vals).max(), (u, z, r)
@@ -342,12 +339,11 @@ def _rolled_circle_max(u, z, r, absolute, n):
         best = np.argmax(g, axis=1)
         theta, peak = angles[rows, best], g[rows, best]
         h *= 2.0 / (ZOOM_POINTS - 1)
-    i = np.lexsort((theta, -peak))[0]
-    best_val, best_theta = float(peak[i]), float(theta[i])
+    best_val = float(peak[np.lexsort((theta, -peak))[0]])
     k0 = int(np.argmax(vals))
     if vals[k0] > best_val:
-        best_val, best_theta = float(vals[k0]), k0 * step
-    return CircleMax(best_val, best_theta % (2.0 * math.pi))
+        best_val = float(vals[k0])
+    return best_val
 
 
 @pytest.mark.parametrize("n", [1, 2, DEFAULT_SAMPLES])
@@ -369,19 +365,16 @@ def test_a_sample_count_below_one_is_refused(n):
             call()
 
 
-@pytest.mark.parametrize("n_terms", [-1, FOURIER_SAMPLES // 2, 600])
-def test_a_fourier_profile_past_the_unaliased_terms_is_refused(n_terms):
-    # the samples alias c_k with k >= FOURIER_SAMPLES // 2, and -1 once gave
-    # c_0 alone
+def test_a_fourier_profile_takes_only_unaliased_terms():
+    # the samples alias c_k with k >= FOURIER_SAMPLES // 2
+    assert FOURIER_TERMS < FOURIER_SAMPLES // 2
     u = _comp("u=re(z^3+2*z); v=im(z)")
-    with pytest.raises(ValueError, match=f"^n_terms must be from 0 to "
-                       f"{FOURIER_SAMPLES // 2 - 1}, got {n_terms}$"):
-        fourier_profile(u, 0.0, 1.0, n_terms=n_terms)
-
-
-def test_a_fourier_profile_takes_every_unaliased_term():
-    u = _comp("u=re(z^3+2*z); v=im(z)")
-    assert len(fourier_profile(u, 0.0, 1.0, n_terms=0).coefficients) == 1
-    prof = fourier_profile(u, 0.0, 1.0, n_terms=FOURIER_SAMPLES // 2 - 1)
-    assert len(prof.coefficients) == FOURIER_SAMPLES // 2
-    assert prof.coefficients[3] == pytest.approx(1.0, abs=1e-12)
+    c = fourier_profile(u, 0.0, 1.0)
+    assert c[[1, 3]] == pytest.approx([2.0, 1.0], abs=1e-12)
+    assert np.abs(np.delete(c, [1, 3])).max() < 1e-12
+    # the coefficients as they were taken one at a time, bit for bit
+    n = FOURIER_SAMPLES
+    fft = np.fft.fft(circle_values(u, 0.0, 1.0, n))
+    want = [complex(fft[0].real / n, 0.0)]
+    want += [complex(2.0 * fft[k] / n) for k in range(1, FOURIER_TERMS + 1)]
+    assert c.tobytes() == np.array(want).tobytes()

@@ -15,10 +15,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import harmonic_range
+from harmonic_range import cli
 from harmonic_range.arcs import ArcSet
+from harmonic_range.catalog import get_entry
 from harmonic_range.cli import SCHEMAS, main
 from harmonic_range.expressions import parse_map
-from harmonic_range.ranges import phi_profile, sample_range
+from harmonic_range.ranges import estimate_directions, phi_profile, sample_range
 
 
 def run(capsys, *argv):
@@ -492,7 +494,41 @@ def test_a_catalog_entry_takes_the_growth_rule(capsys):
     # exp-wedge's params once carried a modulus ladder
     code, doc = run(capsys, "directions", "--catalog", "exp-wedge")
     assert code == 0
-    assert doc["cutoffs"] == [] and doc["stabilization_index"] == 0
+    want = estimate_directions(get_entry("exp-wedge").sample()).to_dict()
+    assert doc == json.loads(json.dumps(want))
+
+
+MAP_OR_ARCSET = {"map": ["--map", "u=re(z^2); v=im(z^2)", "--R", "10",
+                         "--n-grid", "64"],
+                 "arcset": ["--catalog", "lewis-cross"]}
+
+
+@pytest.mark.parametrize("tol", ["-0.1", "0"])
+@pytest.mark.parametrize("source", MAP_OR_ARCSET)
+def test_an_antipodal_tolerance_not_positive_exits_two_before_sampling(
+        capsys, monkeypatch, source, tol):
+    # with a map, --tol -0.1 once exited 0 with the pairs of tolerance 0,
+    # while the arc-set entry was refused by the gap probes
+    sampled = []
+
+    def counted(*args, **kwargs):
+        sampled.append(args)
+        return sample_range(*args, **kwargs)
+    monkeypatch.setattr(cli, "sample_range", counted)
+    assert main(["antipodal", *MAP_OR_ARCSET[source], f"--tol={tol}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: tol must be finite and positive, got {float(tol)}\n"
+    assert not sampled
+
+
+@pytest.mark.parametrize("bins", ["0", "-3"])
+def test_phi_with_fewer_than_one_bin_exits_two(capsys, bins):
+    # --bins=0 once escaped as an IndexError, --bins=-3 as numpy's message
+    assert main(["phi", *IDENTITY, f"--bins={bins}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bins must be at least 1, got {bins}\n"
 
 
 def test_a_non_finite_config_line_exits_two_naming_its_flag(tmp_path, capsys):

@@ -16,7 +16,8 @@ from harmonic_range import circles
 from harmonic_range.expressions import (MAX_DEPTH, MAX_NESTING, Add, Const,
                                         Exp, Mul, Neg, NonFiniteError,
                                         ParseError, Pow, Var, Z, _compile,
-                                        coefficients, degree, derivative,
+                                        _terms, coefficients, degree,
+                                        derivative,
                                         evaluate, parse_expr, parse_map,
                                         to_source)
 
@@ -408,16 +409,17 @@ def test_compiled_program_matches_mpmath_at_50_digits():
 def test_coefficients_match_the_evaluator_on_random_trees():
     # powers of sums, products, negations and exp of z-free subtrees, never
     # in Horner form; the transcendental trees have no coefficients.  The
-    # coefficients of e(z + h) in h, about 0 and about 16 centers at once
+    # coefficients of e(z + h) in h, about 0 and, as the term split takes
+    # them, about 16 centers at once
     centers, h = _points(16, 13), 0.5 * _points(16, 14)
     trees = _random_trees(13, 300)
     assert sum(degree(e) is not None for e in trees) > 150
     for e in trees:
-        for z in (0j, centers):
-            c = coefficients(e, z)
-            if degree(e) is None:
-                assert c is None, to_source(e)
-                continue
+        if degree(e) is None:
+            assert coefficients(e) is None, to_source(e)
+            continue
+        for z, c in ((0j, coefficients(e)),
+                     (centers, _terms(e, centers, degree(e))[0j][0])):
             assert c.shape == (degree(e) + 1,) + np.shape(z), to_source(e)
             series = np.zeros_like(h)
             for ck in c[::-1]:            # Horner's rule

@@ -7,11 +7,15 @@ written once, in its guard; no module imports a name it never uses,
 which a deletion can leave behind; one function builds the rings of
 circle samples; each expression compiles into one program; the Lewis scan
 leaves the choice of its sampler to the term splitter of the expressions;
-and every public function and class of a layer has a caller outside the
-tests, or is named in the README."""
+every public function and class of a layer has a caller outside the
+tests, or is named in the README; and every defaulted parameter of a
+layer's public functions and methods is set to another value by some
+call in the library or the benchmark, or else is a module constant."""
 
 import ast
 import importlib
+import inspect
+import itertools
 import re
 from pathlib import Path
 
@@ -332,3 +336,76 @@ def test_the_check_sees_a_name_only_its_tests_call():
              "cli": ast.parse("from . import zeros\nzeros.trace(0)\n")}
     names = ["find_zero", "trace", "parse_expr"]
     assert _uncalled("zeros", names, trees, "`parse_expr(text)`") == ["find_zero"]
+
+
+def _signature(fn) -> inspect.Signature:
+    """fn's signature, without the self of a method taken from its class."""
+    sig = inspect.signature(fn)
+    params = list(sig.parameters.values())
+    if params and params[0].name == "self":
+        sig = sig.replace(parameters=params[1:])
+    return sig
+
+
+def _unvaried(sigs: dict[str, inspect.Signature], trees) -> list[str]:
+    """'name.param' for each defaulted parameter of the functions sigs, by
+    name, that no call of that name in trees sets, by position or by
+    keyword, to anything but a literal equal to its default."""
+    varied = set()
+    for tree in trees:
+        for call in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            if name not in sigs:
+                continue
+            params = sigs[name].parameters
+            # positions are known up to the first *args
+            args = itertools.takewhile(lambda a: not isinstance(a, ast.Starred),
+                                       call.args)
+            passed = list(zip(params, args))
+            # another function of the same name may take other keywords
+            passed += [(k.arg, k.value) for k in call.keywords if k.arg in params]
+            for param, arg in passed:
+                default = params[param].default
+                try:
+                    same = ast.literal_eval(arg) == default
+                except ValueError:  # not a literal: some other value
+                    same = False
+                if not same:
+                    varied.add(f"{name}.{param}")
+    return [f"{name}.{p.name}" for name, sig in sigs.items()
+            for p in sig.parameters.values()
+            if p.default is not p.empty and f"{name}.{p.name}" not in varied]
+
+
+def test_every_default_is_set_otherwise_by_a_caller():
+    # a setting that only the tests vary is a module constant
+    sigs = {}
+    for path in SOURCES:
+        if path.stem in ("__init__", "cli"):
+            continue
+        module = importlib.import_module(f"harmonic_range.{path.stem}")
+        for obj in (getattr(module, n) for n in module.__all__):
+            if inspect.isfunction(obj):
+                sigs[obj.__name__] = _signature(obj)
+            elif inspect.isclass(obj):
+                sigs |= {n: _signature(getattr(obj, n)) for n, v in vars(obj).items()
+                         if not n.startswith("_") and (
+                             inspect.isfunction(v)
+                             or isinstance(v, (staticmethod, classmethod)))}
+    trees = [ast.parse(p.read_text()) for p in SOURCES]
+    trees += [ast.parse(p.read_text()) for p in sorted((REPO / "bench").glob("*.py"))]
+    assert _unvaried(sigs, trees) == []
+
+
+def test_the_check_sees_a_setting_only_its_tests_vary():
+    def fit(arcs, tol=1e-2, grid=200, seed=None):
+        pass
+
+    class Arcs:
+        def within(self, other, tol=0.0):
+            pass
+    calls = ast.parse("fit(a, 1e-2, grid=100)\n"
+                      "x.within(b, tol=0.0)\n"
+                      "fit(a, seed=s, *rest)\n")
+    sigs = {"fit": _signature(fit), "within": _signature(Arcs.within)}
+    assert _unvaried(sigs, [calls]) == ["fit.tol", "within.tol"]

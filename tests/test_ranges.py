@@ -13,7 +13,8 @@ from hypothesis import example, given, settings, strategies as st
 import harmonic_range.ranges as ranges
 from harmonic_range.arcs import ArcSet, TWO_PI
 from harmonic_range.expressions import NonFiniteError, parse_map
-from harmonic_range.ranges import (FATTEN_BINS, GAP_TOL_RAD, RangeSample,
+from harmonic_range.ranges import (FATTEN_BINS, GAP_TOL_RAD, I_ALPHA_TOL_RAD,
+                                   RangeSample,
                                    _bin_index, _polar_fill,
                                    antipodal_gap_alpha, antipodal_pairs,
                                    cone_avoidance_normalize,
@@ -277,7 +278,6 @@ def test_a_constant_map_gives_no_direction():
     est = estimate_directions(s)
     assert est.arcs.is_empty and est.occupied_bins == 0
     assert est.low_confidence
-    assert est.cutoffs == () and est.stabilization_index == 0
 
 
 def test_the_inner_rings_of_a_generated_sample_compute_no_point(monkeypatch):
@@ -485,23 +485,25 @@ def _random_arcs(rng, max_arcs, mean_len):
     return ArcSet.from_intervals(out)
 
 
-def test_i_alpha_fit_matches_scan():
+def test_i_alpha_fit_matches_scan(monkeypatch):
     rng = random.Random(4)
     for _ in range(30):
         # the scan samples at tol/4, so small sets keep it fast; at these
         # tolerances its step is shorter than the narrowest excluded arc
         # (radius alpha - tol) of every alpha it tries, so it sees them all
         arcs = _random_arcs(rng, max_arcs=3, mean_len=0.03)
-        tol = rng.choice([1e-3, 1e-2])
-        assert i_alpha_fit(arcs, tol_rad=tol) == _scanned_i_alpha_fit(arcs, tol), arcs
+        tol = rng.choice([1e-3, I_ALPHA_TOL_RAD])
+        monkeypatch.setattr(ranges, "I_ALPHA_TOL_RAD", tol)
+        assert i_alpha_fit(arcs) == _scanned_i_alpha_fit(arcs, tol), arcs
 
 
-def test_i_alpha_fit_sees_an_arc_through_an_excluded_direction():
+def test_i_alpha_fit_sees_an_arc_through_an_excluded_direction(monkeypatch):
     # at tol 0.05 the scan sampled this arc at its two endpoints only and
     # reported alpha = 0.05498 for an arc that runs through pi/2
     arcs = ArcSet.from_intervals([(PI / 2 - 0.006, PI / 2 + 0.006)])
     assert _scanned_i_alpha_fit(arcs, tol_rad=0.05) == pytest.approx(0.05498, abs=1e-5)
-    assert i_alpha_fit(arcs, tol_rad=0.05) is None
+    monkeypatch.setattr(ranges, "I_ALPHA_TOL_RAD", 0.05)
+    assert i_alpha_fit(arcs) is None
 
 
 def test_antipodal_gap_alpha_matches_scan():
@@ -525,6 +527,24 @@ def test_antipodal_tolerances_must_be_finite(tol):
     for find in (antipodal_pairs, antipodal_gap_alpha):
         with pytest.raises(ValueError, match="^tol_rad must be finite"):
             find(arcs, tol_rad=tol)
+
+
+@pytest.mark.parametrize("tol", [-1e-3, -0.1])
+def test_antipodal_pairs_refuses_a_negative_tolerance(tol):
+    # a negative tol_rad once gave the pairs of tol 0
+    arcs = ArcSet.from_intervals([(0.1, 0.4), (3.3, 3.5)])
+    with pytest.raises(ValueError, match=f"^tol_rad must be finite and at "
+                       f"least 0, got {tol}$"):
+        antipodal_pairs(arcs, tol_rad=tol)
+
+
+@pytest.mark.parametrize("bins", [0, -3])
+def test_phi_profile_refuses_fewer_than_one_bin(bins):
+    # bins 0 once raised an IndexError, and -3 numpy's linspace message
+    s = sample_range(parse_map("u=re(z); v=im(z)"), 8.0, n_grid=64, seed=0)
+    with pytest.raises(ValueError, match=f"^bins must be at least 1, got {bins}$"):
+        phi_profile(s, bins=bins)
+    assert phi_profile(s, bins=1).values.shape == (1,)
 
 
 @pytest.mark.parametrize("cutoff", [math.nan, math.inf])

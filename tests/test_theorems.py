@@ -135,7 +135,7 @@ def test_halfplane_constancy_is_the_oscillation_test():
     u = np.array([-0.75, 0.0, 0.75]) * CONSTANT_TOL
     s = RangeSample(z=np.zeros(3, dtype=complex), w=u + 0j, radius=1.0,
                     n_grid=1, seed=0)
-    est = DirectionEstimate(arcs=ArcSet.empty(), cutoffs=(), bins=1)
+    est = DirectionEstimate(arcs=ArcSet.empty(), bins=1)
     v = check_halfplane_theorem(None, 0.0, est, s)
     assert not is_constant_proxy(u)
     assert not v.conclusion_holds
@@ -168,7 +168,7 @@ def _halfplane_of(w: np.ndarray, alpha: float = 0.0):
     """The half-plane verdict on the range values w, with an empty estimate."""
     s = RangeSample(z=np.zeros(w.size, dtype=complex), w=w, radius=1.0,
                     n_grid=1, seed=0)
-    est = DirectionEstimate(arcs=ArcSet.empty(), cutoffs=(), bins=1)
+    est = DirectionEstimate(arcs=ArcSet.empty(), bins=1)
     return check_halfplane_theorem(None, alpha, est, s)
 
 
@@ -301,26 +301,27 @@ def test_log2_bulk_samples():
 
 @pytest.mark.parametrize("n, seed, radius", [(4096, 11, 100.0), (1 << 18, 5, 100.0),
                                              (1000, 2**31 - 1, 1.0)])
-def test_log2_sample_points_are_the_complex_exponential_bit_for_bit(n, seed, radius):
+def test_log2_sample_points_are_the_complex_exponential_bit_for_bit(n, seed, radius,
+                                                                   monkeypatch):
+    monkeypatch.setattr(theorems, "LOG2_RADIUS", radius)
     pts = sobol_points(n, seed)
     r = radius * np.sqrt(pts[:, 0])
     t = 2.0 * math.pi * pts[:, 1]
     z = r * np.exp(1j * t)
     want = z[(np.abs(z) > 1e-9) & (np.abs(z - 1.0) > 1e-9)]
-    assert log2_sample_points(n, seed, radius).tobytes() == want.tobytes()
+    assert log2_sample_points(n, seed).tobytes() == want.tobytes()
 
 
-def test_log2_sample_points_drop_the_punctures():
+def test_log2_sample_points_drop_the_punctures(monkeypatch):
     # radius 1e-9: every point lies within 1e-9 of 0
-    assert log2_sample_points(64, seed=0, radius=1e-9).size == 0
+    monkeypatch.setattr(theorems, "LOG2_RADIUS", 1e-9)
+    assert log2_sample_points(64, seed=0).size == 0
 
 
-@pytest.mark.parametrize("n, radius", [(0, 100.0), (-3, 100.0), (10, 0.0),
-                                       (10, -1.0), (10, math.nan),
-                                       (10, math.inf)])
-def test_log2_sample_points_rejects_bad_input(n, radius):
-    with pytest.raises(ValueError):
-        log2_sample_points(n, seed=0, radius=radius)
+@pytest.mark.parametrize("n", [0, -3])
+def test_log2_sample_points_rejects_bad_input(n):
+    with pytest.raises(ValueError, match=f"^n must be at least 1, got {n}$"):
+        log2_sample_points(n, seed=0)
 
 
 LOG2_CASES = [
@@ -342,11 +343,12 @@ def test_the_generated_log2_check_is_the_check_of_the_array(n, seed, radius, sla
                                                            monkeypatch):
     if slack is not None:
         monkeypatch.setattr(theorems, "LOG2_SLACK", slack)
+    monkeypatch.setattr(theorems, "LOG2_RADIUS", radius)
     for block in (ranges.POINT_BLOCK, 4097):
         monkeypatch.setattr(ranges, "POINT_BLOCK", block)
-        z = log2_sample_points(n, seed, radius)
+        z = log2_sample_points(n, seed)
         want = json.dumps(check_log2_inequalities(z).to_dict())
-        made = theorems._Log2Points(n, seed, radius)
+        made = theorems._Log2Points(n, seed)
         assert json.dumps(check_log2_inequalities(made).to_dict()) == want, block
     verdict = json.loads(want)
     assert verdict["sampling"]["count"] == z.size
@@ -359,9 +361,10 @@ def test_the_generated_log2_check_is_the_check_of_the_array(n, seed, radius, sla
 def test_the_generated_log2_check_names_the_same_excluded_point(monkeypatch):
     # with no gap, the points within 1e-12 of 0 are kept, and refused
     monkeypatch.setattr(theorems, "PUNCTURE_GAP", 0.0)
+    monkeypatch.setattr(theorems, "LOG2_RADIUS", 2e-12)
     messages = []
-    for points in (log2_sample_points(70_000, 5, 2e-12),
-                   theorems._Log2Points(70_000, 5, 2e-12)):
+    for points in (log2_sample_points(70_000, 5),
+                   theorems._Log2Points(70_000, 5)):
         with pytest.raises(ExcludedPointError) as err:
             check_log2_inequalities(points)
         messages.append(str(err.value))
