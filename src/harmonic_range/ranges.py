@@ -10,6 +10,7 @@ records the radius it was computed with.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -148,9 +149,12 @@ class RangeSample:
 _SOBOL_BITS = 30
 
 
-def _sobol_directions(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+@functools.lru_cache(maxsize=16)
+def _sobol_directions(seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Scrambled direction numbers (2, bits) and digital shift (2,) of the
-    2-D Sobol' sequence, drawn from ``rng`` in the order scipy draws them."""
+    2-D Sobol' sequence of seed, drawn in the order scipy draws them:
+    derived once per seed, shared, read-only."""
+    rng = np.random.default_rng(seed)
     bits = _SOBOL_BITS
     m = np.ones((2, bits), dtype=np.uint32)  # dim 0: van der Corput
     for j in range(1, bits):                  # dim 1: polynomial x + 1, m_1 = 1
@@ -168,6 +172,7 @@ def _sobol_directions(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]
         axis=1, dtype=np.uint32)
     shift = (shift * (np.uint32(1) << np.arange(bits, dtype=np.uint32))).sum(
         axis=1, dtype=np.uint32)
+    sv.flags.writeable = shift.flags.writeable = False
     return sv, shift
 
 
@@ -182,9 +187,8 @@ def _gray_fill(q: np.ndarray, sv: np.ndarray, shift: np.ndarray) -> None:
     size, k = 1, 0
     while size < n:
         count = min(size, n - size)
-        for d in range(2):
-            np.bitwise_xor(q[d, size - count:size][::-1], sv[d, k],
-                           out=q[d, size:size + count])
+        np.bitwise_xor(q[:, size - count:size][:, ::-1], sv[:, k:k + 1],
+                       out=q[:, size:size + count])
         size, k = size * 2, k + 1
 
 
@@ -193,43 +197,31 @@ def _check_sobol_count(n: int) -> None:
         raise ValueError(f"can draw 0 to 2**{_SOBOL_BITS} Sobol' points, not {n}")
 
 
-def _sobol_ints(n: int, seed: int) -> np.ndarray:
-    """Numerators, shape (2, n) and dtype uint32, over 2^_SOBOL_BITS of
-    the first ``n`` points of sobol_points."""
-    _check_sobol_count(n)
-    q = np.empty((2, n), dtype=np.uint32)
-    _gray_fill(q, *_sobol_directions(np.random.default_rng(seed)))
-    return q
-
-
 def _sobol_blocks(n: int, seed: int, start: int = 0):
-    """The columns start .. n-1 of _sobol_ints(n, seed), as (index, block)
-    pairs cut at the multiples of B, B the largest power of two <=
-    POINT_BLOCK.
+    """Numerators, dtype uint32, over 2^_SOBOL_BITS of the Sobol' points
+    start .. n-1 of seed, as (index, block) pairs of shape (2, count), cut
+    at the multiples of B, B the largest power of two <= POINT_BLOCK.
 
-    With i = hB + l and l < B = 2^b, gray(i) = (gray(h) << b) ^ gray(l),
-    with bit b-1 flipped when h is odd.  So block h is block 0 XORed with
-    the direction numbers of the set bits of gray(h), shifted up by b,
-    and with direction number b-1 when h is odd (b > 0); only block 0 is
-    built by reflection, as far as the blocks need it."""
+    Point i has the numerator shift ^ the direction numbers of the set
+    bits of gray(i), and with i = hB + l, l < B, gray(i) = gray(hB) ^
+    gray(l).  So block h is block 0 XORed with the direction numbers of
+    the set bits of gray(hB); only block 0 is built by reflection, as far
+    as the blocks need it."""
     _check_sobol_count(n)
-    sv, shift = _sobol_directions(np.random.default_rng(seed))
-    b = POINT_BLOCK.bit_length() - 1
-    size = 1 << b
-    h0 = start // size
-    first = np.empty((2, min(size, n - h0 * size)), dtype=np.uint32)
+    sv, shift = _sobol_directions(seed)
+    size = 1 << (POINT_BLOCK.bit_length() - 1)
+    first = np.empty((2, min(size, n - start // size * size)), dtype=np.uint32)
     _gray_fill(first, sv, shift)
-    for h in range(h0, -(-n // size)):
+    while start < n:
+        h, lo = divmod(start, size)
         flip = np.zeros(2, dtype=np.uint32)
-        gray = h ^ (h >> 1)
+        gray = h * size ^ (h * size >> 1)
         for j in range(gray.bit_length()):
             if gray >> j & 1:
-                flip ^= sv[:, j + b]
-        if h & 1 and b:
-            flip ^= sv[:, b - 1]
-        lo = max(start - h * size, 0)
+                flip ^= sv[:, j]
         cols = first[:, lo:min(size, n - h * size)]
-        yield h * size + lo, cols ^ flip[:, None] if h else cols
+        yield start, cols ^ flip[:, None] if h else cols
+        start += cols.shape[1]
 
 
 _SOBOL_UNIT = 1.0 / (1 << _SOBOL_BITS)
@@ -239,9 +231,10 @@ def sobol_points(n: int, seed: int) -> np.ndarray:
     """First ``n`` points, shape (n, 2), of the LMS+shift scrambled 2-D
     Sobol' sequence; bit-identical to
     ``scipy.stats.qmc.Sobol(d=2, scramble=True, seed=seed).random(n)``."""
-    q = _sobol_ints(n, seed)
+    _check_sobol_count(n)
     pts = np.empty((n, 2))
-    np.multiply(q.T, _SOBOL_UNIT, out=pts)
+    for i, q in _sobol_blocks(n, seed):
+        np.multiply(q.T, _SOBOL_UNIT, out=pts[i:i + q.shape[1]])
     return pts
 
 

@@ -2,11 +2,13 @@
 block size moves no output bit, and the traced peak of each pass stays
 near its result instead of growing with the temporaries of the sample."""
 
+import functools
 import json
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import harmonic_range.cli as cli
 import harmonic_range.ranges as ranges
@@ -225,14 +227,23 @@ def test_the_nonfinite_count_does_not_depend_on_the_block_size(made_by, monkeypa
         assert str(err.value) == message, block
 
 
+def _numerators(n: int, seed: int) -> np.ndarray:
+    """The numerators, shape (2, n), of sobol_points(n, seed) at the block
+    size it has when called: at the default size test_sobol_points_match_scipy
+    ties them to scipy, whose random(n) warns for n not a power of two."""
+    return (ranges.sobol_points(n, seed) * (1 << 30)).astype(np.uint32).T
+
+
 @pytest.mark.parametrize("block", [1, 1000, 4096, 4097, 10**7])
-def test_sobol_blocks_are_the_columns_of_sobol_ints(block, monkeypatch):
-    monkeypatch.setattr(ranges, "POINT_BLOCK", block)
+def test_sobol_blocks_are_the_columns_of_sobol_points(block, monkeypatch):
     # block 1 takes a Python step per point: keep its counts small
     counts = [0, 1, 2, 3, 4096, 4097, 5000] + ([3 * 4096 + 5, 70_001]
                                                 if block > 1 else [])
-    for n in counts:
-        want = ranges._sobol_ints(n, 11)
+    # made before the block size is patched: the patched blocks would be
+    # checked against themselves
+    wants = {n: _numerators(n, 11) for n in counts}
+    monkeypatch.setattr(ranges, "POINT_BLOCK", block)
+    for n, want in wants.items():
         got = np.empty_like(want)
         starts = []
         for start, q in ranges._sobol_blocks(n, 11):
@@ -240,6 +251,78 @@ def test_sobol_blocks_are_the_columns_of_sobol_ints(block, monkeypatch):
             got[:, start:start + q.shape[1]] = q
         assert np.array_equal(got, want), (block, n)
         assert starts == list(range(0, n, 1 << (block.bit_length() - 1)))
+
+
+REFERENCE_N = 70_001
+REFERENCE_SEEDS = (0, 11, 2**31 - 1)
+
+
+@functools.cache
+def _reference(seed: int) -> np.ndarray:
+    return _numerators(REFERENCE_N, seed)
+
+
+@st.composite
+def _runs(draw):
+    n = draw(st.integers(0, REFERENCE_N))
+    return n, draw(st.integers(0, n))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_runs(), st.sampled_from([1000, 4096, 4097, 1 << 14]),
+       st.sampled_from(REFERENCE_SEEDS))
+def test_sobol_blocks_are_a_run_of_the_reference_columns(run, block, seed):
+    n, start = run
+    want = _reference(seed)[:, start:n]  # made at the default block size
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ranges, "POINT_BLOCK", block)
+        blocks = list(ranges._sobol_blocks(n, seed, start))
+    size = 1 << (block.bit_length() - 1)
+    cuts = [start] + list(range((start // size + 1) * size, n, size))
+    assert [i for i, _ in blocks] == (cuts if start < n else [])
+    got = (np.concatenate([q for _, q in blocks], axis=1) if blocks
+           else np.empty((2, 0), dtype=np.uint32))
+    assert got.dtype == np.uint32 and np.array_equal(got, want)
+
+
+def test_the_cached_scramble_is_read_only():
+    sv, shift = ranges._sobol_directions(11)
+    assert ranges._sobol_directions(11)[0] is sv
+    assert ranges._sobol_directions.cache_parameters()["maxsize"] is not None
+    for a in (sv, shift):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] ^= 1
+
+
+@pytest.mark.parametrize("n_grid", [256, 512])
+def test_a_seed_is_scrambled_once_a_sample(n_grid, monkeypatch):
+    drawn = []
+    make = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: drawn.append(seed) or make(seed))
+    ranges._sobol_directions.cache_clear()  # seed 3 is fresh
+    s = _line_sample(n_grid)
+    assert drawn == [3]
+    # neither the far masks and witness of a dependence pass nor a Sobol'
+    # point read later derives the scramble again
+    report = zeros.detect_dependence(s, a=1.0, R=30.0)
+    at = s.n_grid ** 2 + 5
+    assert report.hypothesis_witness is not None
+    assert s.points(slice(at, at + 1)).size == 1
+    assert drawn == [3]
+
+
+def test_too_many_sobol_points_are_refused_before_any_is_made():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"2\*\*30 Sobol' points"):
+            ranges.sobol_points(2**30 + 1, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the points alone would take 16 GiB
+    assert peak < MB, peak
 
 
 @pytest.fixture(scope="module")

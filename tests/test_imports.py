@@ -10,7 +10,9 @@ leaves the choice of its sampler to the term splitter of the expressions;
 every public function and class of a layer has a caller outside the
 tests, or is named in the README; and every defaulted parameter of a
 layer's public functions and methods is set to another value by some
-call in the library or the benchmark, or else is a module constant."""
+call in the library or the benchmark, or else is a module constant; and
+one cached function derives a seed's Sobol' scramble, which one fill
+turns into numerators for one generator."""
 
 import ast
 import importlib
@@ -166,19 +168,24 @@ def _angle_grid(node: ast.AST, names: set[str]) -> bool:
                for n in ast.walk(node))
 
 
+def _functions(tree: ast.Module) -> list[tuple[str, ast.FunctionDef]]:
+    """The top-level functions and the methods of tree, as ``f`` or
+    ``Class.f``, with their nodes."""
+    defs = [(node.name, node) for node in tree.body
+            if isinstance(node, ast.FunctionDef)]
+    return defs + [(f"{cls.name}.{node.name}", node) for cls in tree.body
+                   if isinstance(cls, ast.ClassDef) for node in cls.body
+                   if isinstance(node, ast.FunctionDef)]
+
+
 def _ring_builders(tree: ast.Module) -> list[str]:
     """Functions and methods, as ``f`` or ``Class.f``, that build a ring:
     np.exp of an imaginary multiple of a grid of angles from np.arange or
     np.linspace, directly or through local names.  e^{ikt} at given angles,
     as in FourierProfile.reconstruct or the bisection on a probe circle,
     builds none."""
-    defs = [(node.name, node) for node in tree.body
-            if isinstance(node, ast.FunctionDef)]
-    defs += [(f"{cls.name}.{node.name}", node) for cls in tree.body
-             if isinstance(cls, ast.ClassDef) for node in cls.body
-             if isinstance(node, ast.FunctionDef)]
     found = []
-    for name, fn in defs:
+    for name, fn in _functions(tree):
         grids: set[str] = set()  # local names bound to grids of angles
         while True:
             bound = {t.id for node in ast.walk(fn) if isinstance(node, ast.Assign)
@@ -409,3 +416,86 @@ def test_the_check_sees_a_setting_only_its_tests_vary():
                       "fit(a, seed=s, *rest)\n")
     sigs = {"fit": _signature(fit), "within": _signature(Arcs.within)}
     assert _unvaried(sigs, [calls]) == ["fit.tol", "within.tol"]
+
+
+def _holders(tree: ast.Module, found) -> list[str]:
+    """The functions and methods of tree, named as _functions names them,
+    that hold a node for which found is true, and ``<module>`` when a
+    node outside them does."""
+    names, inside = [], set()
+    for name, fn in _functions(tree):
+        nodes = list(ast.walk(fn))
+        inside |= {id(node) for node in nodes}
+        if any(found(node) for node in nodes):
+            names.append(name)
+    if any(found(node) and id(node) not in inside for node in ast.walk(tree)):
+        names.append("<module>")
+    return names
+
+
+def _calls(name: str):
+    return lambda node: (isinstance(node, ast.Call) and name in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)))
+
+
+def _writes_xor_run(node: ast.AST) -> bool:
+    """Whether node writes XORs into an array in runs: np.bitwise_xor with
+    out=, or a[...] ^= x or a[...] = x ^ y with a slice in the subscript.
+    A single element, as in a recurrence of direction numbers, is no run."""
+    def run(target):
+        return isinstance(target, ast.Subscript) and any(
+            isinstance(n, ast.Slice) for n in ast.walk(target.slice))
+    if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "bitwise_xor":
+        return any(k.arg == "out" for k in node.keywords)
+    if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.BitXor):
+        return run(node.target)
+    return (isinstance(node, ast.Assign) and isinstance(node.value, ast.BinOp)
+            and isinstance(node.value.op, ast.BitXor)
+            and any(run(t) for t in node.targets))
+
+
+def _sobol_machinery(tree: ast.Module) -> dict[str, list[str]]:
+    return {"default_rng": _holders(tree, _calls("default_rng")),
+            "xor runs": _holders(tree, _writes_xor_run),
+            "_gray_fill": _holders(tree, _calls("_gray_fill"))}
+
+
+def test_one_sobol_generator_derives_each_scramble_once():
+    # a seed's scramble is drawn in one cached function, and one fill
+    # writes numerators, for one generator: no block derives the scramble
+    # or fills numerators of its own
+    found = {}
+    for p in SOURCES:
+        for key, names in _sobol_machinery(ast.parse(p.read_text())).items():
+            found.setdefault(key, []).extend((p.name, n) for n in names)
+    assert found == {"default_rng": [("ranges.py", "_sobol_directions")],
+                     "xor runs": [("ranges.py", "_gray_fill")],
+                     "_gray_fill": [("ranges.py", "_sobol_blocks")]}
+    ranges = ast.parse(next(p for p in SOURCES if p.name == "ranges.py").read_text())
+    directions = dict(_functions(ranges))["_sobol_directions"]
+    bounds = [ast.literal_eval(k.value) for d in directions.decorator_list
+              if isinstance(d, ast.Call) and getattr(d.func, "attr", None) == "lru_cache"
+              for k in d.keywords if k.arg == "maxsize"]
+    assert len(bounds) == 1 and isinstance(bounds[0], int)
+
+
+def test_the_check_sees_a_second_sobol_generator():
+    tree = ast.parse("RNG = np.random.default_rng(0)\n"
+                     "def _sobol_ints(n, seed):\n"
+                     "    q = np.empty((2, n), dtype=np.uint32)\n"
+                     "    _gray_fill(q, *_sobol_directions(np.random.default_rng(seed)))\n"
+                     "    return q\n"
+                     "class Blocks:\n"
+                     "    def refill(self, q, sv, size, k):\n"
+                     "        q[:, size:2 * size] = q[:, :size][:, ::-1] ^ sv[:, k:k + 1]\n"
+                     "def flip(q, sv):\n"
+                     "    for d in range(2):\n"
+                     "        np.bitwise_xor(q[d, :4][::-1], sv[d, 2], out=q[d, 4:8])\n"
+                     "def shifted(q, sv):\n"
+                     "    q[0, 8:] ^= sv[0, 3]\n"
+                     "def recurrence(m, j):\n"
+                     "    m[1, j] = m[1, j - 1] ^ (m[1, j - 1] << 1)\n")
+    assert _sobol_machinery(tree) == {
+        "default_rng": ["_sobol_ints", "<module>"],
+        "xor runs": ["flip", "shifted", "Blocks.refill"],
+        "_gray_fill": ["_sobol_ints"]}
